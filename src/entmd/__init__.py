@@ -61,8 +61,6 @@ from .experiments import (  # noqa: E402
 from .linalg import (  # noqa: E402
     jacobi_eigenvalues,
     lambda_max_scaled_gram,
-    matvec,
-    matvec_transpose,
     max_col_norm_sq,
     random_orthogonal,
     seeded_rng,

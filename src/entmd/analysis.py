@@ -359,7 +359,9 @@ def instability_construction(p: ProblemInstance, alpha: float) -> InstabilityIns
 
     With t = 3 / (alpha * lambda_max(diag(x*) A^T A)), the scaled system
     (A, t b) has planted solution t x*, and the update Jacobian
-    I - alpha diag(t x*) A^T A there has spectral radius exactly 2.
+    I - alpha diag(t x*) A^T A there has spectral radius exactly 2.  The
+    reported ``jacobian_spectrum_bound`` is that radius, computed from the
+    eigenvalues of the Jacobian itself.
 
     Raises
     ------
@@ -376,10 +378,10 @@ def instability_construction(p: ProblemInstance, alpha: float) -> InstabilityIns
         raise DomainError("lambda_max(diag(x*) A^T A) must be positive")
     t = 3.0 / (alpha * lam_base)
     scaled = ProblemInstance(p.a, t * p.b, planted=t * p.planted)
-    # Independent recomputation on the scaled weights; equals 3/alpha exactly
-    # in real arithmetic, so the radius below lands at |1 - 3| = 2.
-    lam_scaled = lambda_max_scaled_gram(p.a, scaled.planted)
-    rho = abs(1.0 - alpha * lam_scaled)
+    # Independent check: the spectral radius of the update Jacobian itself,
+    # by a general (nonsymmetric) eigensolver; 2 up to rounding.
+    jac = np.eye(p.n) - alpha * (scaled.planted[:, None] * (p.a.T @ p.a))
+    rho = float(np.max(np.abs(np.linalg.eigvals(jac))))
     return InstabilityInstance(p, alpha, t, scaled, rho)
 
 

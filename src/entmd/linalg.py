@@ -19,8 +19,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "seeded_rng",
-    "matvec",
-    "matvec_transpose",
     "max_col_norm_sq",
     "jacobi_eigenvalues",
     "smallest_positive_eigenvalue",
@@ -53,36 +51,6 @@ def as_vector(x) -> np.ndarray:
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic generator used throughout: 64-bit counter-based Philox."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def matvec(a, x) -> np.ndarray:
-    """Return ``A x``.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``len(x) != A.cols``.
-    """
-    a = as_matrix(a)
-    x = as_vector(x)
-    if x.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matvec: matrix is {a.shape}, vector has length {x.shape[0]}")
-    return a @ x
-
-
-def matvec_transpose(a, y) -> np.ndarray:
-    """Return ``A^T y``.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``len(y) != A.rows``.
-    """
-    a = as_matrix(a)
-    y = as_vector(y)
-    if y.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"matvec_transpose: matrix is {a.shape}, vector has length {y.shape[0]}")
-    return a.T @ y
 
 
 def max_col_norm_sq(a) -> float:
@@ -165,13 +133,11 @@ def smallest_positive_eigenvalue(g) -> float:
     return float(positive[0])
 
 
-def lambda_max_scaled_gram(a, x, rel_tol: float = 1e-12, max_iters: int = 100_000) -> float:
+def lambda_max_scaled_gram(a, x) -> float:
     """Largest eigenvalue of ``diag(x) A^T A`` for nonnegative weights x.
 
-    Computed as the top eigenvalue of the symmetric similar matrix
-    ``diag(sqrt(x)) A^T A diag(sqrt(x))`` by power iteration from the
-    all-ones vector, stopping when the Rayleigh quotient is stable to
-    ``rel_tol`` relative.
+    Computed by LAPACK (``eigvalsh``) as the top eigenvalue of the symmetric
+    similar matrix ``diag(sqrt(x)) A^T A diag(sqrt(x))``.
 
     Raises
     ------
@@ -185,19 +151,7 @@ def lambda_max_scaled_gram(a, x, rel_tol: float = 1e-12, max_iters: int = 100_00
     if np.any(x < 0):
         raise DomainError("weights must be nonnegative")
     b = a * np.sqrt(x)  # A diag(sqrt x); gram of b is the similar matrix
-    v = np.ones(a.shape[1])
-    lam = 0.0
-    for _ in range(max_iters):
-        w = b.T @ (b @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        lam_new = float(v @ (b.T @ (b @ v)))
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
+    return float(np.linalg.eigvalsh(b.T @ b)[-1])
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,14 +8,17 @@ Schemes
                        same convergence guarantees, no exponentiation
 * ``hd_polyak``        squared update x * (1 - a g)^2 (heuristic, may diverge)
 * ``eg_pm``            positive/negative split u - v for general (signed)
-                       systems, exponential updates with opposite signs
+                       systems: ``md_polyak`` on w = (u, v) with gradient
+                       (g, -g), i.e. on the stacked matrix [A, -A]
 * ``md_constant``      exponential update with a fixed stepsize
 * ``md_backtracking``  exponential update, stepsize halved until the local
                        curvature test a * D_f < D_h accepts
 
-Every solve records a per-iteration trace (objective, stepsize, l1 norm and
-optionally the Bregman divergence to a reference point) and reports one of
-three terminal statuses.  When a reference solution is supplied, the Polyak
+All schemes, and :func:`solve_convex`, run through one iteration loop that
+differs only in the objective callback, the update rule and the stepsize
+rule.  Every solve records a per-iteration trace (objective, stepsize, l1
+norm and optionally the Bregman divergence to a reference point) and reports
+one of three terminal statuses.  When a reference solution is supplied, the Polyak
 schemes verify the per-iteration divergence descent inequality and flag any
 numerical violation as a breakdown instead of silently continuing.
 """
@@ -28,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bregman import EXP_QUAD_BOUND, _dh_core, bregman_divergence, weighted_norm_sq
+from .bregman import EXP_QUAD_BOUND, _dh_core, bregman_divergence
 from .errors import (
     BreakdownError,
     ConvergenceError,
@@ -265,6 +268,60 @@ def gradient(p: ProblemInstance, x) -> np.ndarray:
     return p.a.T @ (p.a @ x - p.b)
 
 
+def _polyak_stepsize(x: np.ndarray, g: np.ndarray, f: float, c: float = 1.0) -> float | None:
+    """min(f / (c ||g||^2_x), 1.79 / ||g||_inf) for f > 0; None for a zero gradient."""
+    g_inf = float(np.max(np.abs(g)))
+    if g_inf == 0.0:
+        return None
+    cap = EXP_QUAD_BOUND / g_inf
+    wn = float(np.sum(x * g * g))
+    return cap if wn == 0.0 else min(f / (c * wn), cap)
+
+
+def _exp_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    return np.where(x == 0.0, 0.0, x * np.exp(-alpha * g))
+
+
+def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    t = alpha * g
+    return x * (1.0 - t + t * t)
+
+
+def _hd_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    mult = 1.0 - alpha * g
+    return np.where(x == 0.0, 0.0, x * mult * mult)
+
+
+_UPDATES = {
+    "md_polyak": _exp_update,
+    "hd_plus_polyak": _hd_plus_update,
+    "hd_polyak": _hd_update,
+    "eg_pm": _exp_update,
+    "md_constant": _exp_update,
+    "md_backtracking": _exp_update,
+}
+
+
+def _finite_or_breakdown(out: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(out)):
+        raise BreakdownError(f"non-finite iterate produced by {what}")
+    return out
+
+
+def _vector_pair(x, g, what: str) -> tuple[np.ndarray, np.ndarray]:
+    x = as_vector(x)
+    g = as_vector(g)
+    if x.shape != g.shape:
+        raise DimensionMismatch(f"{what}: iterate and gradient lengths differ")
+    return x, g
+
+
+def _checked_step(update, x, g, alpha: float, what: str) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        out = update(x, g, alpha)
+    return _finite_or_breakdown(out, what)
+
+
 def polyak_stepsize(x, g, f_gap: float, convex_mode: bool = False) -> float:
     """Adaptive stepsize min(f_gap / (c ||g||^2_x), 1.79 / ||g||_inf).
 
@@ -279,8 +336,7 @@ def polyak_stepsize(x, g, f_gap: float, convex_mode: bool = False) -> float:
         If ``x`` has a negative entry, the gap is negative, or the gradient
         is identically zero while the gap is positive.
     """
-    x = as_vector(x)
-    g = as_vector(g)
+    x, g = _vector_pair(x, g, "polyak_stepsize")
     if np.any(x < 0):
         raise DomainError("polyak_stepsize: weights must be nonnegative")
     f_gap = float(f_gap)
@@ -288,21 +344,10 @@ def polyak_stepsize(x, g, f_gap: float, convex_mode: bool = False) -> float:
         raise DomainError("polyak_stepsize: the objective gap must be nonnegative")
     if f_gap == 0.0:
         return 0.0
-    g_inf = float(np.max(np.abs(g)))
-    if g_inf == 0.0:
+    alpha = _polyak_stepsize(x, g, f_gap, 2.0 if convex_mode else 1.0)
+    if alpha is None:
         raise DomainError("polyak_stepsize: zero gradient with a positive gap")
-    cap = EXP_QUAD_BOUND / g_inf
-    wn = weighted_norm_sq(x, g)
-    if wn == 0.0:
-        return cap
-    c = 2.0 if convex_mode else 1.0
-    return min(f_gap / (c * wn), cap)
-
-
-def _finite_or_breakdown(out: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        raise BreakdownError(f"non-finite iterate produced by {what}")
-    return out
+    return alpha
 
 
 def md_step(x, g, alpha: float) -> np.ndarray:
@@ -315,12 +360,8 @@ def md_step(x, g, alpha: float) -> np.ndarray:
     BreakdownError
         If the update overflows.
     """
-    x = as_vector(x)
-    g = as_vector(g)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = x * np.exp(-alpha * g)
-    out = np.where(x == 0.0, 0.0, out)
-    return _finite_or_breakdown(out, "md_step")
+    x, g = _vector_pair(x, g, "md_step")
+    return _checked_step(_exp_update, x, g, alpha, "md_step")
 
 
 def hd_plus_step(x, g, alpha: float) -> np.ndarray:
@@ -329,13 +370,10 @@ def hd_plus_step(x, g, alpha: float) -> np.ndarray:
     Requires ``alpha * ||g||_inf <= 1.79``; under that cap the multiplier is
     positive, so nonnegativity is preserved.
     """
-    x = as_vector(x)
-    g = as_vector(g)
+    x, g = _vector_pair(x, g, "hd_plus_step")
     if alpha * float(np.max(np.abs(g))) > EXP_QUAD_BOUND * (1.0 + 1e-12):
         raise DomainError("hd_plus_step requires alpha * ||g||_inf <= 1.79")
-    t = alpha * g
-    out = x * (1.0 - t + t * t)
-    return _finite_or_breakdown(out, "hd_plus_step")
+    return _checked_step(_hd_plus_update, x, g, alpha, "hd_plus_step")
 
 
 def hd_step(x, g, alpha: float) -> np.ndarray:
@@ -343,13 +381,8 @@ def hd_step(x, g, alpha: float) -> np.ndarray:
 
     A coordinate where alpha * g_i = 1 lands exactly on zero.
     """
-    x = as_vector(x)
-    g = as_vector(g)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        mult = 1.0 - alpha * g
-        out = x * mult * mult
-    out = np.where(x == 0.0, 0.0, out)
-    return _finite_or_breakdown(out, "hd_step")
+    x, g = _vector_pair(x, g, "hd_step")
+    return _checked_step(_hd_update, x, g, alpha, "hd_step")
 
 
 def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -406,48 +439,26 @@ def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float
     raise ConvergenceError("backtracking found no admissible stepsize within 200 halvings")
 
 
-# Descent-certificate tolerance: D_h(z, x+) - D_h(z, x) <= -a f + TOL * (1 + D_h(z, x))
+# Descent-certificate tolerance: D_h(z, x+) - D_h(z, x) <= -a f / c + TOL * (1 + D_h(z, x))
 _DESCENT_TOL = 1e-9
 
 
-def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
-    """Run the configured scheme on ``p`` until f <= f_tol or max_iters.
+def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult:
+    """The iteration loop behind :func:`solve` and :func:`solve_convex`.
 
-    For ``md_polyak`` and ``hd_plus_polyak`` with a ``trace_reference`` in the
-    solution set and ``check_descent`` enabled, each iteration must satisfy
-    the certified divergence descent; a violation terminates with status
-    ``NUMERICAL_BREAKDOWN``.
+    ``fg(x)`` returns the objective (or gap) f and its gradient g at x.
+    ``stepsize(x, g)`` gives the step, or None when none is admissible; by
+    default it is the Polyak rule with constant ``c``, the same ``c`` that
+    scales the descent certificate D_h(z, x+) - D_h(z, x) <= -alpha f / c.
     """
-    if cfg.method.kind == "md_constant_grid":
-        raise DomainError("md_constant_grid must be resolved by the experiment driver")
-    if cfg.method.kind == "eg_pm":
-        return _solve_egpm(p, cfg)
-    return _solve_orthant(p, cfg)
-
-
-def _solve_orthant(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     kind = cfg.method.kind
-    if cfg.x0.shape[0] != p.n:
-        raise DimensionMismatch("x0 length must equal the number of columns")
-    a = p.a
-    at = np.ascontiguousarray(p.a.T)
-    b = p.b
+    update = _UPDATES[kind]
     x = cfg.x0.copy()
-
     z = cfg.trace_reference
-    if z is not None and z.shape[0] != p.n:
-        raise DimensionMismatch("trace_reference length must equal the number of columns")
-    certified = kind in ("md_polyak", "hd_plus_polyak")
-    checking = certified and cfg.check_descent and z is not None
+    if z is not None and z.shape != x.shape:
+        raise DimensionMismatch("trace_reference length must match x0")
+    checking = kind in ("md_polyak", "hd_plus_polyak") and cfg.check_descent and z is not None
     d_prev = _dh_core(z, x) if z is not None else None
-
-    polyak = kind in ("md_polyak", "hd_plus_polyak", "hd_polyak")
-    if kind == "md_backtracking":
-        alpha0 = cfg.method.alpha0
-        if alpha0 is None:
-            g0 = at @ (a @ x - b)
-            g0_inf = float(np.max(np.abs(g0)))
-            alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
 
     trace: list[TraceRecord] = []
     status = Status.MAX_ITERS
@@ -458,49 +469,24 @@ def _solve_orthant(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     err_state = np.seterr(over="ignore", invalid="ignore", under="ignore")
     try:
         for k in range(cfg.max_iters):
-            r = a @ x - b
-            f = 0.5 * float(r @ r)
+            f, g = fg(x)
             if not np.isfinite(f):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
             if f <= cfg.f_tol:
                 status, iters_run = Status.CONVERGED, k
                 break
-            g = at @ r
             if not np.all(np.isfinite(g)):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
-
-            if polyak:
-                # same arithmetic as polyak_stepsize, inlined for the hot loop
-                g_inf = float(np.max(np.abs(g)))
-                if g_inf == 0.0:
-                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                    break
-                cap = EXP_QUAD_BOUND / g_inf
-                wn = float(np.sum(x * g * g))
-                alpha = cap if wn == 0.0 else min(f / wn, cap)
-            elif kind == "md_constant":
-                alpha = cfg.method.alpha
-            else:
-                try:
-                    alpha = backtracking_stepsize(p, x, g, alpha0, cfg.method.shrink)
-                except (ConvergenceError, DomainError):
-                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                    break
+            alpha = _polyak_stepsize(x, g, f, c) if stepsize is None else stepsize(x, g)
+            if alpha is None:
+                status, iters_run = Status.NUMERICAL_BREAKDOWN, k
+                break
 
             trace.append(TraceRecord(k, f, alpha, float(np.sum(x)), d_prev))
 
-            if kind == "hd_plus_polyak":
-                t = alpha * g
-                x_next = x * (1.0 - t + t * t)
-            elif kind == "hd_polyak":
-                mult = 1.0 - alpha * g
-                x_next = x * mult * mult
-                x_next = np.where(x == 0.0, 0.0, x_next)
-            else:
-                x_next = x * np.exp(-alpha * g)
-                x_next = np.where(x == 0.0, 0.0, x_next)
+            x_next = update(x, g, alpha)
             if not np.all(np.isfinite(x_next)):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
@@ -512,7 +498,7 @@ def _solve_orthant(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
                     x = x_next
                     status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
                     break
-                if checking and d_next - d_prev > -alpha * f + _DESCENT_TOL * (1.0 + d_prev):
+                if checking and d_next - d_prev > -alpha * f / c + _DESCENT_TOL * (1.0 + d_prev):
                     x = x_next
                     status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
                     break
@@ -524,138 +510,85 @@ def _solve_orthant(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     return SolveResult(x, status, iters_run, trace, heuristic=(kind == "hd_polyak"))
 
 
-def _solve_egpm(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
-    n = p.n
-    if cfg.x0.shape[0] != 2 * n:
-        raise DimensionMismatch("eg_pm needs x0 of length 2 n, the concatenation (u0, v0)")
-    a = p.a
-    at = np.ascontiguousarray(p.a.T)
-    b = p.b
-    u = cfg.x0[:n].copy()
-    v = cfg.x0[n:].copy()
+def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
+    """Run the configured scheme on ``p`` until f <= f_tol or max_iters.
 
-    z = cfg.trace_reference
-    if z is not None and z.shape[0] != 2 * n:
-        raise DimensionMismatch("eg_pm trace_reference must have length 2 n")
+    For ``md_polyak`` and ``hd_plus_polyak`` with a ``trace_reference`` in the
+    solution set and ``check_descent`` enabled, each iteration must satisfy
+    the certified divergence descent; a violation terminates with status
+    ``NUMERICAL_BREAKDOWN``.
+    """
+    kind = cfg.method.kind
+    if kind == "md_constant_grid":
+        raise DomainError("md_constant_grid must be resolved by the experiment driver")
+    a, b, n = p.a, p.b, p.n
+    at = np.ascontiguousarray(a.T)
+    split = kind == "eg_pm"
+    if cfg.x0.shape[0] != (2 * n if split else n):
+        raise DimensionMismatch("eg_pm needs x0 of length 2 n, the concatenation (u0, v0)" if split
+                                else "x0 length must equal the number of columns")
 
-    trace: list[TraceRecord] = []
-    status = Status.MAX_ITERS
-    iters_run = cfg.max_iters
-
-    err_state = np.seterr(over="ignore", invalid="ignore", under="ignore")
-    try:
-        for k in range(cfg.max_iters):
-            r = a @ (u - v) - b
-            f = 0.5 * float(r @ r)
-            if not np.isfinite(f):
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                break
-            if f <= cfg.f_tol:
-                status, iters_run = Status.CONVERGED, k
-                break
+    if split:
+        # eg_pm is md_polyak on w = (u, v) for the stacked matrix [A, -A]
+        def fg(w):
+            r = a @ (w[:n] - w[n:]) - b
             g = at @ r
-            if not np.all(np.isfinite(g)):
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                break
-            g_inf = float(np.max(np.abs(g)))
-            if g_inf == 0.0:
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                break
-            cap = EXP_QUAD_BOUND / g_inf
-            pair = u + v
-            wn = float(np.sum(pair * g * g))
-            alpha = cap if wn == 0.0 else min(f / wn, cap)
+            return 0.5 * float(r @ r), np.concatenate([g, -g])
+    else:
+        def fg(x):
+            r = a @ x - b
+            return 0.5 * float(r @ r), at @ r
 
-            d_h = _dh_core(z, np.concatenate([u, v])) if z is not None else None
-            trace.append(TraceRecord(k, f, alpha, float(np.sum(pair)), d_h))
+    stepsize = None
+    if kind == "md_constant":
+        def stepsize(x, g):
+            return cfg.method.alpha
+    elif kind == "md_backtracking":
+        alpha0, shrink = cfg.method.alpha0, cfg.method.shrink
+        if alpha0 is None:
+            g0_inf = float(np.max(np.abs(fg(cfg.x0)[1])))
+            alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
 
-            u_next = u * np.exp(-alpha * g)
-            v_next = v * np.exp(alpha * g)
-            u_next = np.where(u == 0.0, 0.0, u_next)
-            v_next = np.where(v == 0.0, 0.0, v_next)
-            if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(v_next))):
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                break
-            u, v = u_next, v_next
-    finally:
-        np.seterr(**err_state)
+        def stepsize(x, g):
+            try:
+                return backtracking_stepsize(p, x, g, alpha0, shrink)
+            except (ConvergenceError, DomainError):
+                return None
 
-    return SolveResult(u - v, status, iters_run, trace, w_final=np.concatenate([u, v]))
+    res = _iterate(fg, cfg, stepsize=stepsize)
+    if split:
+        res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
+    return res
 
 
 def solve_convex(obj: ConvexObjective, cfg: SolveConfig) -> SolveResult:
     """Minimize a convex function with known optimum over the orthant.
 
     Same trace and stopping contract as :func:`solve`, with the objective
-    gap f(x) - f* playing the role of f.  Only the two certified schemes are
-    supported (``md_polyak`` and ``hd_plus_polyak``).
+    gap f(x) - f* playing the role of f and the Polyak constant c = 2.
+    Only the two certified schemes are supported (``md_polyak`` and
+    ``hd_plus_polyak``).
 
     Raises
     ------
     DomainError
         If an observed value drops more than 1e-9 below ``f_star`` (the
         declared optimum is wrong) or the method is unsupported.
+    DimensionMismatch
+        If the gradient or ``trace_reference`` length differs from x0's.
     """
-    kind = cfg.method.kind
-    if kind not in ("md_polyak", "hd_plus_polyak"):
+    if cfg.method.kind not in ("md_polyak", "hd_plus_polyak"):
         raise DomainError("solve_convex supports only md_polyak and hd_plus_polyak")
     f_star = float(obj.f_star)
     if not np.isfinite(f_star):
         raise DomainError("f_star must be finite")
-
-    x = cfg.x0.copy()
-    z = cfg.trace_reference
-    if z is not None and z.shape[0] != x.shape[0]:
-        raise DimensionMismatch("trace_reference length must match x0")
-    checking = cfg.check_descent and z is not None
-    d_prev = bregman_divergence(z, x) if z is not None else None
-
-    trace: list[TraceRecord] = []
-    status = Status.MAX_ITERS
-    iters_run = cfg.max_iters
-
-    for k in range(cfg.max_iters):
+    def fg(x):
         gap = float(obj.value(x)) - f_star
         if gap < -1e-9:
             raise DomainError(f"observed value {gap + f_star!r} below the declared optimum")
-        gap = max(gap, 0.0)
-        if not np.isfinite(gap):
-            status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-            break
-        if gap <= cfg.f_tol:
-            status, iters_run = Status.CONVERGED, k
-            break
-        g = as_vector(obj.gradient(x))
-        try:
-            alpha = polyak_stepsize(x, g, gap, convex_mode=True)
-        except DomainError:
-            status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-            break
+        g = np.asarray(obj.gradient(x), dtype=float)
+        if g.shape != x.shape:
+            raise DimensionMismatch("gradient length must match x0")
+        return max(gap, 0.0), g
 
-        trace.append(TraceRecord(k, gap, alpha, float(np.sum(x)), d_prev))
-
-        try:
-            if kind == "hd_plus_polyak":
-                x_next = hd_plus_step(x, g, alpha)
-            else:
-                x_next = md_step(x, g, alpha)
-        except BreakdownError:
-            status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-            break
-
-        if z is not None:
-            try:
-                d_next = bregman_divergence(z, x_next)
-            except InfiniteDivergence:
-                x = x_next
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
-                break
-            # convex-mode certified descent carries the extra factor 1/2
-            if checking and d_next - d_prev > -0.5 * alpha * gap + _DESCENT_TOL * (1.0 + d_prev):
-                x = x_next
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
-                break
-            d_prev = d_next
-        x = x_next
-
-    return SolveResult(x, status, iters_run, trace)
+    return _iterate(fg, cfg, c=2.0)

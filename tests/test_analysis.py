@@ -216,6 +216,27 @@ class TestInstability:
         with pytest.raises(DomainError):
             instability_construction(p, 1.0)
 
+    def test_top_eigenvector_orthogonal_to_ones(self):
+        # A^T A has eigenvalues 8, 1, 0; the all-ones vector has no component
+        # along the top eigenvector (1, -1, 0), so a power iteration from it
+        # finds 1, picks t = 6 and leaves a Jacobian radius of 23
+        a = [[2.0, -2.0, 0.0], [0.0, 0.0, 1.0]]
+        p = ProblemInstance(a, [0.0, 1.0], planted=[1.0, 1.0, 1.0])
+        inst = instability_construction(p, 0.5)
+        assert inst.t_scale == pytest.approx(3.0 / (0.5 * 8.0), rel=1e-12)
+        jac = np.eye(3) - 0.5 * inst.t_scale * (np.asarray(a).T @ np.asarray(a))
+        radius = float(np.max(np.abs(np.linalg.eigvals(jac))))
+        assert radius == pytest.approx(2.0, abs=1e-12)
+        assert inst.jacobian_spectrum_bound == pytest.approx(radius, abs=1e-12)
+
+    def test_ones_in_kernel_is_not_rejected(self):
+        # A ones = 0, so a power iteration from ones returns 0 and the valid
+        # instance (top eigenvalue 2) used to be rejected
+        p = ProblemInstance([[1.0, -1.0], [0.0, 0.0]], [0.0, 0.0], planted=[1.0, 1.0])
+        inst = instability_construction(p, 1.0)
+        assert inst.t_scale == pytest.approx(1.5, rel=1e-12)
+        assert inst.jacobian_spectrum_bound == pytest.approx(2.0, abs=1e-12)
+
 
 class TestSublinearBoundCurve:
     def test_values_and_halving(self):

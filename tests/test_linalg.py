@@ -2,62 +2,15 @@ import numpy as np
 import pytest
 
 from entmd import (
-    DimensionMismatch,
     DomainError,
     jacobi_eigenvalues,
     lambda_max_scaled_gram,
-    matvec,
-    matvec_transpose,
     max_col_norm_sq,
     random_orthogonal,
     seeded_rng,
     smallest_positive_eigenvalue,
 )
 from entmd.linalg import kernel_projector
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_row_sum(self):
-        assert matvec([[1.0, 1.0]], [2.0, 5.0]) == pytest.approx([7.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec(np.zeros((2, 2)), [1.0, 1.0]), [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matvec(np.eye(2), [1.0, 2.0, 3.0])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            matvec([[np.inf, 1.0]], [1.0, 1.0])
-
-
-class TestMatvecTranspose:
-    def test_identity(self):
-        assert np.array_equal(matvec_transpose(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_single_row(self):
-        assert matvec_transpose([[1.0, 2.0]], [3.0]) == pytest.approx([3.0, 6.0])
-
-    def test_single_column(self):
-        assert matvec_transpose([[1.0], [1.0]], [2.0, 5.0]) == pytest.approx([7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matvec_transpose([[1.0, 2.0]], [1.0, 2.0])
-
-    def test_adjoint_identity(self):
-        rng = seeded_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((5, 7))
-            x = rng.standard_normal(7)
-            y = rng.standard_normal(5)
-            lhs = float(matvec(a, x) @ y)
-            rhs = float(x @ matvec_transpose(a, y))
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestMaxColNormSq:

@@ -278,6 +278,25 @@ class TestSolve:
             SolveConfig(Method.md_polyak(), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("method, step", [
+    (Method.md_polyak(), md_step),
+    (Method.hd_plus_polyak(), hd_plus_step),
+    (Method.hd_polyak(), hd_step),
+])
+def test_trace_stepsizes_replay_through_public_steps(method, step):
+    # the loop and the public step functions share one update definition:
+    # replaying the recorded stepsizes reproduces the final iterate bit for bit
+    p = centered_gaussian_instance(6, 12, 3, seed=35)
+    x0 = np.full(12, 0.1)
+    res = solve(p, SolveConfig(method, x0, max_iters=60, f_tol=0.0))
+    assert res.status is Status.MAX_ITERS
+    at = np.ascontiguousarray(p.a.T)
+    x = x0
+    for rec in res.trace:
+        x = step(x, at @ (p.a @ x - p.b), rec.stepsize)
+    assert np.array_equal(x, res.x_final)
+
+
 class TestEgpmSolve:
     def test_converges_on_signed_system(self):
         a, b, z = signed_system(4, 8, seed=30)
@@ -299,6 +318,20 @@ class TestEgpmSolve:
         p = ProblemInstance(a, b)
         with pytest.raises(DimensionMismatch):
             solve(p, SolveConfig(Method.eg_pm(), np.full(6, 0.5)))
+
+    def test_reference_made_infinite_breaks_down_like_stacked_system(self):
+        # the subnormal v-coordinate underflows to 0 in the first step while
+        # the reference keeps it positive: D_h(z, w) becomes infinite
+        p = ProblemInstance([[1.0, 1.0]], [100.0])
+        x0 = np.array([0.5, 0.5, 5e-324, 0.5])
+        z = np.array([50.0, 50.0, 1e-3, 1e-3])
+        res = solve(p, SolveConfig(Method.eg_pm(), x0, trace_reference=z))
+        stacked = solve(ProblemInstance([[1.0, 1.0, -1.0, -1.0]], [100.0]),
+                        SolveConfig(Method.md_polyak(), x0, trace_reference=z))
+        assert res.status is stacked.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == stacked.iters_run == 1
+        assert np.array_equal(res.w_final, stacked.x_final)
+        assert np.array_equal(res.x_final, res.w_final[:2] - res.w_final[2:])
 
 
 class TestSolveConvex:
@@ -355,6 +388,20 @@ class TestSolveConvex:
     def test_unsupported_method(self):
         with pytest.raises(DomainError):
             solve_convex(self.distance_objective(np.ones(2)), SolveConfig(Method.hd_polyak(), np.ones(2)))
+
+    def test_nonfinite_gradient_breaks_down(self):
+        # same terminal status as solve() on a non-finite gradient
+        obj = ConvexObjective(lambda x: float(np.sum(x)), lambda x: np.full(x.shape, np.nan), 0.0)
+        res = solve_convex(obj, SolveConfig(Method.md_polyak(), np.ones(3)))
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == 0
+        assert np.array_equal(res.x_final, np.ones(3))
+
+    def test_gradient_length_mismatch_raises(self):
+        c = np.array([1.0, 2.0, 3.0])
+        obj = ConvexObjective(lambda x: 0.5 * float(np.sum((x - c) ** 2)), lambda x: (x - c)[:2], 0.0)
+        with pytest.raises(DimensionMismatch):
+            solve_convex(obj, SolveConfig(Method.md_polyak(), np.full(3, 0.5)))
 
 
 class TestMethod:
