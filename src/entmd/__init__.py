@@ -59,7 +59,6 @@ from .experiments import (  # noqa: E402
     run_experiment2,
 )
 from .linalg import (  # noqa: E402
-    jacobi_eigenvalues,
     lambda_max_scaled_gram,
     max_col_norm_sq,
     random_orthogonal,

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
-from .solvers import Method, ProblemInstance, SolveConfig, SolveResult, Status, solve
+from .solvers import Method, ProblemInstance, SolveConfig, SolveResult, Status, _constant_grid_minima, solve
 
 __all__ = [
     "SingularLaw",
@@ -106,21 +106,65 @@ def gen_instance(spec: InstanceSpec) -> ProblemInstance:
     return ProblemInstance(a, a @ z, planted=z)
 
 
+# Grid stepsizes whose block minimum is within this relative distance of the
+# best one are re-solved alone; block and single solves differ by ~1e-13.
+_GRID_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
+
+
 def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
                          span: tuple[float, float] = (1e-2, 1e2)) -> tuple[float, SolveResult]:
     """Best fixed stepsize from a log grid, judged by the smallest objective
     reached within the budget.
 
     The grid spans ``span`` relative to 1 / max_col_norm_sq(A), which puts
-    the stable regime inside the sweep for any matrix scaling.
+    the stable regime inside the sweep for any matrix scaling.  The winner
+    is the first grid point, in ascending order, whose ``md_constant`` solve
+    of ``iters`` iterations reaches the strictly smallest objective (0 if it
+    converges), and the result is that solve's.
+
+    All grid points run together as one block of iterates, which costs one
+    GEMM pair per iteration instead of one ``solve`` per stepsize.  Only this
+    grid is batched: constant-stepsize runs are contractive, so the block's
+    per-stepsize minima agree with single solves to ~1e-13 relative.  Polyak
+    runs are not; a 1e-16 difference between GEMM and GEMV grew to 3% in f
+    within 100 iterations and to 7x within 5000 (dense 60x100, x0 = 1e-8).
+    Because the block rounds differently, the chosen stepsize is re-solved
+    alone, and stepsizes whose block minima lie within rounding of the best
+    are re-solved too, so the choice and the returned result are those of
+    ``solve`` itself.
+
+    Raises
+    ------
+    DomainError
+        If ``num < 1``, ``span`` is not finite with ``0 < span[0] <= span[1]``,
+        A is zero, ``iters < 1``, ``x0`` is not finite and strictly positive,
+        or no stepsize reaches a finite objective.
+    DimensionMismatch
+        If ``x0`` does not have length n.
     """
+    lo, hi = float(span[0]), float(span[1])
+    if num < 1 or not (0.0 < lo <= hi < np.inf):
+        raise DomainError("the grid needs num >= 1 and finite 0 < span[0] <= span[1]")
     mc = max_col_norm_sq(p.a)
-    grid = np.geomspace(span[0] / mc, span[1] / mc, num)
+    if mc == 0.0:
+        raise DomainError("the grid needs a nonzero matrix")
+    grid = np.geomspace(lo / mc, hi / mc, num)
+    # validates x0 and iters as every solve below does
+    cfg = SolveConfig(Method.md_constant(float(grid[0])), x0, max_iters=iters, f_tol=0.0)
+    if cfg.x0.shape[0] != p.n:
+        raise DimensionMismatch("x0 length must equal the number of columns")
+    minima = _constant_grid_minima(p.a, p.b, cfg.x0, grid, cfg.max_iters)
+    lowest = float(np.min(minima))
+    if not np.isfinite(lowest):
+        raise DomainError("no stepsize in the grid reaches a finite objective")
+    # rounding slack: relative, plus the objective's noise floor near zero
+    slack = _GRID_RTOL * lowest + 0.5 * (p.n * _EPS * float(np.linalg.norm(p.b))) ** 2
     best_alpha = None
     best_res = None
     best_f = np.inf
-    for alpha in grid:
-        cfg = SolveConfig(Method.md_constant(float(alpha)), x0, max_iters=iters, f_tol=0.0)
+    for alpha in grid[minima <= lowest + slack]:
+        cfg = SolveConfig(Method.md_constant(float(alpha)), cfg.x0, max_iters=iters, f_tol=0.0)
         res = solve(p, cfg)
         f_min = min((rec.f_value for rec in res.trace), default=np.inf)
         if res.status is Status.CONVERGED:

@@ -9,8 +9,6 @@ routines take an explicit generator and never touch global state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
@@ -20,7 +18,6 @@ __all__ = [
     "as_vector",
     "seeded_rng",
     "max_col_norm_sq",
-    "jacobi_eigenvalues",
     "smallest_positive_eigenvalue",
     "lambda_max_scaled_gram",
     "random_orthogonal",
@@ -59,72 +56,25 @@ def max_col_norm_sq(a) -> float:
     return float(np.max(np.sum(a * a, axis=0)))
 
 
-def jacobi_eigenvalues(g, max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by the cyclic Jacobi method.
-
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm falls below ``1e-13 * ||G||_F`` or ``max_sweeps`` sweeps elapse.
-    Returns the eigenvalues sorted ascending.
-
-    Raises
-    ------
-    DomainError
-        If the input is not square or not symmetric to 1e-10 relative.
-    """
-    g = as_matrix(g)
-    n = g.shape[0]
-    if g.shape[0] != g.shape[1]:
-        raise DomainError(f"eigendecomposition needs a square matrix, got {g.shape}")
-    scale = float(np.max(np.abs(g)))
-    if float(np.max(np.abs(g - g.T))) > 1e-10 * max(scale, 1e-300):
-        raise DomainError("matrix is not symmetric to 1e-10 relative")
-    if n == 1:
-        return g[0].copy()
-
-    a = 0.5 * (g + g.T)  # exactly symmetric working copy
-    fro = math.sqrt(float(np.sum(a * a)))
-    tol = 1e-13 * fro
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                # Rotations with negligible pivots are no-ops; zeroing them
-                # directly avoids overflow in the theta quotient.
-                if abs(apq) <= 1e-300 + 1e-18 * (abs(a[p, p]) + abs(a[q, q])):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))
-
-
 def smallest_positive_eigenvalue(g) -> float:
     """Smallest eigenvalue of a symmetric matrix above the zero threshold.
 
-    The threshold separating numerically-zero eigenvalues is
-    ``tau = 1e-10 * lambda_max``.
+    The eigenvalues come from LAPACK (``eigvalsh``); the threshold separating
+    numerically-zero eigenvalues is ``tau = 1e-10 * lambda_max``.
 
     Raises
     ------
     DomainError
         If no eigenvalue exceeds the threshold (zero-rank signal), or the
-        input is not symmetric.
+        input is not square or not symmetric to 1e-10 relative.
     """
-    evals = jacobi_eigenvalues(g)
+    g = as_matrix(g)
+    if g.shape[0] != g.shape[1]:
+        raise DomainError(f"eigendecomposition needs a square matrix, got {g.shape}")
+    scale = float(np.max(np.abs(g)))
+    if float(np.max(np.abs(g - g.T))) > 1e-10 * max(scale, 1e-300):
+        raise DomainError("matrix is not symmetric to 1e-10 relative")
+    evals = np.linalg.eigvalsh(g)
     lam_max = float(evals[-1])
     tau = 1e-10 * lam_max
     positive = evals[evals > tau]
@@ -172,19 +122,11 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 def kernel_projector(a) -> np.ndarray:
     """Orthonormal basis Q of range(A^T); ``v - Q (Q^T v)`` projects onto ker(A).
 
-    Uses twice-through modified Gram-Schmidt on the rows of A, dropping rows
-    that are numerically dependent.
+    The columns of Q are the right singular vectors of A (one LAPACK
+    ``svd``) whose singular values exceed numpy's ``matrix_rank`` tolerance
+    ``sigma_max * max(m, n) * eps``.
     """
     a = as_matrix(a)
-    rows = []
-    for r in a:
-        v = r.copy()
-        for _ in range(2):
-            for u in rows:
-                v = v - (u @ v) * u
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-12 * max(1.0, float(np.linalg.norm(r))):
-            rows.append(v / nv)
-    if not rows:
-        return np.zeros((a.shape[1], 0))
-    return np.array(rows).T
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    tol = s[0] * max(a.shape) * np.finfo(float).eps
+    return vt[s > tol].T

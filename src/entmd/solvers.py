@@ -510,6 +510,45 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult
     return SolveResult(x, status, iters_run, trace, heuristic=(kind == "hd_polyak"))
 
 
+def _constant_grid_minima(a: np.ndarray, b: np.ndarray, x0: np.ndarray, alphas: np.ndarray,
+                          iters: int) -> np.ndarray:
+    """Smallest objective ``md_constant`` reaches with each stepsize in ``alphas``.
+
+    All stepsizes run at once on an (n, B) block of iterates, one GEMM pair
+    per iteration.  Each column stops where :func:`_iterate` stops for
+    ``md_constant`` with ``f_tol=0`` and no reference: a non-finite f or g
+    stops it before f is recorded, f <= 0 counts as converged (minimum 0),
+    and a non-finite update stops it after f is recorded.  Stopped columns
+    leave the block.  A column that records nothing reads inf.
+    """
+    at = np.ascontiguousarray(a.T)
+    minima = np.full(alphas.shape, np.inf)
+    live = np.arange(alphas.size)
+    step_row = alphas
+    x = np.repeat(x0[:, None], alphas.size, axis=1)
+    b_col = b[:, None]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for _ in range(iters):
+            r = a @ x - b_col
+            f = 0.5 * np.einsum("ij,ij->j", r, r)
+            g = at @ r
+            finite = np.isfinite(f)
+            minima[live[finite & (f <= 0.0)]] = 0.0
+            moving = finite & (f > 0.0) & np.all(np.isfinite(g), axis=0)
+            if not moving.all():
+                live, x, f, g, step_row = live[moving], x[:, moving], f[moving], g[:, moving], step_row[moving]
+                if live.size == 0:
+                    break
+            minima[live] = np.minimum(minima[live], f)
+            x = _exp_update(x, g, step_row)
+            kept = np.all(np.isfinite(x), axis=0)
+            if not kept.all():
+                live, x, step_row = live[kept], x[:, kept], step_row[kept]
+                if live.size == 0:
+                    break
+    return minima
+
+
 def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     """Run the configured scheme on ``p`` until f <= f_tol or max_iters.
 

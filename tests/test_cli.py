@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entmd
 from entmd.cli import load_instance, main, save_instance
 from conftest import centered_gaussian_instance, positive_solution_instance
 
@@ -203,6 +208,16 @@ class TestExperimentCommands:
         assert code == 0
         header = (tmp_path / "exp2_cummin.csv").read_text().splitlines()[0]
         assert header == "iter,x0_0.01,x0_0.0001"
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(entmd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "entmd.cli", "exp2", "--m", "5", "--n", "8",
+                               "--iters", "10", "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "exp2_cummin.csv").exists()
 
     def test_missing_subcommand_exit_one(self):
         assert main([]) == 1

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from entmd import (
+    DimensionMismatch,
     DomainError,
     ExperimentConfig,
     InstanceSpec,
     Method,
+    ProblemInstance,
     SingularLaw,
+    SolveConfig,
+    Status,
     gen_instance,
     grid_search_constant,
-    jacobi_eigenvalues,
+    max_col_norm_sq,
     run_experiment1,
     run_experiment2,
     seeded_rng,
+    solve,
 )
 
 
@@ -51,7 +56,7 @@ class TestGenInstance:
         rng.standard_normal((8, 8))
         rng.standard_normal((12, 12))
         sigma = np.sort(np.abs(rng.standard_normal(8)))
-        evals = jacobi_eigenvalues(p.a.T @ p.a)
+        evals = np.linalg.eigvalsh(p.a.T @ p.a)
         nonzero = np.sqrt(np.clip(evals[-8:], 0.0, None))
         assert np.max(np.abs(np.sort(nonzero) - sigma)) < 1e-8
 
@@ -140,6 +145,20 @@ class TestExperiment2:
         assert blobs[0] == blobs[1]
 
 
+def reference_grid_search(p, x0, iters, num=25, span=(1e-2, 1e2)):
+    """One md_constant solve per grid point; the first strict minimum wins."""
+    mc = max_col_norm_sq(p.a)
+    best_alpha, best_res, best_f = None, None, np.inf
+    for alpha in np.geomspace(span[0] / mc, span[1] / mc, num):
+        res = solve(p, SolveConfig(Method.md_constant(float(alpha)), x0, max_iters=iters, f_tol=0.0))
+        f_min = min((rec.f_value for rec in res.trace), default=np.inf)
+        if res.status is Status.CONVERGED:
+            f_min = 0.0
+        if f_min < best_f:
+            best_f, best_alpha, best_res = f_min, float(alpha), res
+    return best_alpha, best_res
+
+
 class TestGridSearchConstant:
     def test_returns_grid_member_and_result(self):
         p = gen_instance(InstanceSpec(6, 10, sparsity=3, seed=19))
@@ -148,8 +167,73 @@ class TestGridSearchConstant:
         assert alpha > 0
         assert res.trace
         # the chosen stepsize should beat a clearly bad one
-        from entmd import SolveConfig, solve
         bad = solve(p, SolveConfig(Method.md_constant(alpha * 1e3), x0, max_iters=200, f_tol=0.0))
         best_f = min(rec.f_value for rec in res.trace)
         bad_f = min((rec.f_value for rec in bad.trace), default=np.inf)
         assert best_f <= bad_f
+
+    @pytest.mark.parametrize("m, n, sparsity, seed, scale, iters", [
+        (6, 10, 3, 19, 1e-2, 200),
+        (5, 8, 2, 13, 1e-2, 300),
+        (4, 9, 2, 22, 1e-1, 250),
+        # large stepsizes break down after 1 to 145 iterations
+        (8, 12, None, 21, 1e-3, 150),
+    ])
+    def test_matches_one_solve_per_stepsize(self, m, n, sparsity, seed, scale, iters):
+        p = gen_instance(InstanceSpec(m, n, sparsity=sparsity, seed=seed))
+        x0 = np.full(n, scale)
+        alpha, res = grid_search_constant(p, x0, iters)
+        ref_alpha, ref_res = reference_grid_search(p, x0, iters)
+        assert alpha == ref_alpha
+        assert res.status is ref_res.status and res.iters_run == ref_res.iters_run
+        assert np.array_equal(res.x_final, ref_res.x_final)
+        assert [rec.f_value for rec in res.trace] == [rec.f_value for rec in ref_res.trace]
+
+    def test_every_stepsize_breaking_down_picks_the_smallest(self):
+        p = gen_instance(InstanceSpec(6, 10, sparsity=3, seed=19))
+        x0 = np.full(10, 1e-2)
+        alpha, res = grid_search_constant(p, x0, iters=200, span=(1e6, 1e8))
+        ref_alpha, ref_res = reference_grid_search(p, x0, 200, span=(1e6, 1e8))
+        assert alpha == ref_alpha == pytest.approx(1e6 / max_col_norm_sq(p.a), rel=1e-12)
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert np.array_equal(res.x_final, ref_res.x_final)
+
+    def test_block_near_ties_are_decided_by_solve(self, monkeypatch):
+        # block minima that rounding cannot separate: every stepsize is re-solved
+        import entmd.experiments as experiments
+        monkeypatch.setattr(experiments, "_constant_grid_minima",
+                            lambda a, b, x0, alphas, iters: np.ones(alphas.size))
+        p = gen_instance(InstanceSpec(6, 10, sparsity=3, seed=19))
+        x0 = np.full(10, 1e-2)
+        alpha, res = grid_search_constant(p, x0, iters=200)
+        ref_alpha, ref_res = reference_grid_search(p, x0, 200)
+        assert alpha == ref_alpha > np.geomspace(1e-2, 1e2, 25)[0] / max_col_norm_sq(p.a)
+        assert np.array_equal(res.x_final, ref_res.x_final)
+
+    @pytest.mark.parametrize("num, span", [
+        (0, (1e-2, 1e2)),
+        (25, (0.0, 1.0)),
+        (25, (-1.0, 1.0)),
+        (25, (2.0, 1.0)),
+        (25, (1e-2, np.inf)),
+        (25, (np.nan, 1.0)),
+    ])
+    def test_bad_grid_rejected(self, num, span):
+        p = gen_instance(InstanceSpec(4, 6, sparsity=2, seed=23))
+        with pytest.raises(DomainError):
+            grid_search_constant(p, np.full(6, 1e-2), iters=10, num=num, span=span)
+
+    def test_zero_matrix_rejected(self):
+        p = ProblemInstance(np.zeros((2, 3)), np.ones(2))
+        with pytest.raises(DomainError):
+            grid_search_constant(p, np.ones(3), iters=5)
+
+    def test_bad_start_and_budget_rejected(self):
+        p = gen_instance(InstanceSpec(4, 6, sparsity=2, seed=23))
+        for x0 in (np.zeros(6), np.full(6, -1.0), np.full(6, np.nan), np.full(6, np.inf)):
+            with pytest.raises(DomainError):
+                grid_search_constant(p, x0, iters=10)
+        with pytest.raises(DimensionMismatch):
+            grid_search_constant(p, np.full(5, 1e-2), iters=10)
+        with pytest.raises(DomainError):
+            grid_search_constant(p, np.full(6, 1e-2), iters=0)

@@ -3,7 +3,6 @@ import pytest
 
 from entmd import (
     DomainError,
-    jacobi_eigenvalues,
     lambda_max_scaled_gram,
     max_col_norm_sq,
     random_orthogonal,
@@ -42,17 +41,6 @@ class TestEigenvalues:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DomainError):
             smallest_positive_eigenvalue(np.zeros((3, 3)))
-
-    def test_jacobi_matches_lapack(self):
-        rng = seeded_rng(3)
-        for _ in range(10):
-            n = int(rng.integers(2, 12))
-            b = rng.standard_normal((n + 2, n))
-            g = b.T @ b
-            got = jacobi_eigenvalues(g)
-            want = np.linalg.eigvalsh(g)
-            scale = max(1.0, float(np.max(np.abs(want))))
-            assert np.max(np.abs(got - want)) < 1e-10 * scale
 
     def test_smallest_positive_below_trace_bound(self):
         rng = seeded_rng(4)
@@ -113,6 +101,20 @@ def test_kernel_projector_spans_row_space():
     a = rng.standard_normal((3, 8))
     q = kernel_projector(a)
     assert q.shape == (8, 3)
+    assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-12
     v = rng.standard_normal(8)
     v_ker = v - q @ (q.T @ v)
     assert np.max(np.abs(a @ v_ker)) < 1e-10
+
+
+def test_kernel_projector_drops_dependent_rows():
+    rng = seeded_rng(7)
+    a = rng.standard_normal((3, 8))
+    a = np.vstack([a, a[1]])  # a duplicated row adds no rank
+    q = kernel_projector(a)
+    assert q.shape == (8, 3)
+    assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-12
+    v = rng.standard_normal(8)
+    v_ker = v - q @ (q.T @ v)
+    assert np.max(np.abs(a @ v_ker)) < 1e-10
+    assert kernel_projector(np.zeros((2, 5))).shape == (5, 0)
