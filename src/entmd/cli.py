@@ -90,6 +90,8 @@ def save_instance(p: ProblemInstance, path) -> None:
 
 
 def _emit(pairs: dict, fmt: str) -> None:
+    """Print the summary; float values go out with 17 significant digits."""
+    pairs = {k: format(v, ".17g") if isinstance(v, float) else v for k, v in pairs.items()}
     if fmt == "json":
         print(json.dumps(pairs))
     else:
@@ -98,14 +100,10 @@ def _emit(pairs: dict, fmt: str) -> None:
 
 
 def _write_trace(res: SolveResult, path) -> None:
-    with_dh = any(rec.d_h_to_ref is not None for rec in res.trace)
-    header = "iter,f_value,stepsize,l1_norm" + (",d_h_to_ref" if with_dh else "")
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+        fh.write("iter,f_value,stepsize,l1_norm\n")
         for rec in res.trace:
             row = [str(rec.iter)] + [format(v, ".17g") for v in (rec.f_value, rec.stepsize, rec.l1_norm)]
-            if with_dh:
-                row.append(format(rec.d_h_to_ref, ".17g") if rec.d_h_to_ref is not None else "")
             fh.write(",".join(row) + "\n")
 
 
@@ -143,9 +141,9 @@ def _cmd_solve(args) -> int:
     _emit(
         {
             "status": res.status.value,
-            "final_f": format(final_f, ".17g"),
+            "final_f": final_f,
             "iterations": res.iters_run,
-            "l1_norm": format(float(np.sum(np.abs(res.x_final))), ".17g"),
+            "l1_norm": float(np.sum(np.abs(res.x_final))),
         },
         args.format,
     )
@@ -168,9 +166,9 @@ def _cmd_project(args) -> int:
     final_f = 0.5 * float(np.sum((p.a @ limit - p.b) ** 2))
     _emit(
         {
-            "final_f": format(final_f, ".17g"),
-            "l1_norm": format(float(np.sum(limit)), ".17g"),
-            "d_h_to_x0": format(bregman_divergence(limit, x0), ".17g"),
+            "final_f": final_f,
+            "l1_norm": float(np.sum(limit)),
+            "d_h_to_x0": bregman_divergence(limit, x0),
         },
         args.format,
     )
@@ -193,17 +191,17 @@ def _cmd_bias(args) -> int:
         raise _CliError("bias needs an instance file or --construct N ETA")
     report = bias_report(p, eta, samples=args.samples, rng=seeded_rng(args.seed))
     pairs = {
-        "eta": format(eta, ".17g"),
-        "limit_l1": format(float(np.sum(report.limit)), ".17g"),
-        "orthogonality_residual": format(report.orthogonality_residual, ".17g"),
+        "eta": eta,
+        "limit_l1": float(np.sum(report.limit)),
+        "orthogonality_residual": report.orthogonality_residual,
         "kernel_trivial": str(report.kernel_trivial).lower(),
     }
     for key in ("exact_gap", "slow_bound", "improved_bound"):
         value = getattr(report, key)
         if value is not None:
-            pairs[key] = format(value, ".17g")
+            pairs[key] = value
     if built is not None:
-        pairs["expected_gap"] = format(built.expected_gap, ".17g")
+        pairs["expected_gap"] = built.expected_gap
     _emit(pairs, args.format)
     return 0
 
@@ -215,13 +213,13 @@ def _cmd_rate_cert(args) -> int:
     cert = rate_certificate(p, p.planted)
     _emit(
         {
-            "lambda_min_plus": format(cert.lambda_min_plus, ".17g"),
-            "z_min": format(cert.z_min, ".17g"),
-            "max_col_sq": format(cert.max_col_sq, ".17g"),
-            "z_l1": format(cert.z_l1, ".17g"),
-            "local_factor": format(cert.local_factor, ".17g"),
-            "global_factor_at_dh": format(cert.global_factor_fn(args.dh), ".17g"),
-            "dh": format(args.dh, ".17g"),
+            "lambda_min_plus": cert.lambda_min_plus,
+            "z_min": cert.z_min,
+            "max_col_sq": cert.max_col_sq,
+            "z_l1": cert.z_l1,
+            "local_factor": cert.local_factor,
+            "global_factor_at_dh": cert.global_factor_fn(args.dh),
+            "dh": args.dh,
         },
         args.format,
     )
@@ -234,9 +232,9 @@ def _cmd_instability(args) -> int:
     escape = instability_escape_distance(inst, iters=args.iters)
     _emit(
         {
-            "t_scale": format(inst.t_scale, ".17g"),
-            "jacobian_spectral_radius": format(inst.jacobian_spectrum_bound, ".17g"),
-            "max_escape_distance": format(escape, ".17g"),
+            "t_scale": inst.t_scale,
+            "jacobian_spectral_radius": inst.jacobian_spectrum_bound,
+            "max_escape_distance": escape,
         },
         args.format,
     )
@@ -367,10 +365,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EntmdError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (_CliError, EntmdError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

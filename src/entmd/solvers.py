@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bregman import EXP_QUAD_BOUND, _dh_core, bregman_divergence
+from .bregman import EXP_QUAD_BOUND, _dh_core
 from .errors import (
     BreakdownError,
     ConvergenceError,
@@ -84,7 +84,7 @@ _KINDS = (
 class Method:
     """Algorithm selector plus stepsize-rule parameters.
 
-    Use the classmethod constructors; they validate the parameters.
+    Use the classmethod constructors; every construction validates the parameters.
     For ``md_backtracking``, ``alpha0=None`` means "pick 1.79 / ||grad f(x0)||_inf
     at the start of the solve".
     """
@@ -97,6 +97,13 @@ class Method:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown method kind {self.kind!r}")
+        if self.kind == "md_constant" and not (self.alpha is not None and 0.0 < self.alpha < np.inf):
+            raise DomainError("md_constant needs a finite positive stepsize")
+        if self.kind == "md_backtracking":
+            if self.alpha0 is not None and not 0.0 < self.alpha0 < np.inf:
+                raise DomainError("md_backtracking needs a finite positive alpha0")
+            if not (0.0 < self.shrink < 1.0):
+                raise DomainError("md_backtracking shrink factor must lie strictly inside (0, 1)")
 
     @classmethod
     def md_polyak(cls) -> "Method":
@@ -116,10 +123,7 @@ class Method:
 
     @classmethod
     def md_constant(cls, alpha: float) -> "Method":
-        alpha = float(alpha)
-        if not (alpha > 0.0 and np.isfinite(alpha)):
-            raise DomainError("md_constant needs a finite positive stepsize")
-        return cls("md_constant", alpha=alpha)
+        return cls("md_constant", alpha=float(alpha))
 
     @classmethod
     def md_constant_grid(cls) -> "Method":
@@ -129,14 +133,7 @@ class Method:
 
     @classmethod
     def md_backtracking(cls, alpha0: float | None = None, shrink: float = 0.5) -> "Method":
-        if alpha0 is not None:
-            alpha0 = float(alpha0)
-            if not (alpha0 > 0.0 and np.isfinite(alpha0)):
-                raise DomainError("md_backtracking needs a finite positive alpha0")
-        shrink = float(shrink)
-        if not (0.0 < shrink < 1.0):
-            raise DomainError("md_backtracking shrink factor must lie strictly inside (0, 1)")
-        return cls("md_backtracking", alpha0=alpha0, shrink=shrink)
+        return cls("md_backtracking", alpha0=None if alpha0 is None else float(alpha0), shrink=float(shrink))
 
     @property
     def label(self) -> str:
@@ -333,15 +330,15 @@ def polyak_stepsize(x, g, f_gap: float, convex_mode: bool = False) -> float:
     Raises
     ------
     DomainError
-        If ``x`` has a negative entry, the gap is negative, or the gradient
-        is identically zero while the gap is positive.
+        If ``x`` has a negative entry, the gap is negative or not finite, or
+        the gradient is identically zero while the gap is positive.
     """
     x, g = _vector_pair(x, g, "polyak_stepsize")
     if np.any(x < 0):
         raise DomainError("polyak_stepsize: weights must be nonnegative")
     f_gap = float(f_gap)
-    if f_gap < 0.0:
-        raise DomainError("polyak_stepsize: the objective gap must be nonnegative")
+    if not 0.0 <= f_gap < np.inf:
+        raise DomainError("polyak_stepsize: the objective gap must be finite and nonnegative")
     if f_gap == 0.0:
         return 0.0
     alpha = _polyak_stepsize(x, g, f_gap, 2.0 if convex_mode else 1.0)
@@ -404,6 +401,22 @@ def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return u_next, v_next
 
 
+def _backtracking_stepsize(a: np.ndarray, x: np.ndarray, g: np.ndarray, alpha: float,
+                           shrink: float) -> float | None:
+    """:func:`backtracking_stepsize` on validated arrays; None where it raises."""
+    for _ in range(201):
+        x_plus = _exp_update(x, g, alpha)
+        # overflow, or a positive coordinate driven to zero (infinite D_h): not an admissible trial
+        d_h = _dh_core(x, x_plus) if np.all(np.isfinite(x_plus)) else np.inf
+        if d_h < np.inf:
+            dvec = a @ (x - x_plus)
+            d_f = 0.5 * float(dvec @ dvec)
+            if alpha * d_f < d_h or (d_f == 0.0 and d_h == 0.0):
+                return alpha
+        alpha *= shrink
+    return None
+
+
 def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float = 0.5) -> float:
     """Largest alpha in {alpha0 * shrink^j} passing the curvature test.
 
@@ -415,28 +428,22 @@ def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float
     ------
     ConvergenceError
         If no admissible stepsize is found within 200 halvings.
+    DimensionMismatch
+        If ``x`` and ``g`` differ in length or are not of length ``p.n``.
+    DomainError
+        If ``x`` has a negative entry, or ``alpha0`` or ``shrink`` is out of range.
     """
-    x = as_vector(x)
-    g = as_vector(g)
-    alpha = float(alpha0)
-    if not (alpha > 0.0 and np.isfinite(alpha)):
-        raise DomainError("backtracking needs a finite positive alpha0")
-    if not (0.0 < shrink < 1.0):
-        raise DomainError("shrink factor must lie strictly inside (0, 1)")
-    for _ in range(201):
-        try:
-            x_plus = md_step(x, g, alpha)
-            d_h = bregman_divergence(x, x_plus)
-        except (BreakdownError, InfiniteDivergence):
-            # overflow or a coordinate driven to zero: not an admissible step
-            alpha *= shrink
-            continue
-        dvec = p.a @ (x - x_plus)
-        d_f = 0.5 * float(dvec @ dvec)
-        if alpha * d_f < d_h or (d_f == 0.0 and d_h == 0.0):
-            return alpha
-        alpha *= shrink
-    raise ConvergenceError("backtracking found no admissible stepsize within 200 halvings")
+    x, g = _vector_pair(x, g, "backtracking_stepsize")
+    if x.shape[0] != p.n:
+        raise DimensionMismatch("backtracking_stepsize: vector length must equal the number of columns")
+    if np.any(x < 0):
+        raise DomainError("backtracking_stepsize: the iterate must be nonnegative")
+    method = Method.md_backtracking(float(alpha0), shrink)  # checks alpha0 and shrink
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        alpha = _backtracking_stepsize(p.a, x, g, method.alpha0, method.shrink)
+    if alpha is None:
+        raise ConvergenceError("backtracking found no admissible stepsize within 200 halvings")
+    return alpha
 
 
 # Descent-certificate tolerance: D_h(z, x+) - D_h(z, x) <= -a f / c + TOL * (1 + D_h(z, x))
@@ -459,6 +466,8 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult
         raise DimensionMismatch("trace_reference length must match x0")
     checking = kind in ("md_polyak", "hd_plus_polyak") and cfg.check_descent and z is not None
     d_prev = _dh_core(z, x) if z is not None else None
+    if d_prev == np.inf:
+        raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
 
     trace: list[TraceRecord] = []
     status = Status.MAX_ITERS
@@ -492,13 +501,9 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult
                 break
 
             if z is not None:
-                try:
-                    d_next = _dh_core(z, x_next)
-                except InfiniteDivergence:
-                    x = x_next
-                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
-                    break
-                if checking and d_next - d_prev > -alpha * f / c + _DESCENT_TOL * (1.0 + d_prev):
+                d_next = _dh_core(z, x_next)
+                if d_next == np.inf or (
+                        checking and d_next - d_prev > -alpha * f / c + _DESCENT_TOL * (1.0 + d_prev)):
                     x = x_next
                     status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
                     break
@@ -589,10 +594,7 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
             alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
 
         def stepsize(x, g):
-            try:
-                return backtracking_stepsize(p, x, g, alpha0, shrink)
-            except (ConvergenceError, DomainError):
-                return None
+            return _backtracking_stepsize(a, x, g, alpha0, shrink)
 
     res = _iterate(fg, cfg, stepsize=stepsize)
     if split:
@@ -611,8 +613,9 @@ def solve_convex(obj: ConvexObjective, cfg: SolveConfig) -> SolveResult:
     Raises
     ------
     DomainError
-        If an observed value drops more than 1e-9 below ``f_star`` (the
-        declared optimum is wrong) or the method is unsupported.
+        If an observed value drops more than ``1e-9 * (1 + |f_star|)`` below
+        ``f_star`` (the declared optimum is wrong) or the method is
+        unsupported.
     DimensionMismatch
         If the gradient or ``trace_reference`` length differs from x0's.
     """
@@ -623,7 +626,7 @@ def solve_convex(obj: ConvexObjective, cfg: SolveConfig) -> SolveResult:
         raise DomainError("f_star must be finite")
     def fg(x):
         gap = float(obj.value(x)) - f_star
-        if gap < -1e-9:
+        if gap < -1e-9 * (1.0 + abs(f_star)):
             raise DomainError(f"observed value {gap + f_star!r} below the declared optimum")
         g = np.asarray(obj.gradient(x), dtype=float)
         if g.shape != x.shape:

@@ -6,9 +6,11 @@ import pytest
 from entmd import (
     EXP_QUAD_BOUND,
     BreakdownError,
+    ConvergenceError,
     ConvexObjective,
     DimensionMismatch,
     DomainError,
+    InfiniteDivergence,
     Method,
     ProblemInstance,
     SolveConfig,
@@ -100,6 +102,10 @@ class TestPolyakStepsize:
             polyak_stepsize([1.0], [0.0], 1.0)
         with pytest.raises(DomainError):
             polyak_stepsize([1.0], [1.0], -1.0)
+        with pytest.raises(DomainError):
+            polyak_stepsize([1.0], [1.0], math.nan)
+        with pytest.raises(DomainError):
+            polyak_stepsize([1.0], [1.0], math.inf)
 
 
 class TestSteps:
@@ -192,6 +198,25 @@ class TestBacktracking:
                 d_f = 0.5 * float(np.sum((p.a @ (x - x_plus)) ** 2))
                 assert alpha * d_f < d_h
 
+    def test_bad_vectors_rejected(self):
+        p = centered_gaussian_instance(4, 8, 3, seed=21)
+        with pytest.raises(DimensionMismatch):
+            backtracking_stepsize(p, np.ones(5), np.ones(5), 1.0)
+        with pytest.raises(DimensionMismatch):
+            backtracking_stepsize(p, np.ones(8), np.ones(7), 1.0)
+        with pytest.raises(DomainError):
+            backtracking_stepsize(p, -np.ones(8), np.ones(8), 1.0)
+
+    def test_no_admissible_stepsize(self):
+        # every trial drives the coordinate to zero: D_h(x, x+) is infinite
+        p = one_dim_instance()
+        x = np.array([2.0])
+        with pytest.raises(ConvergenceError):
+            backtracking_stepsize(p, x, gradient(p, x), 1e6, shrink=0.999)
+        res = solve(p, SolveConfig(Method.md_backtracking(1e6, shrink=0.999), x))
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == 0 and res.trace == []
+
 
 class TestSolve:
     def test_symmetric_instance(self):
@@ -273,6 +298,11 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve(p, SolveConfig(Method.md_constant_grid(), [1.0]))
 
+    def test_reference_infinitely_far_from_x0_raises(self):
+        p = ProblemInstance([[1.0]], [1e307])
+        with pytest.raises(InfiniteDivergence):
+            solve(p, SolveConfig(Method.md_polyak(), [1e-307], trace_reference=[1e307]))
+
     def test_x0_must_be_positive(self):
         with pytest.raises(DomainError):
             SolveConfig(Method.md_polyak(), [1.0, 0.0])
@@ -282,6 +312,7 @@ class TestSolve:
     (Method.md_polyak(), md_step),
     (Method.hd_plus_polyak(), hd_plus_step),
     (Method.hd_polyak(), hd_step),
+    (Method.md_backtracking(), md_step),
 ])
 def test_trace_stepsizes_replay_through_public_steps(method, step):
     # the loop and the public step functions share one update definition:
@@ -291,9 +322,13 @@ def test_trace_stepsizes_replay_through_public_steps(method, step):
     res = solve(p, SolveConfig(method, x0, max_iters=60, f_tol=0.0))
     assert res.status is Status.MAX_ITERS
     at = np.ascontiguousarray(p.a.T)
+    alpha0 = EXP_QUAD_BOUND / float(np.max(np.abs(at @ (p.a @ x0 - p.b))))
     x = x0
     for rec in res.trace:
-        x = step(x, at @ (p.a @ x - p.b), rec.stepsize)
+        g = at @ (p.a @ x - p.b)
+        if method.kind == "md_backtracking":
+            assert rec.stepsize == backtracking_stepsize(p, x, g, alpha0)
+        x = step(x, g, rec.stepsize)
     assert np.array_equal(x, res.x_final)
 
 
@@ -373,6 +408,17 @@ class TestSolveConvex:
         cvx = solve_convex(obj, SolveConfig(Method.md_polyak(), x0, max_iters=1, f_tol=0.0))
         assert cvx.trace[0].stepsize == pytest.approx(quad.trace[0].stepsize / 2)
 
+    def test_below_optimum_tolerance_is_relative(self):
+        # one rounding step under a large optimum is rounding; 1% under it is
+        # a wrong optimum
+        def run(value):
+            obj = ConvexObjective(lambda x: value, lambda x: np.ones_like(x), 1e8)
+            return solve_convex(obj, SolveConfig(Method.md_polyak(), np.ones(2)))
+
+        assert run(np.nextafter(1e8, 0.0)).status is Status.CONVERGED
+        with pytest.raises(DomainError):
+            run(0.99e8)
+
     def test_wrong_f_star_rejected(self):
         c = np.array([1.0])
         obj = ConvexObjective(lambda x: 0.5 * float(np.sum((x - c) ** 2)), lambda x: x - c, 1.0, 1.0)
@@ -412,6 +458,16 @@ class TestMethod:
     def test_backtracking_shrink_range(self):
         with pytest.raises(DomainError):
             Method.md_backtracking(1.0, shrink=1.0)
+
+    def test_parameters_checked_on_direct_construction(self):
+        with pytest.raises(DomainError):
+            Method("md_constant", alpha=-0.5)
+        with pytest.raises(DomainError):
+            Method("md_constant")
+        with pytest.raises(DomainError):
+            Method("md_backtracking", alpha0=-1.0)
+        with pytest.raises(DomainError):
+            Method("md_backtracking", shrink=0.0)
 
     def test_labels(self):
         assert Method.md_polyak().label == "md_polyak"
