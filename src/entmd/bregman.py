@@ -95,35 +95,47 @@ def bregman_divergence(x, y) -> float:
     y = _nonneg_vector(y, "y")
     if x.shape != y.shape:
         raise DimensionMismatch("bregman_divergence: length mismatch")
-    d = _dh_core(x, y)
+    with np.errstate(over="ignore", divide="ignore"):
+        d = _dh_core(x, y)
     if d == math.inf:
         raise InfiniteDivergence("D_h(x, y) is infinite: x_i > 0 with y_i = 0, or the sum overflowed")
     return d
 
 
 def _dh_core(x: np.ndarray, y: np.ndarray) -> float:
-    """Divergence arithmetic for already-validated nonnegative arrays; inf if infinite."""
-    pos = x > 0
-    xp = x[pos]
-    yp = y[pos]
+    """Divergence arithmetic for already-validated nonnegative arrays; inf if infinite.
+
+    The caller suppresses numpy's overflow and divide-by-zero warnings.
+    Where every x_i is positive, or every ratio is in the near branch, the
+    arrays are used as they are: compacting them would keep every value and
+    its order, so the sums are the same.
+    """
+    if np.minimum.reduce(x) > 0.0:
+        xp, yp, rest = x, y, 0.0
+    else:
+        pos = x > 0
+        xp, yp = x[pos], y[pos]
+        rest = float(np.add.reduce(y[~pos]))
     # Near-equal coordinates go through the cancellation-free u - log1p(u)
     # form; distant ones (including denormal y) use separated logarithms,
     # which cannot overflow in the quotient.  The ratio itself may overflow
     # for extreme scale mismatches; those coordinates land in the far branch.
-    with np.errstate(over="ignore"):
-        ratio = yp / xp
+    ratio = yp / xp
     near = (ratio > 0.5) & (ratio < 2.0)
-    u = (yp[near] - xp[near]) / xp[near]
-    total = float(np.sum(xp[near] * (u - np.log1p(u))))
-    far = ~near
-    if np.any(far):
+    if np.logical_and.reduce(near):
+        u = (yp - xp) / xp
+        total = float(np.add.reduce(xp * (u - np.log1p(u))))
+    else:
+        xn = xp[near]
+        u = (yp[near] - xn) / xn
+        total = float(np.add.reduce(xn * (u - np.log1p(u))))
+        far = ~near
         xf = xp[far]
         yf = yp[far]
         # inf where y_i = 0 (log 0 = -inf) and for astronomically distant pairs
-        with np.errstate(over="ignore", divide="ignore"):
-            total += float(np.sum(xf * (np.log(xf) - np.log(yf)) - xf + yf))
-    total += float(np.sum(y[~pos]))
-    if not np.isfinite(total):
+        total += float(np.add.reduce(xf * (np.log(xf) - np.log(yf)) - xf + yf))
+    total += rest
+    if not math.isfinite(total):
         return math.inf
     # each term is >= 0; clamp the last-ulp rounding of the sum
     return max(total, 0.0)

@@ -26,6 +26,7 @@ numerical violation as a breakdown instead of silently continuing.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -265,18 +266,27 @@ def gradient(p: ProblemInstance, x) -> np.ndarray:
     return p.a.T @ (p.a @ x - p.b)
 
 
-def _polyak_stepsize(x: np.ndarray, g: np.ndarray, f: float, c: float = 1.0) -> float | None:
-    """min(f / (c ||g||^2_x), 1.79 / ||g||_inf) for f > 0; None for a zero gradient."""
-    g_inf = float(np.max(np.abs(g)))
+def _polyak_stepsize(x: np.ndarray, g: np.ndarray, f: float, c: float, g_inf: float) -> float | None:
+    """min(f / (c ||g||^2_x), 1.79 / g_inf) for f > 0, where g_inf = ||g||_inf; None for a zero gradient."""
     if g_inf == 0.0:
         return None
     cap = EXP_QUAD_BOUND / g_inf
-    wn = float(np.sum(x * g * g))
+    wn = float(np.add.reduce(x * g * g))
     return cap if wn == 0.0 else min(f / (c * wn), cap)
 
 
-def _exp_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(x == 0.0, 0.0, x * np.exp(-alpha * g))
+# The exp and hd updates work in place on one fresh array.  A coordinate
+# with x_i == 0 stays exactly 0.0 whenever its multiplier is finite, so the
+# explicit zero mask is needed only when the product is not all finite.
+
+def _exp_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
+    """x * exp(-alpha g); ``alpha`` may be a row of per-column stepsizes for an (n, B) block."""
+    out = np.multiply(g, -alpha)
+    np.exp(out, out=out)
+    out *= x
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+        out[x == 0.0] = 0.0
+    return out
 
 
 def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
@@ -286,7 +296,11 @@ def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
 
 def _hd_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
     mult = 1.0 - alpha * g
-    return np.where(x == 0.0, 0.0, x * mult * mult)
+    out = x * mult
+    out *= mult
+    if not np.logical_and.reduce(np.isfinite(out)):
+        out[x == 0.0] = 0.0
+    return out
 
 
 _UPDATES = {
@@ -311,6 +325,14 @@ def _vector_pair(x, g, what: str) -> tuple[np.ndarray, np.ndarray]:
     if x.shape != g.shape:
         raise DimensionMismatch(f"{what}: iterate and gradient lengths differ")
     return x, g
+
+
+def _step_args(x, g, alpha, what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    x, g = _vector_pair(x, g, what)
+    alpha = float(alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"{what}: the stepsize must be finite and nonnegative")
+    return x, g, alpha
 
 
 def _checked_step(update, x, g, alpha: float, what: str) -> np.ndarray:
@@ -341,7 +363,7 @@ def polyak_stepsize(x, g, f_gap: float, convex_mode: bool = False) -> float:
         raise DomainError("polyak_stepsize: the objective gap must be finite and nonnegative")
     if f_gap == 0.0:
         return 0.0
-    alpha = _polyak_stepsize(x, g, f_gap, 2.0 if convex_mode else 1.0)
+    alpha = _polyak_stepsize(x, g, f_gap, 2.0 if convex_mode else 1.0, float(np.max(np.abs(g))))
     if alpha is None:
         raise DomainError("polyak_stepsize: zero gradient with a positive gap")
     return alpha
@@ -356,8 +378,10 @@ def md_step(x, g, alpha: float) -> np.ndarray:
     ------
     BreakdownError
         If the update overflows.
+    DomainError
+        If ``alpha`` is negative or not finite.
     """
-    x, g = _vector_pair(x, g, "md_step")
+    x, g, alpha = _step_args(x, g, alpha, "md_step")
     return _checked_step(_exp_update, x, g, alpha, "md_step")
 
 
@@ -365,9 +389,10 @@ def hd_plus_step(x, g, alpha: float) -> np.ndarray:
     """Polynomial update x * (1 - alpha g + alpha^2 g^2).
 
     Requires ``alpha * ||g||_inf <= 1.79``; under that cap the multiplier is
-    positive, so nonnegativity is preserved.
+    positive, so nonnegativity is preserved.  ``alpha`` must be finite and
+    nonnegative.
     """
-    x, g = _vector_pair(x, g, "hd_plus_step")
+    x, g, alpha = _step_args(x, g, alpha, "hd_plus_step")
     if alpha * float(np.max(np.abs(g))) > EXP_QUAD_BOUND * (1.0 + 1e-12):
         raise DomainError("hd_plus_step requires alpha * ||g||_inf <= 1.79")
     return _checked_step(_hd_plus_update, x, g, alpha, "hd_plus_step")
@@ -376,9 +401,10 @@ def hd_plus_step(x, g, alpha: float) -> np.ndarray:
 def hd_step(x, g, alpha: float) -> np.ndarray:
     """Squared multiplicative update x * (1 - alpha g)^2 (heuristic scheme).
 
-    A coordinate where alpha * g_i = 1 lands exactly on zero.
+    A coordinate where alpha * g_i = 1 lands exactly on zero.  ``alpha`` must
+    be finite and nonnegative.
     """
-    x, g = _vector_pair(x, g, "hd_step")
+    x, g, alpha = _step_args(x, g, alpha, "hd_step")
     return _checked_step(_hd_update, x, g, alpha, "hd_step")
 
 
@@ -403,15 +429,22 @@ def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _backtracking_stepsize(a: np.ndarray, x: np.ndarray, g: np.ndarray, alpha: float,
                            shrink: float) -> float | None:
-    """:func:`backtracking_stepsize` on validated arrays; None where it raises."""
+    """:func:`backtracking_stepsize` on validated arrays; None where it raises.
+
+    The caller suppresses numpy's floating-point warnings.
+    """
+    # A zero gradient on the support leaves x+ == x for every trial: alpha0
+    # is accepted.  Elsewhere a trial whose x+ merely rounds to x is rejected.
+    if not np.count_nonzero(g[x > 0.0]):
+        return alpha
     for _ in range(201):
         x_plus = _exp_update(x, g, alpha)
         # overflow, or a positive coordinate driven to zero (infinite D_h): not an admissible trial
-        d_h = _dh_core(x, x_plus) if np.all(np.isfinite(x_plus)) else np.inf
-        if d_h < np.inf:
+        d_h = _dh_core(x, x_plus) if np.logical_and.reduce(np.isfinite(x_plus)) else math.inf
+        if d_h < math.inf:
             dvec = a @ (x - x_plus)
             d_f = 0.5 * float(dvec @ dvec)
-            if alpha * d_f < d_h or (d_f == 0.0 and d_h == 0.0):
+            if alpha * d_f < d_h:
                 return alpha
         alpha *= shrink
     return None
@@ -422,7 +455,8 @@ def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float
 
     Accepts the first alpha with ``alpha * D_f(x, x+) < D_h(x, x+)`` where
     ``x+ = md_step(x, g, alpha)`` and ``D_f(x, y) = 0.5 ||A (x - y)||^2``.
-    At a stationary point both sides are zero and alpha0 is accepted.
+    Where ``g`` vanishes on the support of ``x``, the point is stationary and
+    alpha0 is accepted.
 
     Raises
     ------
@@ -439,7 +473,7 @@ def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float
     if np.any(x < 0):
         raise DomainError("backtracking_stepsize: the iterate must be nonnegative")
     method = Method.md_backtracking(float(alpha0), shrink)  # checks alpha0 and shrink
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         alpha = _backtracking_stepsize(p.a, x, g, method.alpha0, method.shrink)
     if alpha is None:
         raise ConvergenceError("backtracking found no admissible stepsize within 200 halvings")
@@ -465,44 +499,50 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult
     if z is not None and z.shape != x.shape:
         raise DimensionMismatch("trace_reference length must match x0")
     checking = kind in ("md_polyak", "hd_plus_polyak") and cfg.check_descent and z is not None
-    d_prev = _dh_core(z, x) if z is not None else None
-    if d_prev == np.inf:
-        raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
 
     trace: list[TraceRecord] = []
     status = Status.MAX_ITERS
     iters_run = cfg.max_iters
 
-    # overflow in f, g, or the multiplicative update on a divergent run is
-    # expected and handled; suppress the warnings for the whole loop
-    err_state = np.seterr(over="ignore", invalid="ignore", under="ignore")
+    # overflow in f, g, the multiplicative update or the divergence on a
+    # divergent run is expected and handled; suppress the warnings throughout
+    err_state = np.seterr(all="ignore")
     try:
+        d_prev = _dh_core(z, x) if z is not None else None
+        if d_prev == math.inf:
+            raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
+        # a finite sum has finite entries, so the l1 norm doubles as the
+        # finite check of each new iterate
+        l1 = float(np.add.reduce(x))
         for k in range(cfg.max_iters):
             f, g = fg(x)
-            if not np.isfinite(f):
+            if not math.isfinite(f):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
             if f <= cfg.f_tol:
                 status, iters_run = Status.CONVERGED, k
                 break
-            if not np.all(np.isfinite(g)):
+            # the max propagates NaN and inf, so it is also the finite check on g
+            g_inf = float(np.maximum.reduce(np.abs(g)))
+            if not g_inf < math.inf:
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
-            alpha = _polyak_stepsize(x, g, f, c) if stepsize is None else stepsize(x, g)
+            alpha = _polyak_stepsize(x, g, f, c, g_inf) if stepsize is None else stepsize(x, g)
             if alpha is None:
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
 
-            trace.append(TraceRecord(k, f, alpha, float(np.sum(x)), d_prev))
+            trace.append(TraceRecord(k, f, alpha, l1, d_prev))
 
             x_next = update(x, g, alpha)
-            if not np.all(np.isfinite(x_next)):
+            l1 = float(np.add.reduce(x_next))
+            if not math.isfinite(l1) and not np.logical_and.reduce(np.isfinite(x_next)):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
 
             if z is not None:
                 d_next = _dh_core(z, x_next)
-                if d_next == np.inf or (
+                if d_next == math.inf or (
                         checking and d_next - d_prev > -alpha * f / c + _DESCENT_TOL * (1.0 + d_prev)):
                     x = x_next
                     status, iters_run = Status.NUMERICAL_BREAKDOWN, k + 1
@@ -539,14 +579,14 @@ def _constant_grid_minima(a: np.ndarray, b: np.ndarray, x0: np.ndarray, alphas: 
             g = at @ r
             finite = np.isfinite(f)
             minima[live[finite & (f <= 0.0)]] = 0.0
-            moving = finite & (f > 0.0) & np.all(np.isfinite(g), axis=0)
+            moving = finite & (f > 0.0) & np.logical_and.reduce(np.isfinite(g), axis=0)
             if not moving.all():
                 live, x, f, g, step_row = live[moving], x[:, moving], f[moving], g[:, moving], step_row[moving]
                 if live.size == 0:
                     break
             minima[live] = np.minimum(minima[live], f)
             x = _exp_update(x, g, step_row)
-            kept = np.all(np.isfinite(x), axis=0)
+            kept = np.logical_and.reduce(np.isfinite(x), axis=0)
             if not kept.all():
                 live, x, step_row = live[kept], x[:, kept], step_row[kept]
                 if live.size == 0:

@@ -21,6 +21,7 @@ from entmd import (
     weighted_norm_sq,
     ymin_lower_bound,
 )
+from entmd.bregman import _dh_core
 
 
 class TestEntropy:
@@ -77,6 +78,27 @@ class TestBregmanDivergence:
         d = bregman_divergence(x, y)
         expected = float(np.sum((x - y) ** 2 / (2 * x)))  # leading term
         assert d == pytest.approx(expected, rel=1e-5)
+
+
+class TestDivergenceFastPaths:
+    # _dh_core skips the boolean compaction when every x_i is positive or every
+    # ratio is near 1; an appended pair forces the compacting path instead
+    @staticmethod
+    def pairs(low, high, seed):
+        rng = seeded_rng(seed)
+        x = rng.uniform(0.1, 2.0, 50)
+        return x, x * rng.uniform(low, high, 50)
+
+    @pytest.mark.parametrize("low, high", [(0.6, 1.6), (0.2, 5.0)])
+    def test_zero_pair_gives_the_same_bits(self, low, high):
+        x, y = self.pairs(low, high, 40)
+        assert _dh_core(np.append(x, 0.0), np.append(y, 0.0)) == _dh_core(x, y)
+
+    def test_far_pair_adds_exactly_its_own_term(self):
+        x, y = self.pairs(0.6, 1.6, 41)
+        far = _dh_core(np.array([1.0]), np.array([1e-200]))
+        assert far == pytest.approx(200.0 * math.log(10.0) - 1.0)
+        assert _dh_core(np.insert(x, 0, 1.0), np.insert(y, 0, 1e-200)) == _dh_core(x, y) + far
 
 
 class TestWeightedNormSq:

@@ -28,6 +28,7 @@ from entmd import (
     solve,
     solve_convex,
 )
+from entmd.solvers import _exp_update
 from conftest import centered_gaussian_instance, signed_system
 
 
@@ -124,6 +125,32 @@ class TestSteps:
         with pytest.raises(BreakdownError):
             md_step([1.0], [-1.0], 1e4)
 
+    @pytest.mark.parametrize("step", [md_step, hd_plus_step, hd_step])
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.inf, math.nan])
+    def test_stepsize_must_be_finite_and_nonnegative(self, step, alpha):
+        # a negative stepsize would step uphill: md_step([1], [1], -1) would return e
+        with pytest.raises(DomainError):
+            step([1.0], [1.0], alpha)
+
+    def test_exp_update_masks_overflow_at_zero_coordinates(self):
+        # 0 * exp(inf) is NaN; a frozen coordinate must stay exactly 0.0
+        x = np.array([0.0, 1.0, 2.0])
+        g = np.array([-1e4, 1.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _exp_update(x, g, 1.0)
+        assert np.array_equal(out, [0.0, math.exp(-1.0), 2.0 * math.exp(-0.5)])
+
+    def test_exp_update_masks_overflow_in_a_block(self):
+        # (n, B) block with one stepsize per column, as the constant-stepsize grid runs it
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
+        g = np.array([[-1e4, 0.5], [1.0, -1e4], [0.5, 0.25]])
+        alphas = np.array([1.0, 2.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _exp_update(x, g, alphas)
+        expected = np.array([[0.0, math.exp(-1.0)], [math.exp(-1.0), 0.0],
+                             [2.0 * math.exp(-0.5), 3.0 * math.exp(-0.5)]])
+        assert np.array_equal(out, expected)
+
     def test_hd_plus_zero_step(self):
         x = np.array([1.0, 3.0])
         assert np.array_equal(hd_plus_step(x, [1.0, -2.0], 0.0), x)
@@ -206,6 +233,16 @@ class TestBacktracking:
             backtracking_stepsize(p, np.ones(8), np.ones(7), 1.0)
         with pytest.raises(DomainError):
             backtracking_stepsize(p, -np.ones(8), np.ones(8), 1.0)
+
+    def test_trial_rounding_to_x_is_not_stationary(self):
+        # every small trial rounds x+ to x, so D_f = D_h = 0; the gradient is 1,
+        # so that is no stationary point and no trial is admissible
+        p = ProblemInstance([[1.0]], [1.0])
+        with pytest.raises(ConvergenceError):
+            backtracking_stepsize(p, [2.0], [1.0], 100.0, shrink=1e-20)
+        res = solve(p, SolveConfig(Method.md_backtracking(100.0, shrink=1e-20), [2.0], max_iters=50))
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == 0 and res.trace == []
 
     def test_no_admissible_stepsize(self):
         # every trial drives the coordinate to zero: D_h(x, x+) is infinite
@@ -442,6 +479,27 @@ class TestSolveConvex:
         assert res.status is Status.NUMERICAL_BREAKDOWN
         assert res.iters_run == 0
         assert np.array_equal(res.x_final, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [{1: math.nan}, {2: math.inf}, {0: -math.inf}, {1: math.nan, 2: math.inf}])
+    def test_nonfinite_gradient_entry_breaks_down_at_its_iteration(self, bad):
+        c = np.array([1.0, 2.0, 3.0])
+        calls = []
+
+        def grad(x):
+            calls.append(None)
+            g = x - c
+            if len(calls) == 4:  # the gradient at x_3
+                for i, v in bad.items():
+                    g[i] = v
+            return g
+
+        obj = ConvexObjective(lambda x: 0.5 * float(np.sum((x - c) ** 2)), grad, 0.0)
+        res = solve_convex(obj, SolveConfig(Method.md_polyak(), np.full(3, 0.5), f_tol=0.0))
+        clean = solve_convex(self.distance_objective(c), SolveConfig(Method.md_polyak(), np.full(3, 0.5),
+                                                                     max_iters=3, f_tol=0.0))
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == 3 and len(res.trace) == 3
+        assert np.array_equal(res.x_final, clean.x_final)
 
     def test_gradient_length_mismatch_raises(self):
         c = np.array([1.0, 2.0, 3.0])
