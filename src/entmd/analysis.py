@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bregman import WBranch, bregman_divergence, lambert_w
-from .errors import BreakdownError, ConvergenceError, DimensionMismatch, DomainError
+from .errors import ConvergenceError, DimensionMismatch, DomainError
 from .linalg import (
     as_vector,
     kernel_projector,
@@ -32,7 +32,7 @@ from .solvers import (
     SolveConfig,
     Status,
     TraceRecord,
-    md_step,
+    _exp_update,
     solve,
 )
 
@@ -399,15 +399,15 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
     b = inst.scaled.b
     x = (1.0 + rel_perturb) * target
     worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for _ in range(iters):
             g = at @ (a @ x - b)
             if not np.all(np.isfinite(g)):
                 break
-            try:
-                x = md_step(x, g, inst.alpha)
-            except BreakdownError:
+            x_next = _exp_update(x, g, inst.alpha)
+            if not np.all(np.isfinite(x_next)):
                 break
+            x = x_next
             worst = max(worst, float(np.linalg.norm(x - target)))
     return worst
 

@@ -141,6 +141,49 @@ def _dh_core(x: np.ndarray, y: np.ndarray) -> float:
     return max(total, 0.0)
 
 
+def _dh_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """:func:`_dh_core` ``(x, y)`` for every row y of the C-contiguous block ``ys``, bit for bit.
+
+    The caller suppresses numpy's floating-point warnings.  The near and far
+    terms are computed elementwise once for the whole block.  Each row's
+    sums keep ``_dh_core``'s order: its near terms, then its far terms, each
+    compacted in index order, then ``rest``.  Rows with the same number of
+    near terms are summed together: their compacted terms form a
+    C-contiguous (rows, count) array, and numpy reduces each row of it as it
+    reduces a 1-D array of that length.
+    """
+    if np.minimum.reduce(x) > 0.0:
+        xp, yp, rest = x, ys, 0.0
+    else:
+        pos = x > 0
+        # a column mask returns a block that is not C-contiguous, and an
+        # axis-1 reduce over such a block sums in another order
+        xp, yp = x[pos], np.ascontiguousarray(ys[:, pos])
+        rest = np.add.reduce(np.ascontiguousarray(ys[:, ~pos]), axis=1)
+    ratio = yp / xp
+    near = (ratio > 0.5) & (ratio < 2.0)
+    u = (yp - xp) / xp
+    near_terms = xp * (u - np.log1p(u))
+    width = xp.size
+    counts = np.add.reduce(near, axis=1)
+    if np.minimum.reduce(counts, initial=width) == width:
+        total = np.add.reduce(near_terms, axis=1)
+    else:
+        far_terms = xp * (np.log(xp) - np.log(yp)) - xp + yp
+        total = np.empty(len(ys))
+        for count in np.unique(counts):
+            rows = np.flatnonzero(counts == count)
+            if count == width:
+                total[rows] = np.add.reduce(near_terms[rows], axis=1)
+                continue
+            mask = near[rows]
+            total[rows] = (np.add.reduce(near_terms[rows][mask].reshape(rows.size, count), axis=1)
+                           + np.add.reduce(far_terms[rows][~mask].reshape(rows.size, width - count), axis=1))
+    total += rest
+    # max(total, 0.0) of _dh_core keeps a -0.0 total
+    return np.where(np.isfinite(total), np.where(total < 0.0, 0.0, total), math.inf)
+
+
 def weighted_norm_sq(x, v) -> float:
     """Weighted squared norm sum_i x_i v_i^2 for nonnegative weights x."""
     x = _nonneg_vector(x, "weights")

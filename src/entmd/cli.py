@@ -30,6 +30,7 @@ from .experiments import (
     ExperimentConfig,
     InstanceSpec,
     SingularLaw,
+    _write_csv,
     run_experiment1,
     run_experiment2,
 )
@@ -100,11 +101,10 @@ def _emit(pairs: dict, fmt: str) -> None:
 
 
 def _write_trace(res: SolveResult, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("iter,f_value,stepsize,l1_norm\n")
-        for rec in res.trace:
-            row = [str(rec.iter)] + [format(v, ".17g") for v in (rec.f_value, rec.stepsize, rec.l1_norm)]
-            fh.write(",".join(row) + "\n")
+    # a trace holds one record per iteration from 0, so the row index is rec.iter
+    _write_csv(path, ["f_value", "stepsize", "l1_norm"],
+               [(rec.f_value for rec in res.trace), (rec.stepsize for rec in res.trace),
+                (rec.l1_norm for rec in res.trace)])
 
 
 def _x0_from_flags(args, n: int) -> np.ndarray:

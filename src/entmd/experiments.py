@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
-from .solvers import Method, ProblemInstance, SolveConfig, SolveResult, Status, _constant_grid_minima, solve
+from .solvers import (Method, ProblemInstance, SolveConfig, SolveResult, Status, _constant_grid_minima,
+                      _replay_divergence, solve)
 
 __all__ = [
     "SingularLaw",
@@ -174,16 +175,16 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     return best_alpha, best_res
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_csv(path: Path, labels: list[str], columns: list) -> None:
+    """One row per index: the index, then each column's value with 17 significant digits.
 
-
-def _write_csv(path: Path, labels: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    ``columns`` holds one iterable of floats per label; rows are written as
+    they are formatted, so no copy of the table is built.
+    """
+    row = "%d" + ",%.17g" * len(columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("iter," + ",".join(labels) + "\n")
-        for i in range(rows):
-            fh.write(str(i) + "," + ",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.writelines(row % (i, *vals) for i, vals in enumerate(zip(*columns)))
 
 
 def _write_sidecar(path: Path, cfg: ExperimentConfig, extra: dict) -> None:
@@ -196,7 +197,7 @@ def _write_sidecar(path: Path, cfg: ExperimentConfig, extra: dict) -> None:
         "seed": spec.seed,
         "iters": cfg.iters,
         "limit_extra_iters": cfg.limit_extra_iters,
-        "inits": ",".join(_fmt(s) for s in cfg.inits),
+        "inits": ",".join("%.17g" % s for s in cfg.inits),
         "version": __version__,
     }
     lines.update(extra)
@@ -205,7 +206,7 @@ def _write_sidecar(path: Path, cfg: ExperimentConfig, extra: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def _padded(values: list[float], length: int, fallback: float = 0.0) -> np.ndarray:
+def _padded(values: list[float] | np.ndarray, length: int, fallback: float = 0.0) -> np.ndarray:
     """Front-run of a per-iteration series padded to fixed length with its
     last value (runs that stop early hold their final level)."""
     out = np.empty(length)
@@ -228,6 +229,15 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``inits[0] * ones``; the final iterate estimates the limit.  Panel one is
     the cumulative-minimum objective over the first ``iters`` iterations per
     method, panel two the divergence from the limit estimate to each iterate.
+    Panel two replays the first ``iters`` stepsizes the run recorded, with no
+    stepsize rule, so it follows the run's iterates bit for bit without
+    storing them.  It ends at the first iterate whose divergence is infinite
+    and holds its last value from there on.
+
+    Raises
+    ------
+    InfiniteDivergence
+        If the divergence from the limit estimate to the start is infinite.
     """
     if not cfg.methods:
         raise DomainError("experiment 1 needs at least one method")
@@ -252,16 +262,12 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
                                             max_iters=cfg.iters + cfg.limit_extra_iters,
                                             f_tol=0.0))
         limit_est = long_res.x_final if resolved.kind != "eg_pm" else long_res.w_final
-        # Rerun the identical deterministic trajectory, now recording the
-        # divergence to the estimated limit (no descent checking: the
-        # reference is an estimate, not an exact solution).
-        div_res = solve(p, SolveConfig(resolved, x0, max_iters=cfg.iters, f_tol=0.0,
-                                       trace_reference=np.clip(limit_est, 0.0, None),
-                                       check_descent=False))
+        divergence = _replay_divergence(p, resolved, x0, [r.stepsize for r in long_res.trace[:cfg.iters]],
+                                        np.clip(limit_est, 0.0, None))
         labels.append(label)
         statuses[f"status.{label}"] = long_res.status.value
         cummin_cols.append(_cummin([r.f_value for r in long_res.trace], cfg.iters))
-        div_cols.append(_padded([r.d_h_to_ref for r in div_res.trace], cfg.iters))
+        div_cols.append(_padded(divergence, cfg.iters))
 
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bregman import EXP_QUAD_BOUND, _dh_core
+from .bregman import EXP_QUAD_BOUND, _dh_core, _dh_rows
 from .errors import (
     BreakdownError,
     ConvergenceError,
@@ -327,12 +327,18 @@ def _vector_pair(x, g, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x, g
 
 
-def _step_args(x, g, alpha, what: str) -> tuple[np.ndarray, np.ndarray, float]:
-    x, g = _vector_pair(x, g, what)
+def _stepsize_arg(alpha, what: str) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise DomainError(f"{what}: the stepsize must be finite and nonnegative")
-    return x, g, alpha
+    return alpha
+
+
+def _step_args(x, g, alpha, what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    x, g = _vector_pair(x, g, what)
+    if np.any(x < 0):
+        raise DomainError(f"{what}: the iterate must be nonnegative")
+    return x, g, _stepsize_arg(alpha, what)
 
 
 def _checked_step(update, x, g, alpha: float, what: str) -> np.ndarray:
@@ -379,7 +385,7 @@ def md_step(x, g, alpha: float) -> np.ndarray:
     BreakdownError
         If the update overflows.
     DomainError
-        If ``alpha`` is negative or not finite.
+        If ``x`` has a negative entry, or ``alpha`` is negative or not finite.
     """
     x, g, alpha = _step_args(x, g, alpha, "md_step")
     return _checked_step(_exp_update, x, g, alpha, "md_step")
@@ -389,8 +395,8 @@ def hd_plus_step(x, g, alpha: float) -> np.ndarray:
     """Polynomial update x * (1 - alpha g + alpha^2 g^2).
 
     Requires ``alpha * ||g||_inf <= 1.79``; under that cap the multiplier is
-    positive, so nonnegativity is preserved.  ``alpha`` must be finite and
-    nonnegative.
+    positive, so nonnegativity is preserved.  ``x`` and ``alpha`` must be
+    nonnegative, ``alpha`` finite.
     """
     x, g, alpha = _step_args(x, g, alpha, "hd_plus_step")
     if alpha * float(np.max(np.abs(g))) > EXP_QUAD_BOUND * (1.0 + 1e-12):
@@ -401,8 +407,8 @@ def hd_plus_step(x, g, alpha: float) -> np.ndarray:
 def hd_step(x, g, alpha: float) -> np.ndarray:
     """Squared multiplicative update x * (1 - alpha g)^2 (heuristic scheme).
 
-    A coordinate where alpha * g_i = 1 lands exactly on zero.  ``alpha`` must
-    be finite and nonnegative.
+    A coordinate where alpha * g_i = 1 lands exactly on zero.  ``x`` and
+    ``alpha`` must be nonnegative, ``alpha`` finite.
     """
     x, g, alpha = _step_args(x, g, alpha, "hd_step")
     return _checked_step(_hd_update, x, g, alpha, "hd_step")
@@ -412,11 +418,13 @@ def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """One update of the positive/negative split scheme.
 
     ``g`` is the gradient of f at u - v; the two halves move with opposite
-    exponents: u * exp(-alpha g) and v * exp(+alpha g).
+    exponents: u * exp(-alpha g) and v * exp(+alpha g).  ``alpha`` must be
+    finite and nonnegative.
     """
     u = as_vector(u)
     v = as_vector(v)
     g = as_vector(g)
+    alpha = _stepsize_arg(alpha, "egpm_step")
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         u_next = u * np.exp(-alpha * g)
         v_next = v * np.exp(alpha * g)
@@ -428,15 +436,16 @@ def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _backtracking_stepsize(a: np.ndarray, x: np.ndarray, g: np.ndarray, alpha: float,
-                           shrink: float) -> float | None:
-    """:func:`backtracking_stepsize` on validated arrays; None where it raises.
+                           shrink: float) -> tuple[float, np.ndarray] | None:
+    """:func:`backtracking_stepsize` on validated arrays: the accepted stepsize
+    and its trial point ``x+``, or None where it raises.
 
     The caller suppresses numpy's floating-point warnings.
     """
     # A zero gradient on the support leaves x+ == x for every trial: alpha0
     # is accepted.  Elsewhere a trial whose x+ merely rounds to x is rejected.
     if not np.count_nonzero(g[x > 0.0]):
-        return alpha
+        return alpha, _exp_update(x, g, alpha)
     for _ in range(201):
         x_plus = _exp_update(x, g, alpha)
         # overflow, or a positive coordinate driven to zero (infinite D_h): not an admissible trial
@@ -445,7 +454,7 @@ def _backtracking_stepsize(a: np.ndarray, x: np.ndarray, g: np.ndarray, alpha: f
             dvec = a @ (x - x_plus)
             d_f = 0.5 * float(dvec @ dvec)
             if alpha * d_f < d_h:
-                return alpha
+                return alpha, x_plus
         alpha *= shrink
     return None
 
@@ -474,23 +483,24 @@ def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float
         raise DomainError("backtracking_stepsize: the iterate must be nonnegative")
     method = Method.md_backtracking(float(alpha0), shrink)  # checks alpha0 and shrink
     with np.errstate(all="ignore"):
-        alpha = _backtracking_stepsize(p.a, x, g, method.alpha0, method.shrink)
-    if alpha is None:
+        accepted = _backtracking_stepsize(p.a, x, g, method.alpha0, method.shrink)
+    if accepted is None:
         raise ConvergenceError("backtracking found no admissible stepsize within 200 halvings")
-    return alpha
+    return accepted[0]
 
 
 # Descent-certificate tolerance: D_h(z, x+) - D_h(z, x) <= -a f / c + TOL * (1 + D_h(z, x))
 _DESCENT_TOL = 1e-9
 
 
-def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult:
+def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
     """The iteration loop behind :func:`solve` and :func:`solve_convex`.
 
     ``fg(x)`` returns the objective (or gap) f and its gradient g at x.
-    ``stepsize(x, g)`` gives the step, or None when none is admissible; by
-    default it is the Polyak rule with constant ``c``, the same ``c`` that
-    scales the descent certificate D_h(z, x+) - D_h(z, x) <= -alpha f / c.
+    ``step(x, g)`` gives the stepsize and the next iterate, or None when no
+    stepsize is admissible; by default it is the Polyak rule with constant
+    ``c``, the same ``c`` that scales the descent certificate
+    D_h(z, x+) - D_h(z, x) <= -alpha f / c, followed by the scheme's update.
     """
     kind = cfg.method.kind
     update = _UPDATES[kind]
@@ -527,14 +537,18 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, stepsize=None) -> SolveResult
             if not g_inf < math.inf:
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
-            alpha = _polyak_stepsize(x, g, f, c, g_inf) if stepsize is None else stepsize(x, g)
-            if alpha is None:
+            if step is None:
+                alpha = _polyak_stepsize(x, g, f, c, g_inf)
+                taken = None if alpha is None else (alpha, update(x, g, alpha))
+            else:
+                taken = step(x, g)
+            if taken is None:
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
+            alpha, x_next = taken
 
             trace.append(TraceRecord(k, f, alpha, l1, d_prev))
 
-            x_next = update(x, g, alpha)
             l1 = float(np.add.reduce(x_next))
             if not math.isfinite(l1) and not np.logical_and.reduce(np.isfinite(x_next)):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
@@ -605,14 +619,39 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     kind = cfg.method.kind
     if kind == "md_constant_grid":
         raise DomainError("md_constant_grid must be resolved by the experiment driver")
-    a, b, n = p.a, p.b, p.n
-    at = np.ascontiguousarray(a.T)
+    n = p.n
     split = kind == "eg_pm"
     if cfg.x0.shape[0] != (2 * n if split else n):
         raise DimensionMismatch("eg_pm needs x0 of length 2 n, the concatenation (u0, v0)" if split
                                 else "x0 length must equal the number of columns")
+    fg = _objective_gradient(p, kind)
 
+    step = None
+    if kind == "md_constant":
+        alpha = cfg.method.alpha
+
+        def step(x, g):
+            return alpha, _exp_update(x, g, alpha)
+    elif kind == "md_backtracking":
+        alpha0, shrink = cfg.method.alpha0, cfg.method.shrink
+        if alpha0 is None:
+            g0_inf = float(np.max(np.abs(fg(cfg.x0)[1])))
+            alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
+
+        def step(x, g):
+            return _backtracking_stepsize(p.a, x, g, alpha0, shrink)
+
+    res = _iterate(fg, cfg, step=step)
     if split:
+        res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
+    return res
+
+
+def _objective_gradient(p: ProblemInstance, kind: str):
+    """The callback ``fg(x) -> (f, grad f)`` that :func:`solve` iterates on for ``kind``."""
+    a, b, n = p.a, p.b, p.n
+    at = np.ascontiguousarray(a.T)
+    if kind == "eg_pm":
         # eg_pm is md_polyak on w = (u, v) for the stacked matrix [A, -A]
         def fg(w):
             r = a @ (w[:n] - w[n:]) - b
@@ -622,24 +661,52 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
         def fg(x):
             r = a @ x - b
             return 0.5 * float(r @ r), at @ r
+    return fg
 
-    stepsize = None
-    if kind == "md_constant":
-        def stepsize(x, g):
-            return cfg.method.alpha
-    elif kind == "md_backtracking":
-        alpha0, shrink = cfg.method.alpha0, cfg.method.shrink
-        if alpha0 is None:
-            g0_inf = float(np.max(np.abs(fg(cfg.x0)[1])))
-            alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
 
-        def stepsize(x, g):
-            return _backtracking_stepsize(a, x, g, alpha0, shrink)
+# Iterates per divergence batch of the replay: one (64, len(x0)) buffer
+_REPLAY_BLOCK = 64
 
-    res = _iterate(fg, cfg, stepsize=stepsize)
-    if split:
-        res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
-    return res
+
+def _replay_divergence(p: ProblemInstance, method: Method, x0: np.ndarray, alphas,
+                       z: np.ndarray) -> np.ndarray:
+    """D_h(z, x_k) at each iterate x_k from which a step ``alphas[k]`` is taken.
+
+    ``alphas`` are stepsizes a :func:`solve` of ``method`` from ``x0``
+    recorded, so the replay x_{k+1} = update(x_k, g(x_k), alphas[k]) runs
+    through that solve's iterates bit for bit, with no stepsize rule.  The
+    result is what the solve's trace records with ``trace_reference=z`` and
+    ``check_descent=False``: it ends before the first later iterate at
+    infinite divergence.  Only one block of iterates is held at a time.
+
+    Raises
+    ------
+    InfiniteDivergence
+        If D_h(z, x0) is infinite.
+    """
+    fg = _objective_gradient(p, method.kind)
+    update = _UPDATES[method.kind]
+    steps = len(alphas)
+    iterates = max(steps, 1)  # x0 is checked even without steps
+    block = np.empty((min(_REPLAY_BLOCK, iterates), x0.size))
+    found = []
+    x = x0
+    with np.errstate(all="ignore"):
+        for start in range(0, iterates, _REPLAY_BLOCK):
+            rows = min(_REPLAY_BLOCK, iterates - start)
+            for i in range(start, start + rows):
+                if i:
+                    x = update(x, fg(x)[1], alphas[i - 1])
+                block[i - start] = x
+            d = _dh_rows(z, block[:rows])
+            infinite = np.flatnonzero(d == math.inf)
+            if infinite.size:
+                if start + infinite[0] == 0:
+                    raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
+                found.append(d[:infinite[0]])
+                break
+            found.append(d)
+    return np.concatenate(found)[:steps]
 
 
 def solve_convex(obj: ConvexObjective, cfg: SolveConfig) -> SolveResult:

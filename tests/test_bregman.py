@@ -21,7 +21,7 @@ from entmd import (
     weighted_norm_sq,
     ymin_lower_bound,
 )
-from entmd.bregman import _dh_core
+from entmd.bregman import _dh_core, _dh_rows
 
 
 class TestEntropy:
@@ -99,6 +99,90 @@ class TestDivergenceFastPaths:
         far = _dh_core(np.array([1.0]), np.array([1e-200]))
         assert far == pytest.approx(200.0 * math.log(10.0) - 1.0)
         assert _dh_core(np.insert(x, 0, 1.0), np.insert(y, 0, 1e-200)) == _dh_core(x, y) + far
+
+
+class TestDivergenceRows:
+    # _dh_rows must give _dh_core's bits for every row, -0.0 and inf included
+    @staticmethod
+    def assert_rows_match(x, ys):
+        ys = np.ascontiguousarray(ys, dtype=float)
+        with np.errstate(all="ignore"):
+            got = _dh_rows(x, ys)
+            want = np.array([_dh_core(x, y) for y in ys])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def reference(seed, n=40):
+        return seeded_rng(seed).uniform(0.1, 2.0, n)
+
+    def test_all_near_rows(self):
+        x = self.reference(50)
+        ys = x * seeded_rng(51).uniform(0.6, 1.9, (9, x.size))
+        self.assert_rows_match(x, ys)
+
+    def test_mixed_rows_with_differing_near_counts(self):
+        x = self.reference(52)
+        rng = seeded_rng(53)
+        ys = x * np.exp(rng.normal(0.0, 1.0, (30, x.size)) * rng.uniform(0.0, 2.0, (30, 1)))
+        ys[3] = x * 1.1  # one all-near row among mixed ones
+        self.assert_rows_match(x, ys)
+
+    def test_far_only_rows(self):
+        x = self.reference(54)
+        ys = np.vstack([x * 10.0, x * 1e-3, x * np.where(np.arange(x.size) % 2, 5.0, 0.1)])
+        self.assert_rows_match(x, ys)
+
+    def test_zero_reference_entries_add_the_rest(self):
+        x = self.reference(55)
+        x[::3] = 0.0
+        rng = seeded_rng(56)
+        ys = rng.uniform(0.0, 3.0, (12, x.size))
+        ys[0] = np.where(x > 0.0, x, 0.0)  # zero divergence
+        ys[1] = np.where(x > 0.0, x * 1.2, 0.7)  # all near on the support
+        self.assert_rows_match(x, ys)
+        # every row near on the support: the whole block is reduced at once
+        x = self.reference(58, n=100)
+        x[::3] = 0.0
+        self.assert_rows_match(x, np.where(x > 0.0, x * rng.uniform(0.6, 1.9, (64, x.size)), 0.5))
+        self.assert_rows_match(np.zeros(5), rng.uniform(0.0, 1.0, (3, 5)))
+
+    def test_zero_iterate_entry_is_infinite(self):
+        x = self.reference(57, n=6)
+        ys = np.tile(x, (4, 1))
+        ys[1, 2] = 0.0
+        ys[3, 0] = 0.0
+        with np.errstate(all="ignore"):
+            d = _dh_rows(x, ys)
+        assert d[1] == d[3] == math.inf and d[0] == d[2] == 0.0
+        self.assert_rows_match(x, ys)
+
+    def test_overflowing_ratios_and_sums(self):
+        x = np.array([1e-300, 1.0, 1e300, 2.0])
+        ys = np.array([[1e300, 1.0, 1e-300, 2.0],  # ratios overflow and underflow
+                       [1e-300, 1.1, 1e300, 1.9],
+                       [1.0, 1.0, 1.7e308, 1.7e308]])  # the sum overflows
+        self.assert_rows_match(x, ys)
+
+    def test_subnormal_entries(self):
+        x = np.array([5e-324, 1e-310, 1.0, 3e-320])
+        ys = np.array([[5e-324, 1e-310, 1.0, 3e-320],
+                       [1e-323, 2e-310, 0.5, 5e-324],
+                       [1.0, 1e-300, 5e-324, 3e-320]])
+        self.assert_rows_match(x, ys)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blocks(self, seed):
+        rng = seeded_rng(60 + seed)
+        for _ in range(25):
+            n = int(rng.integers(1, 200))
+            x = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 30, n)
+            x[rng.random(n) < rng.uniform(0.0, 0.5)] = 0.0
+            spread = rng.uniform(0.0, 3.0, (int(rng.integers(1, 70)), 1))
+            base = np.where(x > 0.0, x, rng.uniform(0.0, 1.0, n))
+            ys = base * np.exp(rng.normal(0.0, 1.0, (len(spread), n)) * spread)
+            ys[rng.random(ys.shape) < 0.01] = 0.0
+            self.assert_rows_match(x, ys)
 
 
 class TestWeightedNormSq:

@@ -58,6 +58,16 @@ class TestSolveCommand:
         header = trace.read_text().splitlines()[0]
         assert header.startswith("iter,f_value,stepsize,l1_norm")
 
+    def test_trace_rows_carry_17_significant_digits(self, tmp_path, capsys):
+        p = centered_gaussian_instance(4, 8, 2, seed=71)
+        trace = tmp_path / "trace.csv"
+        main(["solve", write_instance(tmp_path, p), "--method", "md-backtracking", "--x0-scale", "0.1",
+              "--iters", "40", "--trace", str(trace)])
+        res = entmd.solve(p, entmd.SolveConfig(entmd.Method.md_backtracking(), np.full(8, 0.1), max_iters=40))
+        rows = [",".join([str(rec.iter)] + [format(v, ".17g") for v in (rec.f_value, rec.stepsize, rec.l1_norm)])
+                for rec in res.trace]
+        assert trace.read_text() == "\n".join(["iter,f_value,stepsize,l1_norm"] + rows) + "\n"
+
     def test_max_iters_exit_two(self, tmp_path, capsys):
         p = centered_gaussian_instance(4, 8, 2, seed=72)
         path = write_instance(tmp_path, p)

@@ -117,6 +117,27 @@ class TestExperiment1:
         assert len(values) == 50
         assert all(np.isfinite(v) for v in values)
 
+    @pytest.mark.parametrize("iters, extra, scale", [(1, 30, 1e-4), (64, 40, 1e-4), (150, 60, 1e-4), (97, 0, 1.0)])
+    def test_divergence_panel_equals_a_traced_rerun(self, tmp_path, iters, extra, scale):
+        methods = [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.eg_pm(),
+                   Method.md_constant(0.02), Method.md_backtracking(), Method.md_constant_grid()]
+        spec = InstanceSpec(10, 16, sparsity=4, seed=19)
+        cfg = ExperimentConfig(spec, methods=methods, iters=iters, limit_extra_iters=extra, inits=[scale],
+                               out_path=tmp_path)
+        _, div_path, _ = run_experiment1(cfg)
+        p = gen_instance(spec)
+        expected = [reference_divergence(p, method, scale, iters, extra) for method in methods]
+        assert div_path.read_text() == csv_text(div_path.read_text().splitlines()[0], expected)
+
+    def test_divergence_panel_of_a_breakdown_equals_a_traced_rerun(self, tmp_path):
+        spec = InstanceSpec(5, 8, sparsity=2, seed=15)
+        method = Method.md_constant(1e9)
+        cfg = ExperimentConfig(spec, methods=[method], iters=50, limit_extra_iters=0, out_path=tmp_path)
+        _, div_path, meta_path = run_experiment1(cfg)
+        assert "NumericalBreakdown" in meta_path.read_text()
+        expected = reference_divergence(gen_instance(spec), method, 1e-4, 50, 0)
+        assert div_path.read_text() == csv_text("iter," + method.label, [expected])
+
     def test_requires_methods(self, tmp_path):
         cfg = ExperimentConfig(InstanceSpec(4, 6, sparsity=2, seed=16),
                                methods=[], iters=10, out_path=tmp_path)
@@ -143,6 +164,28 @@ class TestExperiment2:
             cfg = ExperimentConfig(spec, iters=40, inits=[1e-2, 1e-6], out_path=tmp_path / name)
             blobs.append([path.read_bytes() for path in run_experiment2(cfg)])
         assert blobs[0] == blobs[1]
+
+
+def reference_divergence(p, method, scale, iters, extra):
+    """Experiment 1's divergence column computed by a second solve of the
+    first ``iters`` iterations, traced against the clipped limit estimate."""
+    if method.kind == "md_constant_grid":
+        x0 = np.full(p.n, scale)
+        alpha, long_res = grid_search_constant(p, x0, iters + extra)
+        method = Method.md_constant(alpha)
+    else:
+        x0 = np.full(2 * p.n if method.kind == "eg_pm" else p.n, scale)
+        long_res = solve(p, SolveConfig(method, x0, max_iters=iters + extra, f_tol=0.0))
+    limit = long_res.w_final if method.kind == "eg_pm" else long_res.x_final
+    rerun = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0,
+                                 trace_reference=np.clip(limit, 0.0, None), check_descent=False))
+    column = [rec.d_h_to_ref for rec in rerun.trace]
+    return column + [column[-1] if column else 0.0] * (iters - len(column))
+
+
+def csv_text(header, columns):
+    rows = [",".join([str(i)] + [format(col[i], ".17g") for col in columns]) for i in range(len(columns[0]))]
+    return "\n".join([header] + rows) + "\n"
 
 
 def reference_grid_search(p, x0, iters, num=25, span=(1e-2, 1e2)):

@@ -28,7 +28,7 @@ from entmd import (
     solve,
     solve_convex,
 )
-from entmd.solvers import _exp_update
+from entmd.solvers import _backtracking_stepsize, _exp_update, _replay_divergence
 from conftest import centered_gaussian_instance, signed_system
 
 
@@ -131,6 +131,18 @@ class TestSteps:
         # a negative stepsize would step uphill: md_step([1], [1], -1) would return e
         with pytest.raises(DomainError):
             step([1.0], [1.0], alpha)
+
+    @pytest.mark.parametrize("step", [md_step, hd_plus_step, hd_step])
+    def test_negative_iterate_rejected(self, step):
+        # md_step([-1, 1], [1, 1], 0.5) would return a point off the orthant
+        with pytest.raises(DomainError):
+            step([-1.0, 1.0], [1.0, 1.0], 0.5)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.inf, math.nan])
+    def test_egpm_stepsize_must_be_finite_and_nonnegative(self, alpha):
+        # -1 would be a silent ascent step, nan a BreakdownError
+        with pytest.raises(DomainError):
+            egpm_step([1.0], [1.0], [1.0], alpha)
 
     def test_exp_update_masks_overflow_at_zero_coordinates(self):
         # 0 * exp(inf) is NaN; a frozen coordinate must stay exactly 0.0
@@ -243,6 +255,18 @@ class TestBacktracking:
         res = solve(p, SolveConfig(Method.md_backtracking(100.0, shrink=1e-20), [2.0], max_iters=50))
         assert res.status is Status.NUMERICAL_BREAKDOWN
         assert res.iters_run == 0 and res.trace == []
+
+    def test_accepted_trial_is_returned(self):
+        # the loop takes the accepted trial as its next iterate instead of recomputing it
+        p = centered_gaussian_instance(5, 9, 2, seed=36)
+        x = np.full(9, 0.3)
+        g = gradient(p, x)
+        with np.errstate(all="ignore"):
+            alpha, x_plus = _backtracking_stepsize(p.a, x, g, 50.0, 0.5)
+            zero_g_alpha, stay = _backtracking_stepsize(p.a, x, np.zeros(9), 2.0, 0.5)
+        assert alpha == backtracking_stepsize(p, x, g, 50.0) < 50.0
+        assert np.array_equal(x_plus, _exp_update(x, g, alpha))
+        assert zero_g_alpha == 2.0 and np.array_equal(stay, x)
 
     def test_no_admissible_stepsize(self):
         # every trial drives the coordinate to zero: D_h(x, x+) is infinite
@@ -367,6 +391,58 @@ def test_trace_stepsizes_replay_through_public_steps(method, step):
             assert rec.stepsize == backtracking_stepsize(p, x, g, alpha0)
         x = step(x, g, rec.stepsize)
     assert np.array_equal(x, res.x_final)
+
+
+def reference_divergence(p, method, x0, iters, z):
+    """D_h(z, x_k) as a solve traced against ``z`` records it."""
+    res = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0, trace_reference=z, check_descent=False))
+    return [rec.d_h_to_ref for rec in res.trace]
+
+
+def replayed_divergence(p, method, x0, iters, z):
+    """The same from the stepsizes of an untraced solve."""
+    res = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0))
+    return _replay_divergence(p, method, np.asarray(x0, dtype=float), [rec.stepsize for rec in res.trace], z)
+
+
+class TestReplayDivergence:
+    @pytest.mark.parametrize("method", [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(),
+                                        Method.eg_pm(), Method.md_constant(0.05), Method.md_backtracking()])
+    @pytest.mark.parametrize("iters", [1, 63, 64, 65, 200])
+    def test_matches_traced_solve_across_blocks(self, method, iters):
+        p = centered_gaussian_instance(6, 12, 3, seed=37)
+        x0 = np.full(24 if method.kind == "eg_pm" else 12, 0.1)
+        long_res = solve(p, SolveConfig(method, x0, max_iters=300, f_tol=0.0))
+        z = np.clip(long_res.w_final if method.kind == "eg_pm" else long_res.x_final, 0.0, None)
+        replayed = replayed_divergence(p, method, x0, iters, z)
+        assert replayed.tobytes() == np.array(reference_divergence(p, method, x0, iters, z)).tobytes()
+        assert len(replayed) == iters
+
+    def test_breakdown_run(self):
+        p = centered_gaussian_instance(5, 8, 2, seed=38)
+        x0 = np.full(8, 0.1)
+        method = Method.md_constant(1e9)
+        z = np.full(8, 0.2)
+        replayed = replayed_divergence(p, method, x0, 50, z)
+        assert replayed.tobytes() == np.array(reference_divergence(p, method, x0, 50, z)).tobytes()
+        assert 0 < len(replayed) < 50
+
+    def test_divergence_turning_infinite_ends_the_series(self):
+        # x_1 shrinks by about exp(-2) per step and underflows to 0 after
+        # ~370 steps while z_1 = 1: from there D_h(z, x_k) is infinite
+        p = ProblemInstance(np.eye(2), [-1.0, 0.25])
+        method = Method.md_constant(2.0)
+        x0, z = np.full(2, 1e-4), np.ones(2)
+        replayed = replayed_divergence(p, method, x0, 600, z)
+        reference = reference_divergence(p, method, x0, 600, z)
+        assert 300 < len(reference) < 600 and math.isfinite(reference[-1])
+        assert replayed.tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 1, 100])
+    def test_reference_infinitely_far_from_x0_raises(self, steps):
+        p = ProblemInstance([[1.0]], [1e307])
+        with pytest.raises(InfiniteDivergence):
+            _replay_divergence(p, Method.md_polyak(), np.array([1e-307]), [1.0] * steps, np.array([1e307]))
 
 
 class TestEgpmSolve:
