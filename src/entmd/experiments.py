@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
-from .solvers import (Method, ProblemInstance, SolveConfig, SolveResult, Status, _constant_grid_minima,
-                      _replay_divergence, solve)
+from .solvers import (Method, ProblemInstance, SolveConfig, SolveResult, Status, _lockstep, _replay_divergence,
+                      solve)
 
 __all__ = [
     "SingularLaw",
@@ -35,11 +35,10 @@ __all__ = [
 
 
 class SingularLaw(enum.Enum):
-    """Distribution of the nonzero singular values; both names draw |N(0,1)|
-    (the absolute-normal reading of a normal spectrum for rectangular A)."""
+    """Distribution of the nonzero singular values: |N(0,1)|, the
+    absolute-normal reading of a normal spectrum for rectangular A."""
 
     HALF_NORMAL = "half_normal"
-    ABS_NORMAL = "abs_normal"
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,24 @@ def gen_instance(spec: InstanceSpec) -> ProblemInstance:
     return ProblemInstance(a, a @ z, planted=z)
 
 
-# Grid stepsizes whose block minimum is within this relative distance of the
-# best one are re-solved alone; block and single solves differ by ~1e-13.
-_GRID_RTOL = 1e-9
-_EPS = float(np.finfo(float).eps)
+def _constant_grid(p: ProblemInstance, num: int = 25, span: tuple[float, float] = (1e-2, 1e2)) -> list[Method]:
+    """The ``md_constant`` methods of :func:`grid_search_constant`'s grid, in ascending order."""
+    lo, hi = float(span[0]), float(span[1])
+    if num < 1 or not (0.0 < lo <= hi < np.inf):
+        raise DomainError("the grid needs num >= 1 and finite 0 < span[0] <= span[1]")
+    mc = max_col_norm_sq(p.a)
+    if mc == 0.0:
+        raise DomainError("the grid needs a nonzero matrix")
+    return [Method.md_constant(float(alpha)) for alpha in np.geomspace(lo / mc, hi / mc, num)]
+
+
+def _grid_winner(runs, count: int) -> int:
+    """The grid point that wins among the first ``count`` runs of a lockstep batch."""
+    minima = np.where([s is Status.CONVERGED for s in runs.status[:count]], 0.0, runs.f_min[:count])
+    best = int(np.argmin(minima))
+    if not np.isfinite(minima[best]):
+        raise DomainError("no stepsize in the grid reaches a finite objective")
+    return best
 
 
 def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
@@ -124,16 +137,13 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     of ``iters`` iterations reaches the strictly smallest objective (0 if it
     converges), and the result is that solve's.
 
-    All grid points run together as one block of iterates, which costs one
-    GEMM pair per iteration instead of one ``solve`` per stepsize.  Only this
-    grid is batched: constant-stepsize runs are contractive, so the block's
-    per-stepsize minima agree with single solves to ~1e-13 relative.  Polyak
-    runs are not; a 1e-16 difference between GEMM and GEMV grew to 3% in f
-    within 100 iterations and to 7x within 5000 (dense 60x100, x0 = 1e-8).
-    Because the block rounds differently, the chosen stepsize is re-solved
-    alone, and stepsizes whose block minima lie within rounding of the best
-    are re-solved too, so the choice and the returned result are those of
-    ``solve`` itself.
+    All grid points run together in one lockstep batch, whose stacked GEMV
+    pair per iteration makes the same dgemv call per stepsize that a
+    ``solve`` makes.  Each stepsize's minimum is therefore that of its own
+    solve, bit for bit.  A GEMM block would not do: it rounds differently
+    from GEMV, by ~1e-13 relative in the minima of this contractive grid,
+    and for Polyak runs a 1e-16 difference grew to 3% in f within 100
+    iterations and to 7x within 5000 (dense 60x100, x0 = 1e-8).
 
     Raises
     ------
@@ -144,35 +154,13 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     DimensionMismatch
         If ``x0`` does not have length n.
     """
-    lo, hi = float(span[0]), float(span[1])
-    if num < 1 or not (0.0 < lo <= hi < np.inf):
-        raise DomainError("the grid needs num >= 1 and finite 0 < span[0] <= span[1]")
-    mc = max_col_norm_sq(p.a)
-    if mc == 0.0:
-        raise DomainError("the grid needs a nonzero matrix")
-    grid = np.geomspace(lo / mc, hi / mc, num)
-    # validates x0 and iters as every solve below does
-    cfg = SolveConfig(Method.md_constant(float(grid[0])), x0, max_iters=iters, f_tol=0.0)
+    grid = _constant_grid(p, num, span)
+    # validates x0 and iters as a solve of each stepsize does
+    cfg = SolveConfig(grid[0], x0, max_iters=iters, f_tol=0.0)
     if cfg.x0.shape[0] != p.n:
         raise DimensionMismatch("x0 length must equal the number of columns")
-    minima = _constant_grid_minima(p.a, p.b, cfg.x0, grid, cfg.max_iters)
-    lowest = float(np.min(minima))
-    if not np.isfinite(lowest):
-        raise DomainError("no stepsize in the grid reaches a finite objective")
-    # rounding slack: relative, plus the objective's noise floor near zero
-    slack = _GRID_RTOL * lowest + 0.5 * (p.n * _EPS * float(np.linalg.norm(p.b))) ** 2
-    best_alpha = None
-    best_res = None
-    best_f = np.inf
-    for alpha in grid[minima <= lowest + slack]:
-        cfg = SolveConfig(Method.md_constant(float(alpha)), cfg.x0, max_iters=iters, f_tol=0.0)
-        res = solve(p, cfg)
-        f_min = min((rec.f_value for rec in res.trace), default=np.inf)
-        if res.status is Status.CONVERGED:
-            f_min = 0.0
-        if f_min < best_f:
-            best_f, best_alpha, best_res = f_min, float(alpha), res
-    return best_alpha, best_res
+    best = grid[_grid_winner(_lockstep(p, grid, np.tile(cfg.x0, (num, 1)), cfg.max_iters), num)]
+    return best.alpha, solve(p, SolveConfig(best, cfg.x0, max_iters=cfg.max_iters, f_tol=0.0))
 
 
 def _write_csv(path: Path, labels: list[str], columns: list) -> None:
@@ -216,10 +204,14 @@ def _padded(values: list[float] | np.ndarray, length: int, fallback: float = 0.0
     return out
 
 
-def _cummin(values: list[float], length: int) -> np.ndarray:
-    if not values:
-        return np.zeros(length)
+def _cummin(values, length: int) -> np.ndarray:
     return np.minimum.accumulate(_padded(values, length))
+
+
+# Method kinds whose exp1 runs advance in one lockstep batch.  md_backtracking
+# (its trial count differs per run) and eg_pm (its rows are 2n long) run
+# through solve.
+_LOCKSTEP_KINDS = ("md_polyak", "hd_plus_polyak", "hd_polyak", "md_constant")
 
 
 def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
@@ -229,10 +221,16 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``inits[0] * ones``; the final iterate estimates the limit.  Panel one is
     the cumulative-minimum objective over the first ``iters`` iterations per
     method, panel two the divergence from the limit estimate to each iterate.
-    Panel two replays the first ``iters`` stepsizes the run recorded, with no
-    stepsize rule, so it follows the run's iterates bit for bit without
-    storing them.  It ends at the first iterate whose divergence is infinite
-    and holds its last value from there on.
+    ``md_constant_grid`` is the stepsize :func:`grid_search_constant` picks.
+    The grid's stepsizes and the Polyak and constant-stepsize methods
+    advance together in one lockstep batch, and the grid's winner is its own
+    run there; ``md_backtracking`` and ``eg_pm`` are solved alone.  Every run
+    equals its own ``solve`` bit for bit.  Panel two replays the first
+    ``iters`` stepsizes each run recorded, with no stepsize rule, in one
+    lockstep batch (``eg_pm`` in a second one), so it follows the runs'
+    iterates bit for bit without storing them.  A column ends at the first
+    iterate whose divergence is infinite and holds its last value from
+    there on.
 
     Raises
     ------
@@ -243,60 +241,72 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
         raise DomainError("experiment 1 needs at least one method")
     p = gen_instance(cfg.spec)
     scale = cfg.inits[0]
-    cummin_cols: list[np.ndarray] = []
-    div_cols: list[np.ndarray] = []
-    labels: list[str] = []
-    statuses: dict[str, str] = {}
+    budget = cfg.iters + cfg.limit_extra_iters
+    count = len(cfg.methods)
+    # the grid's stepsizes and the Polyak and constant-stepsize methods run
+    # in one lockstep batch; the grid's winner is its own row there
+    grid = _constant_grid(p) if any(m.kind == "md_constant_grid" for m in cfg.methods) else []
+    batched = [i for i, m in enumerate(cfg.methods) if m.kind in _LOCKSTEP_KINDS]
+    runs = _lockstep(p, grid + [cfg.methods[i] for i in batched], np.full((len(grid) + len(batched), p.n), scale),
+                     budget, keep=cfg.iters)
+    row_of = {i: len(grid) + j for j, i in enumerate(batched)}
+    if grid:
+        best = _grid_winner(runs, len(grid))
+        row_of.update((i, best) for i, m in enumerate(cfg.methods) if m.kind == "md_constant_grid")
+    methods = [grid[best] if m.kind == "md_constant_grid" else m for m in cfg.methods]
+    labels = ["md_constant_opt" if m.kind == "md_constant_grid" else m.label for m in cfg.methods]
+    starts = [np.full(2 * p.n if m.kind == "eg_pm" else p.n, scale) for m in methods]
 
-    for method in cfg.methods:
-        if method.kind == "md_constant_grid":
-            x0 = np.full(p.n, scale)
-            alpha, long_res = grid_search_constant(p, x0, cfg.iters + cfg.limit_extra_iters)
-            resolved = Method.md_constant(alpha)
-            label = "md_constant_opt"
+    # per method: f and the stepsize of the first iters iterations, the final iterate and the status
+    f_cols, step_cols, finals, statuses = [None] * count, [None] * count, [None] * count, [None] * count
+    for i, method in enumerate(methods):
+        if i in row_of:
+            r = row_of[i]
+            f_cols[i] = runs.f[r, :runs.length[r]]
+            step_cols[i] = runs.stepsize[r, :runs.length[r]]
+            finals[i], statuses[i] = runs.x_final[r], runs.status[r]
         else:
-            resolved = method
-            label = method.label
-            x0 = np.full(p.n * 2 if method.kind == "eg_pm" else p.n, scale)
-            long_res = solve(p, SolveConfig(resolved, x0,
-                                            max_iters=cfg.iters + cfg.limit_extra_iters,
-                                            f_tol=0.0))
-        limit_est = long_res.x_final if resolved.kind != "eg_pm" else long_res.w_final
-        divergence = _replay_divergence(p, resolved, x0, [r.stepsize for r in long_res.trace[:cfg.iters]],
-                                        np.clip(limit_est, 0.0, None))
-        labels.append(label)
-        statuses[f"status.{label}"] = long_res.status.value
-        cummin_cols.append(_cummin([r.f_value for r in long_res.trace], cfg.iters))
-        div_cols.append(_padded(divergence, cfg.iters))
+            res = solve(p, SolveConfig(method, starts[i], max_iters=budget, f_tol=0.0))
+            trace = res.trace[:cfg.iters]
+            f_cols[i] = [rec.f_value for rec in trace]
+            step_cols[i] = [rec.stepsize for rec in trace]
+            finals[i] = res.w_final if method.kind == "eg_pm" else res.x_final
+            statuses[i] = res.status
+
+    div_cols = [None] * count
+    for split in (False, True):
+        group = [i for i, method in enumerate(methods) if (method.kind == "eg_pm") is split]
+        if group:
+            replayed = _replay_divergence(p, [methods[i] for i in group], np.array([starts[i] for i in group]),
+                                          [step_cols[i] for i in group],
+                                          np.array([np.clip(finals[i], 0.0, None) for i in group]))
+            for i, divergence in zip(group, replayed):
+                div_cols[i] = _padded(divergence, cfg.iters)
 
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "exp1_cummin.csv", out / "exp1_divergence.csv", out / "exp1_meta.txt"]
-    _write_csv(paths[0], labels, cummin_cols)
+    _write_csv(paths[0], labels, [_cummin(f, cfg.iters) for f in f_cols])
     _write_csv(paths[1], labels, div_cols)
-    _write_sidecar(paths[2], cfg, {"methods": ",".join(labels), **statuses})
+    _write_sidecar(paths[2], cfg, {"methods": ",".join(labels),
+                                   **{f"status.{label}": s.value for label, s in zip(labels, statuses)}})
     return paths
 
 
 def run_experiment2(cfg: ExperimentConfig) -> list[Path]:
     """Initialization-scale sweep for the exponential Polyak scheme.
 
-    One cumulative-minimum objective column per scale in ``inits``.
+    One cumulative-minimum objective column per scale in ``inits``.  The
+    ``md_polyak`` runs of all scales advance together in one lockstep batch,
+    each equal to its own ``solve`` bit for bit.
     """
     p = gen_instance(cfg.spec)
-    labels = []
-    cols = []
-    statuses = {}
-    for scale in cfg.inits:
-        label = f"x0_{scale:g}"
-        res = solve(p, SolveConfig(Method.md_polyak(), np.full(p.n, scale),
-                                   max_iters=cfg.iters, f_tol=0.0))
-        labels.append(label)
-        statuses[f"status.{label}"] = res.status.value
-        cols.append(_cummin([r.f_value for r in res.trace], cfg.iters))
+    runs = _lockstep(p, [Method.md_polyak()] * len(cfg.inits), np.array([np.full(p.n, s) for s in cfg.inits]),
+                     cfg.iters, keep=cfg.iters)
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "exp2_cummin.csv", out / "exp2_meta.txt"]
-    _write_csv(paths[0], labels, cols)
+    _write_csv(paths[0], [f"x0_{scale:g}" for scale in cfg.inits],
+               [_cummin(runs.f[r, :runs.length[r]], cfg.iters) for r in range(len(cfg.inits))])
     _write_sidecar(paths[1], cfg, {"methods": "md_polyak"})
     return paths

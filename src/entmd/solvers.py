@@ -20,7 +20,9 @@ rule.  Every solve records a per-iteration trace (objective, stepsize, l1
 norm and optionally the Bregman divergence to a reference point) and reports
 one of three terminal statuses.  When a reference solution is supplied, the Polyak
 schemes verify the per-iteration divergence descent inequality and flag any
-numerical violation as a breakdown instead of silently continuing.
+numerical violation as a breakdown instead of silently continuing.  Runs on
+one instance can also advance together in a lockstep batch on the same
+update rules, each ending where its own solve ends, bit for bit.
 """
 
 from __future__ import annotations
@@ -278,27 +280,29 @@ def _polyak_stepsize(x: np.ndarray, g: np.ndarray, f: float, c: float, g_inf: fl
 # The exp and hd updates work in place on one fresh array.  A coordinate
 # with x_i == 0 stays exactly 0.0 whenever its multiplier is finite, so the
 # explicit zero mask is needed only when the product is not all finite.
+# The product is nonnegative, so a finite sum shows that it is; a sum that
+# overflows merely masks entries that are 0.0 already.
 
 def _exp_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
-    """x * exp(-alpha g); ``alpha`` may be a row of per-column stepsizes for an (n, B) block."""
+    """x * exp(-alpha g); for a (B, n) block of rows ``alpha`` may be a (B, 1) column of stepsizes."""
     out = np.multiply(g, -alpha)
     np.exp(out, out=out)
     out *= x
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+    if not math.isfinite(np.add.reduce(out, axis=None)):
         out[x == 0.0] = 0.0
     return out
 
 
-def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
     t = alpha * g
     return x * (1.0 - t + t * t)
 
 
-def _hd_update(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+def _hd_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
     mult = 1.0 - alpha * g
     out = x * mult
     out *= mult
-    if not np.logical_and.reduce(np.isfinite(out)):
+    if not math.isfinite(np.add.reduce(out, axis=None)):
         out[x == 0.0] = 0.0
     return out
 
@@ -569,45 +573,6 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
     return SolveResult(x, status, iters_run, trace, heuristic=(kind == "hd_polyak"))
 
 
-def _constant_grid_minima(a: np.ndarray, b: np.ndarray, x0: np.ndarray, alphas: np.ndarray,
-                          iters: int) -> np.ndarray:
-    """Smallest objective ``md_constant`` reaches with each stepsize in ``alphas``.
-
-    All stepsizes run at once on an (n, B) block of iterates, one GEMM pair
-    per iteration.  Each column stops where :func:`_iterate` stops for
-    ``md_constant`` with ``f_tol=0`` and no reference: a non-finite f or g
-    stops it before f is recorded, f <= 0 counts as converged (minimum 0),
-    and a non-finite update stops it after f is recorded.  Stopped columns
-    leave the block.  A column that records nothing reads inf.
-    """
-    at = np.ascontiguousarray(a.T)
-    minima = np.full(alphas.shape, np.inf)
-    live = np.arange(alphas.size)
-    step_row = alphas
-    x = np.repeat(x0[:, None], alphas.size, axis=1)
-    b_col = b[:, None]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _ in range(iters):
-            r = a @ x - b_col
-            f = 0.5 * np.einsum("ij,ij->j", r, r)
-            g = at @ r
-            finite = np.isfinite(f)
-            minima[live[finite & (f <= 0.0)]] = 0.0
-            moving = finite & (f > 0.0) & np.logical_and.reduce(np.isfinite(g), axis=0)
-            if not moving.all():
-                live, x, f, g, step_row = live[moving], x[:, moving], f[moving], g[:, moving], step_row[moving]
-                if live.size == 0:
-                    break
-            minima[live] = np.minimum(minima[live], f)
-            x = _exp_update(x, g, step_row)
-            kept = np.logical_and.reduce(np.isfinite(x), axis=0)
-            if not kept.all():
-                live, x, step_row = live[kept], x[:, kept], step_row[kept]
-                if live.size == 0:
-                    break
-    return minima
-
-
 def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     """Run the configured scheme on ``p`` until f <= f_tol or max_iters.
 
@@ -664,49 +629,213 @@ def _objective_gradient(p: ProblemInstance, kind: str):
     return fg
 
 
-# Iterates per divergence batch of the replay: one (64, len(x0)) buffer
+@dataclass(eq=False)
+class _Lockstep:
+    """The runs of one :func:`_lockstep` batch; row r belongs to run r.
+
+    ``f[r, k]`` and ``stepsize[r, k]`` are trace record k of run r for
+    ``k < min(length[r], keep)``; ``length[r]`` is its trace length and
+    ``f_min[r]`` the smallest f in its trace (inf for an empty trace).
+    """
+
+    f: np.ndarray
+    stepsize: np.ndarray
+    length: np.ndarray
+    f_min: np.ndarray
+    x_final: np.ndarray
+    status: list[Status]
+    iters_run: np.ndarray
+
+
+def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, f_tol: float = 0.0,
+              keep: int = 0, given: list | None = None, visit=None) -> _Lockstep:
+    """One solve of ``p`` per row of ``x0``, all advancing together.
+
+    Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], max_iters,
+    f_tol))`` ends, bit for bit in its iterates, stepsizes, f values, status
+    and iteration count; ``iters`` is the ``max_iters`` of every run or a
+    sequence of one per run.  The stepsize is the Polyak rule with c = 1,
+    or ``alpha`` for ``md_constant``; with ``given``, run r takes the
+    stepsizes ``given[r]`` instead, which replays a recorded run of any kind.
+    A batch holds ``eg_pm`` runs only or none.  A run that stops leaves the
+    batch.
+
+    An iteration costs one stacked GEMV pair: ``np.matmul`` over a
+    (B, n, 1) stack makes the same dgemv call per row as ``a @ x``, and f
+    is one ddot per row as ``r @ r`` is.  A GEMM block ``a @ X.T`` would
+    round differently, and Polyak runs amplify that difference.
+
+    f and the stepsize of the first ``keep`` iterations are kept.
+    ``visit(k, live, x)``, if given, sees before the step of iteration k the
+    iterate ``x[i]`` of each run ``live[i]`` that steps.
+    """
+    if given is None and any(m.kind == "md_backtracking" for m in methods):
+        raise DomainError("md_backtracking runs in lockstep only with given stepsizes")
+    a, b_col, n = p.a, p.b[:, None], p.n
+    at = np.ascontiguousarray(a.T)
+    rows = len(methods)
+    split = any(m.kind == "eg_pm" for m in methods)
+    updates = [_UPDATES[m.kind] for m in methods]
+    budget = np.array(np.broadcast_to(iters, (rows,)), dtype=np.int64)
+    polyak = np.array([given is None and m.kind != "md_constant" for m in methods], dtype=bool)
+    constant = np.array([m.alpha if m.kind == "md_constant" else 0.0 for m in methods])
+    if given is not None:
+        replayed = np.zeros((rows, budget.max(initial=0)))
+        for r, steps in enumerate(given):
+            replayed[r, :budget[r]] = steps[:budget[r]]
+
+    out = _Lockstep(np.empty((rows, keep)), np.empty((rows, keep)), budget.copy(), np.full(rows, np.inf),
+                    np.empty(np.shape(x0)), [Status.MAX_ITERS] * rows, budget.copy())
+    # the Polyak runs come last and runs that share an update stay adjacent
+    # (md_constant's update is the exponential one), so the Polyak rule and
+    # each update run on one slice
+    live = np.array(sorted(range(rows), key=lambda r: (polyak[r], updates[r].__name__)), dtype=np.intp)
+    x = np.array(x0, dtype=float)[live]
+    fmin = np.full(rows, np.inf)
+
+    def regroup():
+        """Per-run constants of the runs in ``live``."""
+        nonlocal first_pol, rest, groups, next_end
+        if live.size:
+            first_pol = live.size - np.count_nonzero(polyak[live])
+            rest = constant[live]
+            cuts = [i for i in range(1, live.size) if updates[live[i]] is not updates[live[i - 1]]]
+            bounds = [0, *cuts, live.size]
+            groups = [(updates[live[lo]], lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            next_end = budget[live].min()
+
+    def leave(stop, k, stepped, statuses):
+        """Runs ``live[stop]`` end at their current iterate after k iterations and ``k + stepped`` steps."""
+        nonlocal x, fmin, live
+        idx = live[stop]
+        out.iters_run[idx] = k
+        out.length[idx] = k + stepped
+        out.x_final[idx] = x[stop]
+        out.f_min[idx] = fmin[stop]
+        for r, s in zip(idx, statuses):
+            out.status[r] = s
+        go = ~stop
+        x, fmin, live = x[go], fmin[go], live[go]
+        regroup()
+        return go
+
+    first_pol = rest = groups = next_end = None
+    regroup()
+    err_state = np.seterr(all="ignore")
+    try:
+        for k in range(budget.max(initial=0)):
+            if k == next_end:
+                ended = budget[live] == k
+                leave(ended, k, 0, [Status.MAX_ITERS] * np.count_nonzero(ended))
+                if not live.size:
+                    break
+            r = np.matmul(a, (x[:, :n] - x[:, n:] if split else x)[:, :, None])
+            r -= b_col
+            f = 0.5 * np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
+            g = np.matmul(at, r)[:, :, 0]
+            if split:
+                g = np.concatenate((g, -g), axis=1)
+            g_inf = np.maximum.reduce(np.abs(g), axis=1)
+            # NaN fails every comparison; a Polyak run stops at a zero gradient
+            moving = (f > f_tol) & (f < math.inf) & (g_inf < math.inf)
+            if first_pol < live.size:
+                moving[first_pol:] &= g_inf[first_pol:] > 0.0
+            if np.count_nonzero(moving) < live.size:
+                go = leave(~moving, k, 0, [Status.CONVERGED if c else Status.NUMERICAL_BREAKDOWN
+                                           for c in f[~moving] <= f_tol])
+                if not live.size:
+                    break
+                f, g, g_inf = f[go], g[go], g_inf[go]
+
+            if given is not None:
+                alpha = replayed[live, k]
+            elif first_pol == 0:
+                alpha = np.minimum(f / np.add.reduce(x * g * g, axis=1), EXP_QUAD_BOUND / g_inf)
+            elif first_pol < live.size:
+                pol = slice(first_pol, None)
+                wn = np.add.reduce(x[pol] * g[pol] * g[pol], axis=1)
+                alpha = np.concatenate((rest[:first_pol], np.minimum(f[pol] / wn, EXP_QUAD_BOUND / g_inf[pol])))
+            else:
+                alpha = rest
+            if k < keep:
+                out.f[live, k] = f
+                out.stepsize[live, k] = alpha
+            np.minimum(fmin, f, out=fmin)
+            if visit is not None:
+                visit(k, live, x)
+
+            col = alpha[:, None]
+            if len(groups) == 1:
+                x_next = groups[0][0](x, g, col)
+            else:
+                x_next = np.concatenate([update(x[lo:hi], g[lo:hi], col[lo:hi]) for update, lo, hi in groups])
+            # solve stops a run whose new iterate has a non-finite entry; the
+            # entries are nonnegative, so a finite sum shows none has
+            if not math.isfinite(np.add.reduce(x_next, axis=None)):
+                stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
+                if stop.any():
+                    x_next = x_next[leave(stop, k, 1, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))]
+                    if not live.size:
+                        break
+            x = x_next
+    finally:
+        np.seterr(**err_state)
+    out.x_final[live] = x
+    out.f_min[live] = fmin
+    return out
+
+
+# Iterates per divergence evaluation of the replay: one (64, len(x0)) block per run
 _REPLAY_BLOCK = 64
 
 
-def _replay_divergence(p: ProblemInstance, method: Method, x0: np.ndarray, alphas,
-                       z: np.ndarray) -> np.ndarray:
-    """D_h(z, x_k) at each iterate x_k from which a step ``alphas[k]`` is taken.
+def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray, steps: list,
+                       refs: np.ndarray) -> list[np.ndarray]:
+    """D_h(refs[r], x_k) at each iterate x_k from which run r takes its step ``steps[r][k]``.
 
-    ``alphas`` are stepsizes a :func:`solve` of ``method`` from ``x0``
-    recorded, so the replay x_{k+1} = update(x_k, g(x_k), alphas[k]) runs
-    through that solve's iterates bit for bit, with no stepsize rule.  The
-    result is what the solve's trace records with ``trace_reference=z`` and
-    ``check_descent=False``: it ends before the first later iterate at
-    infinite divergence.  Only one block of iterates is held at a time.
+    ``steps[r]`` are stepsizes a :func:`solve` of ``methods[r]`` from
+    ``x0[r]`` recorded.  All runs replay them in one :func:`_lockstep` batch,
+    with no stepsize rule, and so pass through their solves' iterates bit
+    for bit.  Entry r of the result is what solve r's trace records with
+    ``trace_reference=refs[r]`` and ``check_descent=False``: it ends before
+    the first later iterate at infinite divergence.  One block of iterates
+    per run is held at a time.
 
     Raises
     ------
     InfiniteDivergence
-        If D_h(z, x0) is infinite.
+        If D_h(refs[r], x0[r]) is infinite for some run.
     """
-    fg = _objective_gradient(p, method.kind)
-    update = _UPDATES[method.kind]
-    steps = len(alphas)
-    iterates = max(steps, 1)  # x0 is checked even without steps
-    block = np.empty((min(_REPLAY_BLOCK, iterates), x0.size))
-    found = []
-    x = x0
+    block = np.empty((len(methods), _REPLAY_BLOCK, x0.shape[1]))
+    block[:, 0] = x0  # a run without steps still checks x0
+    found = [[] for _ in methods]
+    ended = [False] * len(methods)
+
+    def evaluate(r, start, count):
+        if ended[r]:
+            return
+        d = _dh_rows(refs[r], block[r, :count])
+        infinite = np.flatnonzero(d == math.inf)
+        if infinite.size:
+            if start + infinite[0] == 0:
+                raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
+            d, ended[r] = d[:infinite[0]], True
+        found[r].append(d)
+
+    def visit(k, live, x):
+        j = k % _REPLAY_BLOCK
+        block[live, j] = x
+        if j == _REPLAY_BLOCK - 1:
+            for r in live:
+                evaluate(r, k - j, _REPLAY_BLOCK)
+
     with np.errstate(all="ignore"):
-        for start in range(0, iterates, _REPLAY_BLOCK):
-            rows = min(_REPLAY_BLOCK, iterates - start)
-            for i in range(start, start + rows):
-                if i:
-                    x = update(x, fg(x)[1], alphas[i - 1])
-                block[i - start] = x
-            d = _dh_rows(z, block[:rows])
-            infinite = np.flatnonzero(d == math.inf)
-            if infinite.size:
-                if start + infinite[0] == 0:
-                    raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
-                found.append(d[:infinite[0]])
-                break
-            found.append(d)
-    return np.concatenate(found)[:steps]
+        lengths = _lockstep(p, methods, x0, [len(s) for s in steps], given=steps, visit=visit).length
+        for r, length in enumerate(lengths):
+            tail = max(length, 1) % _REPLAY_BLOCK
+            if tail:
+                evaluate(r, max(length, 1) - tail, tail)
+    return [np.concatenate(d)[:length] for d, length in zip(found, lengths)]
 
 
 def solve_convex(obj: ConvexObjective, cfg: SolveConfig) -> SolveResult:

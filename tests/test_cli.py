@@ -219,6 +219,12 @@ class TestExperimentCommands:
         header = (tmp_path / "exp2_cummin.csv").read_text().splitlines()[0]
         assert header == "iter,x0_0.01,x0_0.0001"
 
+    def test_only_the_half_normal_law_is_accepted(self, tmp_path, capsys):
+        common = ["exp2", "--m", "5", "--n", "8", "--iters", "5", "--out", str(tmp_path)]
+        assert main(common + ["--law", "abs_normal"]) == 1
+        assert main(common + ["--law", "half_normal"]) == 0
+        assert "singular_law=half_normal" in (tmp_path / "exp2_meta.txt").read_text()
+
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ)
         src = str(Path(entmd.__file__).resolve().parents[1])

@@ -19,6 +19,7 @@ from entmd import (
     seeded_rng,
     solve,
 )
+from entmd.solvers import _lockstep
 
 
 class TestGenInstance:
@@ -241,17 +242,23 @@ class TestGridSearchConstant:
         assert res.status is Status.NUMERICAL_BREAKDOWN
         assert np.array_equal(res.x_final, ref_res.x_final)
 
-    def test_block_near_ties_are_decided_by_solve(self, monkeypatch):
-        # block minima that rounding cannot separate: every stepsize is re-solved
-        import entmd.experiments as experiments
-        monkeypatch.setattr(experiments, "_constant_grid_minima",
-                            lambda a, b, x0, alphas, iters: np.ones(alphas.size))
-        p = gen_instance(InstanceSpec(6, 10, sparsity=3, seed=19))
-        x0 = np.full(10, 1e-2)
-        alpha, res = grid_search_constant(p, x0, iters=200)
-        ref_alpha, ref_res = reference_grid_search(p, x0, 200)
-        assert alpha == ref_alpha > np.geomspace(1e-2, 1e2, 25)[0] / max_col_norm_sq(p.a)
-        assert np.array_equal(res.x_final, ref_res.x_final)
+    @pytest.mark.parametrize("m, n, sparsity, seed, scale, iters", [
+        (6, 10, 3, 19, 1e-2, 200),
+        (8, 12, None, 21, 1e-3, 150),
+        (60, 100, 10, 1, 1e-4, 300),
+    ])
+    def test_block_minima_equal_the_solve_minima(self, m, n, sparsity, seed, scale, iters):
+        # the grid's lockstep batch reproduces each stepsize's own solve, so
+        # its minima need no rounding slack and no re-solve of near ties
+        p = gen_instance(InstanceSpec(m, n, sparsity=sparsity, seed=seed))
+        x0 = np.full(n, scale)
+        methods = [Method.md_constant(float(alpha))
+                   for alpha in np.geomspace(1e-2 / max_col_norm_sq(p.a), 1e2 / max_col_norm_sq(p.a), 25)]
+        runs = _lockstep(p, methods, np.tile(x0, (25, 1)), iters)
+        solves = [solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)) for method in methods]
+        expected = [min((rec.f_value for rec in res.trace), default=np.inf) for res in solves]
+        assert np.array_equal(runs.f_min, expected)
+        assert runs.status == [res.status for res in solves]
 
     @pytest.mark.parametrize("num, span", [
         (0, (1e-2, 1e2)),

@@ -11,6 +11,7 @@ from entmd import (
     DimensionMismatch,
     DomainError,
     InfiniteDivergence,
+    InstanceSpec,
     Method,
     ProblemInstance,
     SolveConfig,
@@ -18,9 +19,11 @@ from entmd import (
     backtracking_stepsize,
     bregman_divergence,
     egpm_step,
+    gen_instance,
     gradient,
     hd_plus_step,
     hd_step,
+    max_col_norm_sq,
     md_step,
     objective,
     polyak_stepsize,
@@ -28,8 +31,9 @@ from entmd import (
     solve,
     solve_convex,
 )
-from entmd.solvers import _backtracking_stepsize, _exp_update, _replay_divergence
-from conftest import centered_gaussian_instance, signed_system
+from entmd.solvers import (_backtracking_stepsize, _exp_update, _hd_plus_update, _hd_update, _lockstep,
+                           _replay_divergence)
+from conftest import centered_gaussian_instance, positive_solution_instance, signed_system
 
 
 def one_dim_instance():
@@ -153,15 +157,34 @@ class TestSteps:
         assert np.array_equal(out, [0.0, math.exp(-1.0), 2.0 * math.exp(-0.5)])
 
     def test_exp_update_masks_overflow_in_a_block(self):
-        # (n, B) block with one stepsize per column, as the constant-stepsize grid runs it
-        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
-        g = np.array([[-1e4, 0.5], [1.0, -1e4], [0.5, 0.25]])
-        alphas = np.array([1.0, 2.0])
+        # (B, n) block with one stepsize per row, as a lockstep batch runs it
+        x = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]])
+        g = np.array([[-1e4, 1.0, 0.5], [0.5, -1e4, 0.25]])
+        alphas = np.array([[1.0], [2.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             out = _exp_update(x, g, alphas)
-        expected = np.array([[0.0, math.exp(-1.0)], [math.exp(-1.0), 0.0],
-                             [2.0 * math.exp(-0.5), 3.0 * math.exp(-0.5)]])
+        expected = np.array([[0.0, math.exp(-1.0), 2.0 * math.exp(-0.5)],
+                             [math.exp(-1.0), 0.0, 3.0 * math.exp(-0.5)]])
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("update", [_exp_update, _hd_plus_update, _hd_update])
+    def test_block_update_equals_row_updates(self, update):
+        # frozen zero coordinates under overflowing multipliers, in some rows only
+        rng = seeded_rng(41)
+        x = rng.uniform(0.0, 2.0, (6, 9))
+        x[1, 3] = x[4, 0] = x[4, 8] = 0.0
+        g = rng.standard_normal((6, 9))
+        g[1, 3] = g[4, 0] = -1e200
+        g[4, 8] = 1e200
+        alphas = np.array([[0.1], [3.0], [0.0], [1e-3], [2.0], [0.7]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = update(x, g, alphas)
+            rows = np.array([update(x[r], g[r], float(alphas[r, 0])) for r in range(6)])
+        assert block.tobytes() == rows.tobytes()
+        if update is _hd_plus_update:
+            assert np.isnan(rows[1, 3])  # no mask: the multiplier itself is not finite
+        else:
+            assert rows[1, 3] == rows[4, 0] == rows[4, 8] == 0.0
 
     def test_hd_plus_zero_step(self):
         x = np.array([1.0, 3.0])
@@ -396,13 +419,23 @@ def test_trace_stepsizes_replay_through_public_steps(method, step):
 def reference_divergence(p, method, x0, iters, z):
     """D_h(z, x_k) as a solve traced against ``z`` records it."""
     res = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0, trace_reference=z, check_descent=False))
-    return [rec.d_h_to_ref for rec in res.trace]
+    return np.array([rec.d_h_to_ref for rec in res.trace])
 
 
-def replayed_divergence(p, method, x0, iters, z):
-    """The same from the stepsizes of an untraced solve."""
-    res = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0))
-    return _replay_divergence(p, method, np.asarray(x0, dtype=float), [rec.stepsize for rec in res.trace], z)
+def replayed_divergence(p, runs):
+    """The same for each run ``(method, x0, iters, z)``, from the stepsizes of
+    untraced solves, replayed in one batch."""
+    steps = [[rec.stepsize for rec in solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)).trace]
+             for method, x0, iters, _ in runs]
+    return _replay_divergence(p, [run[0] for run in runs], np.array([run[1] for run in runs]), steps,
+                              np.array([run[3] for run in runs]))
+
+
+def assert_replays_match(p, runs):
+    replayed = replayed_divergence(p, runs)
+    for (method, x0, iters, z), column in zip(runs, replayed):
+        assert column.tobytes() == reference_divergence(p, method, x0, iters, z).tobytes()
+    return replayed
 
 
 class TestReplayDivergence:
@@ -410,39 +443,150 @@ class TestReplayDivergence:
                                         Method.eg_pm(), Method.md_constant(0.05), Method.md_backtracking()])
     @pytest.mark.parametrize("iters", [1, 63, 64, 65, 200])
     def test_matches_traced_solve_across_blocks(self, method, iters):
+        # one batch: the method from two starts, and for all but eg_pm the other
+        # kinds, each replaying a different number of steps
         p = centered_gaussian_instance(6, 12, 3, seed=37)
-        x0 = np.full(24 if method.kind == "eg_pm" else 12, 0.1)
-        long_res = solve(p, SolveConfig(method, x0, max_iters=300, f_tol=0.0))
-        z = np.clip(long_res.w_final if method.kind == "eg_pm" else long_res.x_final, 0.0, None)
-        replayed = replayed_divergence(p, method, x0, iters, z)
-        assert replayed.tobytes() == np.array(reference_divergence(p, method, x0, iters, z)).tobytes()
-        assert len(replayed) == iters
+        kinds = [method] if method.kind == "eg_pm" else [
+            method, Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_backtracking()]
+        width = 24 if method.kind == "eg_pm" else 12
+        runs = []
+        for j, (kind, scale) in enumerate([(kinds[0], 0.1), (method, 0.03)] + [(kind, 0.1) for kind in kinds[1:]]):
+            x0 = np.full(width, scale)
+            long_res = solve(p, SolveConfig(kind, x0, max_iters=300, f_tol=0.0))
+            z = np.clip(long_res.w_final if kind.kind == "eg_pm" else long_res.x_final, 0.0, None)
+            runs.append((kind, x0, max(iters - 7 * j, 1), z))
+        replayed = assert_replays_match(p, runs)
+        assert len(replayed[0]) == iters
 
     def test_breakdown_run(self):
         p = centered_gaussian_instance(5, 8, 2, seed=38)
         x0 = np.full(8, 0.1)
-        method = Method.md_constant(1e9)
         z = np.full(8, 0.2)
-        replayed = replayed_divergence(p, method, x0, 50, z)
-        assert replayed.tobytes() == np.array(reference_divergence(p, method, x0, 50, z)).tobytes()
-        assert 0 < len(replayed) < 50
+        replayed = assert_replays_match(p, [(Method.md_constant(1e9), x0, 50, z), (Method.md_polyak(), x0, 50, z)])
+        assert 0 < len(replayed[0]) < 50 and len(replayed[1]) == 50
 
     def test_divergence_turning_infinite_ends_the_series(self):
         # x_1 shrinks by about exp(-2) per step and underflows to 0 after
-        # ~370 steps while z_1 = 1: from there D_h(z, x_k) is infinite
+        # ~370 steps while z_1 = 1: from there D_h(z, x_k) is infinite; the
+        # run stays in the batch until its steps run out
         p = ProblemInstance(np.eye(2), [-1.0, 0.25])
-        method = Method.md_constant(2.0)
         x0, z = np.full(2, 1e-4), np.ones(2)
-        replayed = replayed_divergence(p, method, x0, 600, z)
-        reference = reference_divergence(p, method, x0, 600, z)
+        runs = [(Method.md_constant(2.0), x0, 600, z), (Method.md_constant(0.5), x0, 500, z)]
+        reference = reference_divergence(p, *runs[0])
         assert 300 < len(reference) < 600 and math.isfinite(reference[-1])
-        assert replayed.tobytes() == np.array(reference).tobytes()
+        replayed = assert_replays_match(p, runs)
+        assert len(replayed[0]) == len(reference) and len(replayed[1]) == 500
 
     @pytest.mark.parametrize("steps", [0, 1, 100])
     def test_reference_infinitely_far_from_x0_raises(self, steps):
         p = ProblemInstance([[1.0]], [1e307])
         with pytest.raises(InfiniteDivergence):
-            _replay_divergence(p, Method.md_polyak(), np.array([1e-307]), [1.0] * steps, np.array([1e307]))
+            _replay_divergence(p, [Method.md_polyak()] * 2, np.array([[1.0], [1e-307]]), [[1.0] * 3, [1.0] * steps],
+                               np.array([[1.0], [1e307]]))
+
+
+def assert_rows_match_solves(p, methods, x0, iters, f_tol, given=None):
+    """Each row of one lockstep batch equals its own solve bit for bit; with
+    ``given``, the solves are those whose stepsizes the rows replay."""
+    runs = _lockstep(p, methods, x0, iters, f_tol=f_tol, keep=int(np.max(iters)), given=given)
+    for r, (method, start, budget) in enumerate(zip(methods, x0, np.broadcast_to(iters, (len(methods),)))):
+        res = solve(p, SolveConfig(method, start, max_iters=max(budget, 1), f_tol=f_tol))
+        f = np.array([rec.f_value for rec in res.trace])
+        steps = np.array([rec.stepsize for rec in res.trace])
+        length = runs.length[r]
+        assert length == len(res.trace)
+        assert runs.f[r, :length].tobytes() == f.tobytes()
+        assert runs.stepsize[r, :length].tobytes() == steps.tobytes()
+        assert runs.f_min[r] == min(f, default=np.inf)
+        final = res.w_final if method.kind == "eg_pm" else res.x_final
+        assert runs.x_final[r].tobytes() == final.tobytes()
+        if given is None:
+            assert runs.status[r] is res.status and runs.iters_run[r] == res.iters_run
+    return runs
+
+
+def lockstep_corpus(p, scales):
+    """Every kind the lockstep kernel takes from each start scale, with
+    constant stepsizes that are stable and ones that overflow within a few steps."""
+    mc = max_col_norm_sq(p.a)
+    kinds = [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_constant(1.0 / mc),
+             Method.md_constant(30.0 / mc), Method.md_constant(100.0 / mc)]
+    return [(kind, np.full(p.n, scale)) for kind in kinds for scale in scales]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("f_tol", [0.0, 1e-20])
+    @pytest.mark.parametrize("m, n, sparsity", [(60, 100, 10), (30, 50, None), (11, 12, None)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_equal_solves(self, m, n, sparsity, seed, f_tol):
+        p = gen_instance(InstanceSpec(m, n, sparsity=sparsity, seed=seed))
+        iters = 300
+        rows = lockstep_corpus(p, [1e-8, 1e-4, 1.0])
+        methods, x0 = [row[0] for row in rows], np.array([row[1] for row in rows])
+        runs = assert_rows_match_solves(p, methods, x0, iters, f_tol)
+        # rows leave the batch at different iterations
+        assert len(set(runs.iters_run.tolist())) > 1
+        # replayed with the solves' stepsizes, together with md_backtracking
+        methods += [Method.md_backtracking()] * 3
+        x0 = np.concatenate([x0, x0[:3]])
+        given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=iters, f_tol=f_tol)).trace]
+                 for method, start in zip(methods, x0)]
+        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], f_tol, given)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_converging_at_different_iterations(self, seed):
+        p = positive_solution_instance(12, 6, seed)
+        rows = lockstep_corpus(p, [1e-8, 1e-4, 1.0])
+        runs = assert_rows_match_solves(p, [row[0] for row in rows], np.array([row[1] for row in rows]), 400, 1e-20)
+        converged = [k for k, s in zip(runs.iters_run.tolist(), runs.status) if s is Status.CONVERGED]
+        assert len(set(converged)) > 5
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eg_pm_rows(self, seed):
+        a, b, _ = signed_system(5, 9, seed=seed)
+        p = ProblemInstance(a, b)
+        methods = [Method.eg_pm()] * 3
+        x0 = np.array([np.full(18, scale) for scale in (1e-8, 1e-4, 1.0)])
+        assert_rows_match_solves(p, methods, x0, 200, 0.0)
+        given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=200 - 50 * r,
+                                                                f_tol=0.0)).trace]
+                 for r, (method, start) in enumerate(zip(methods, x0))]
+        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], 0.0, given)
+
+    def test_breakdowns(self):
+        # zero gradient at x0 = 0.5, f overflowing at x0 = 1e300, an update
+        # overflowing on the first step, and rows that run on
+        p = ProblemInstance([[1.0], [-1.0]], [1.0, 0.0])
+        methods = [Method.md_polyak(), Method.md_polyak(), Method.md_constant(800.0), Method.hd_plus_polyak(),
+                   Method.md_polyak(), Method.hd_polyak(), Method.md_constant(1e3)]
+        x0 = np.array([[0.5], [1e300], [1e-4], [0.5], [1e-4], [1e-8], [1.0]])
+        runs = assert_rows_match_solves(p, methods, x0, 100, 0.0)
+        assert [s.value for s in runs.status[:4]] == ["NumericalBreakdown"] * 4
+        assert runs.length[:4].tolist() == [0, 0, 1, 0]
+        # a gradient overflowing while f is finite, and an exact zero residual
+        p = ProblemInstance([[1e300]], [0.0])
+        methods = [Method.md_polyak(), Method.md_polyak(), Method.md_constant(1e-299), Method.hd_plus_polyak(),
+                   Method.hd_polyak()]
+        x0 = np.array([[1e-290], [1e-300], [1e-300], [1e10], [1e-300]])
+        runs = assert_rows_match_solves(p, methods, x0, 100, 0.0)
+        assert [s.value for s in runs.status] == ["NumericalBreakdown", "MaxIters", "MaxIters", "NumericalBreakdown",
+                                                  "Converged"]
+
+    def test_kept_records_and_budgets(self):
+        p = gen_instance(InstanceSpec(11, 12, sparsity=3, seed=5))
+        methods = [Method.md_polyak(), Method.hd_polyak(), Method.md_constant(0.01)]
+        x0 = np.full((3, 12), 1e-4)
+        runs = _lockstep(p, methods, x0, [50, 80, 0], keep=20)
+        assert runs.f.shape == (3, 20) and runs.iters_run.tolist() == [50, 80, 0]
+        full = _lockstep(p, methods, x0, 80, keep=80)
+        assert np.array_equal(runs.f[:2], full.f[:2, :20])
+        assert runs.x_final[1].tobytes() == full.x_final[1].tobytes()
+        assert runs.x_final[2].tobytes() == x0[2].tobytes() and runs.f_min[2] == np.inf
+
+    def test_backtracking_needs_given_stepsizes(self):
+        p = one_dim_instance()
+        with pytest.raises(DomainError):
+            _lockstep(p, [Method.md_backtracking()], np.ones((1, 1)), 5)
 
 
 class TestEgpmSolve:
