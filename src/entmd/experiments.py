@@ -78,8 +78,9 @@ class ExperimentConfig:
             raise DomainError("iters must be at least 1")
         if int(self.limit_extra_iters) < 0:
             raise DomainError("limit_extra_iters must be nonnegative")
-        if not self.inits or any(s <= 0 for s in self.inits):
-            raise DomainError("initialization scales must be positive")
+        # NaN fails both comparisons
+        if not self.inits or not all(0.0 < s < np.inf for s in self.inits):
+            raise DomainError("initialization scales must be finite and positive")
         self.out_path = Path(self.out_path)
 
 

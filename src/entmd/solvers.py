@@ -647,14 +647,14 @@ class _Lockstep:
     iters_run: np.ndarray
 
 
-def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, f_tol: float = 0.0,
-              keep: int = 0, given: list | None = None, visit=None) -> _Lockstep:
+def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, keep: int = 0,
+              given: list | None = None, visit=None) -> _Lockstep:
     """One solve of ``p`` per row of ``x0``, all advancing together.
 
     Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], max_iters,
-    f_tol))`` ends, bit for bit in its iterates, stepsizes, f values, status
-    and iteration count; ``iters`` is the ``max_iters`` of every run or a
-    sequence of one per run.  The stepsize is the Polyak rule with c = 1,
+    f_tol=0.0))`` ends, bit for bit in its iterates, stepsizes, f values,
+    status and iteration count; ``iters`` is the ``max_iters`` of every run
+    or a sequence of one per run.  The stepsize is the Polyak rule with c = 1,
     or ``alpha`` for ``md_constant``; with ``given``, run r takes the
     stepsizes ``given[r]`` instead, which replays a recorded run of any kind.
     A batch holds ``eg_pm`` runs only or none.  A run that stops leaves the
@@ -737,12 +737,12 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, 
                 g = np.concatenate((g, -g), axis=1)
             g_inf = np.maximum.reduce(np.abs(g), axis=1)
             # NaN fails every comparison; a Polyak run stops at a zero gradient
-            moving = (f > f_tol) & (f < math.inf) & (g_inf < math.inf)
+            moving = (f > 0.0) & (f < math.inf) & (g_inf < math.inf)
             if first_pol < live.size:
                 moving[first_pol:] &= g_inf[first_pol:] > 0.0
             if np.count_nonzero(moving) < live.size:
                 go = leave(~moving, k, 0, [Status.CONVERGED if c else Status.NUMERICAL_BREAKDOWN
-                                           for c in f[~moving] <= f_tol])
+                                           for c in f[~moving] <= 0.0])
                 if not live.size:
                     break
                 f, g, g_inf = f[go], g[go], g_inf[go]

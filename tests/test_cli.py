@@ -219,6 +219,15 @@ class TestExperimentCommands:
         header = (tmp_path / "exp2_cummin.csv").read_text().splitlines()[0]
         assert header == "iter,x0_0.01,x0_0.0001"
 
+    @pytest.mark.parametrize("argv", [["exp2", "--scales", "1e-4,nan"], ["exp2", "--scales", "inf"],
+                                      ["exp1", "--x0-scale", "nan", "--sparsity", "2", "--methods", "md-polyak"],
+                                      ["exp1", "--x0-scale=-inf", "--sparsity", "2",
+                                       "--methods", "hd-polyak,md-constant-grid"]])
+    def test_non_finite_start_scale_exit_one(self, tmp_path, capsys, argv):
+        assert main(argv + ["--m", "5", "--n", "8", "--iters", "5", "--out", str(tmp_path)]) == 1
+        assert "finite and positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_only_the_half_normal_law_is_accepted(self, tmp_path, capsys):
         common = ["exp2", "--m", "5", "--n", "8", "--iters", "5", "--out", str(tmp_path)]
         assert main(common + ["--law", "abs_normal"]) == 1

@@ -33,7 +33,7 @@ from entmd import (
 )
 from entmd.solvers import (_backtracking_stepsize, _exp_update, _hd_plus_update, _hd_update, _lockstep,
                            _replay_divergence)
-from conftest import centered_gaussian_instance, positive_solution_instance, signed_system
+from conftest import centered_gaussian_instance, signed_system
 
 
 def one_dim_instance():
@@ -485,12 +485,12 @@ class TestReplayDivergence:
                                np.array([[1.0], [1e307]]))
 
 
-def assert_rows_match_solves(p, methods, x0, iters, f_tol, given=None):
+def assert_rows_match_solves(p, methods, x0, iters, given=None):
     """Each row of one lockstep batch equals its own solve bit for bit; with
     ``given``, the solves are those whose stepsizes the rows replay."""
-    runs = _lockstep(p, methods, x0, iters, f_tol=f_tol, keep=int(np.max(iters)), given=given)
+    runs = _lockstep(p, methods, x0, iters, keep=int(np.max(iters)), given=given)
     for r, (method, start, budget) in enumerate(zip(methods, x0, np.broadcast_to(iters, (len(methods),)))):
-        res = solve(p, SolveConfig(method, start, max_iters=max(budget, 1), f_tol=f_tol))
+        res = solve(p, SolveConfig(method, start, max_iters=max(budget, 1), f_tol=0.0))
         f = np.array([rec.f_value for rec in res.trace])
         steps = np.array([rec.stepsize for rec in res.trace])
         length = runs.length[r]
@@ -515,31 +515,32 @@ def lockstep_corpus(p, scales):
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("f_tol", [0.0, 1e-20])
     @pytest.mark.parametrize("m, n, sparsity", [(60, 100, 10), (30, 50, None), (11, 12, None)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_rows_equal_solves(self, m, n, sparsity, seed, f_tol):
+    def test_rows_equal_solves(self, m, n, sparsity, seed):
         p = gen_instance(InstanceSpec(m, n, sparsity=sparsity, seed=seed))
         iters = 300
         rows = lockstep_corpus(p, [1e-8, 1e-4, 1.0])
         methods, x0 = [row[0] for row in rows], np.array([row[1] for row in rows])
-        runs = assert_rows_match_solves(p, methods, x0, iters, f_tol)
+        runs = assert_rows_match_solves(p, methods, x0, iters)
         # rows leave the batch at different iterations
         assert len(set(runs.iters_run.tolist())) > 1
         # replayed with the solves' stepsizes, together with md_backtracking
         methods += [Method.md_backtracking()] * 3
         x0 = np.concatenate([x0, x0[:3]])
-        given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=iters, f_tol=f_tol)).trace]
+        given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0)).trace]
                  for method, start in zip(methods, x0)]
-        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], f_tol, given)
+        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], given)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rows_converging_at_different_iterations(self, seed):
-        p = positive_solution_instance(12, 6, seed)
-        rows = lockstep_corpus(p, [1e-8, 1e-4, 1.0])
-        runs = assert_rows_match_solves(p, [row[0] for row in rows], np.array([row[1] for row in rows]), 400, 1e-20)
+    @pytest.mark.parametrize("a, b", [(np.eye(2), [1.0, 0.5]), ([[1.0, 1.0]], [1.0]),
+                                      ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 0.5])])
+    def test_rows_converging_at_different_iterations(self, a, b):
+        # small systems on which runs reach f = 0 exactly, each at its own iteration
+        p = ProblemInstance(a, b)
+        rows = lockstep_corpus(p, [1e-8, 1e-4, 1.0, 3.0])
+        runs = assert_rows_match_solves(p, [row[0] for row in rows], np.array([row[1] for row in rows]), 400)
         converged = [k for k, s in zip(runs.iters_run.tolist(), runs.status) if s is Status.CONVERGED]
-        assert len(set(converged)) > 5
+        assert len(set(converged)) >= 4
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_eg_pm_rows(self, seed):
@@ -547,11 +548,11 @@ class TestLockstep:
         p = ProblemInstance(a, b)
         methods = [Method.eg_pm()] * 3
         x0 = np.array([np.full(18, scale) for scale in (1e-8, 1e-4, 1.0)])
-        assert_rows_match_solves(p, methods, x0, 200, 0.0)
+        assert_rows_match_solves(p, methods, x0, 200)
         given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=200 - 50 * r,
                                                                 f_tol=0.0)).trace]
                  for r, (method, start) in enumerate(zip(methods, x0))]
-        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], 0.0, given)
+        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], given)
 
     def test_breakdowns(self):
         # zero gradient at x0 = 0.5, f overflowing at x0 = 1e300, an update
@@ -560,7 +561,7 @@ class TestLockstep:
         methods = [Method.md_polyak(), Method.md_polyak(), Method.md_constant(800.0), Method.hd_plus_polyak(),
                    Method.md_polyak(), Method.hd_polyak(), Method.md_constant(1e3)]
         x0 = np.array([[0.5], [1e300], [1e-4], [0.5], [1e-4], [1e-8], [1.0]])
-        runs = assert_rows_match_solves(p, methods, x0, 100, 0.0)
+        runs = assert_rows_match_solves(p, methods, x0, 100)
         assert [s.value for s in runs.status[:4]] == ["NumericalBreakdown"] * 4
         assert runs.length[:4].tolist() == [0, 0, 1, 0]
         # a gradient overflowing while f is finite, and an exact zero residual
@@ -568,7 +569,7 @@ class TestLockstep:
         methods = [Method.md_polyak(), Method.md_polyak(), Method.md_constant(1e-299), Method.hd_plus_polyak(),
                    Method.hd_polyak()]
         x0 = np.array([[1e-290], [1e-300], [1e-300], [1e10], [1e-300]])
-        runs = assert_rows_match_solves(p, methods, x0, 100, 0.0)
+        runs = assert_rows_match_solves(p, methods, x0, 100)
         assert [s.value for s in runs.status] == ["NumericalBreakdown", "MaxIters", "MaxIters", "NumericalBreakdown",
                                                   "Converged"]
 
