@@ -35,17 +35,16 @@ x0 = np.full(n, 0.1)
 res = solve(p, SolveConfig(Method.md_polyak(), x0, trace_reference=z))
 print(f"status={res.status.value} after {res.iters_run} iterations")
 
+# the trace is a record array: one record per iteration, one column per field
+trace = res.trace
 print("\niter        f(x_k)     stepsize   D_h(z, x_k)")
-for rec in res.trace[:: max(1, len(res.trace) // 10)]:
-    print(f"{rec.iter:4d}  {rec.f_value:12.4e}  {rec.stepsize:9.3e}  {rec.d_h_to_ref:12.4e}")
+for k in range(0, len(trace), max(1, len(trace) // 10)):
+    print(f"{k:4d}  {trace.f_value[k]:12.4e}  {trace.stepsize[k]:9.3e}  {trace.d_h_to_ref[k]:12.4e}")
 
 # the O(1/k) envelope from the converged limit dominates the cumulative min
-curve = sublinear_bound_curve(res.trace, res.x_final, x0, max_col_norm_sq(p.a))
-best = np.inf
-worst_ratio = 0.0
-for rec, (_, bound) in zip(res.trace, curve):
-    best = min(best, rec.f_value)
-    worst_ratio = max(worst_ratio, best / bound)
+curve = sublinear_bound_curve(trace, res.x_final, x0, max_col_norm_sq(p.a))
+best = np.minimum.accumulate(trace.f_value)
+worst_ratio = max(b / bound for b, (_, bound) in zip(best, curve))
 print(f"\ncumulative-min objective stays below the 1/(k+1) envelope "
       f"(worst ratio {worst_ratio:.3f})")
 

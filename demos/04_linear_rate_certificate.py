@@ -31,7 +31,7 @@ print(f"local factor  = {cert.local_factor:.8f}")
 print(f"global factor at D_h = 1.0: {cert.global_factor_fn(1.0):.8f}\n")
 
 res = solve(p, SolveConfig(Method.md_polyak(), np.full(n, 0.1), f_tol=1e-24, trace_reference=z))
-ds = [rec.d_h_to_ref for rec in res.trace]
+ds = res.trace.d_h_to_ref
 print("iter   D_h(z, x_k)    observed ratio   certified factor")
 for i in range(0, len(ds) - 1, max(1, len(ds) // 12)):
     ratio = ds[i + 1] / ds[i]

@@ -48,7 +48,6 @@ r = bregman_divergence(c, x0)
 coeff = 16.0 * r * (r + float(np.sum(c)))
 print(f"convex solve: {res.status.value} after {res.iters_run} iterations")
 print("iter      gap          rate bound 16 L R (R + ||z||_1) / (k+1)")
-best = np.inf
-for rec in res.trace[:: max(1, len(res.trace) // 8)]:
-    best = min(best, rec.f_value)
-    print(f"{rec.iter:4d}  {best:12.4e}  {coeff / (rec.iter + 1):12.4e}")
+best = np.minimum.accumulate(res.trace.f_value)
+for k in range(0, len(best), max(1, len(best) // 8)):
+    print(f"{k:4d}  {best[k]:12.4e}  {coeff / (k + 1):12.4e}")

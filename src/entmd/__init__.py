@@ -72,7 +72,6 @@ from .solvers import (  # noqa: E402
     SolveConfig,
     SolveResult,
     Status,
-    TraceRecord,
     backtracking_stepsize,
     egpm_step,
     gradient,

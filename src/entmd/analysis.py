@@ -31,7 +31,6 @@ from .solvers import (
     ProblemInstance,
     SolveConfig,
     Status,
-    TraceRecord,
     _exp_update,
     solve,
 )
@@ -412,11 +411,11 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
     return worst
 
 
-def sublinear_bound_curve(trace: list[TraceRecord], x_star, x0, max_col_sq: float):
+def sublinear_bound_curve(trace: np.recarray, x_star, x0, max_col_sq: float):
     """Theoretical O(1/k) envelope for the cumulative-minimum objective.
 
-    Returns [(k, 4 R (R + ||x*||_1) max_col_sq / (k+1))] for each record,
-    with R the divergence from the limit x* to the start x0.
+    Returns [(k, 4 R (R + ||x*||_1) max_col_sq / (k+1))] for each record k
+    of a solve's trace, with R the divergence from the limit x* to the start x0.
     """
     x_star = as_vector(x_star)
     x0 = as_vector(x0)
@@ -424,7 +423,7 @@ def sublinear_bound_curve(trace: list[TraceRecord], x_star, x0, max_col_sq: floa
     if not np.isfinite(r):
         raise DomainError("divergence from the limit to the start is infinite")
     coeff = 4.0 * r * (r + float(np.sum(x_star))) * float(max_col_sq)
-    return [(rec.iter, coeff / (rec.iter + 1)) for rec in trace]
+    return [(k, coeff / (k + 1)) for k in range(len(trace))]
 
 
 def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.ndarray:

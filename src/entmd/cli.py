@@ -101,10 +101,9 @@ def _emit(pairs: dict, fmt: str) -> None:
 
 
 def _write_trace(res: SolveResult, path) -> None:
-    # a trace holds one record per iteration from 0, so the row index is rec.iter
-    _write_csv(path, ["f_value", "stepsize", "l1_norm"],
-               [(rec.f_value for rec in res.trace), (rec.stepsize for rec in res.trace),
-                (rec.l1_norm for rec in res.trace)])
+    # a trace holds one record per iteration from 0, so the row index is the iteration
+    names = ["f_value", "stepsize", "l1_norm"]
+    _write_csv(path, names, [res.trace[name].tolist() for name in names])
 
 
 def _x0_from_flags(args, n: int) -> np.ndarray:

@@ -118,9 +118,9 @@ def _constant_grid(p: ProblemInstance, num: int = 25, span: tuple[float, float] 
     return [Method.md_constant(float(alpha)) for alpha in np.geomspace(lo / mc, hi / mc, num)]
 
 
-def _grid_winner(runs, count: int) -> int:
-    """The grid point that wins among the first ``count`` runs of a lockstep batch."""
-    minima = np.where([s is Status.CONVERGED for s in runs.status[:count]], 0.0, runs.f_min[:count])
+def _grid_winner(runs: list[SolveResult], f_min: np.ndarray, count: int) -> int:
+    """The grid point that wins among the first ``count`` runs of a lockstep batch, whose minima are ``f_min``."""
+    minima = np.where([res.status is Status.CONVERGED for res in runs[:count]], 0.0, f_min[:count])
     best = int(np.argmin(minima))
     if not np.isfinite(minima[best]):
         raise DomainError("no stepsize in the grid reaches a finite objective")
@@ -136,7 +136,7 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     the stable regime inside the sweep for any matrix scaling.  The winner
     is the first grid point, in ascending order, whose ``md_constant`` solve
     of ``iters`` iterations reaches the strictly smallest objective (0 if it
-    converges), and the result is that solve's.
+    converges), and the result is that solve's, bit for bit.
 
     All grid points run together in one lockstep batch, whose stacked GEMV
     pair per iteration makes the same dgemv call per stepsize that a
@@ -160,8 +160,11 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     cfg = SolveConfig(grid[0], x0, max_iters=iters, f_tol=0.0)
     if cfg.x0.shape[0] != p.n:
         raise DimensionMismatch("x0 length must equal the number of columns")
-    best = grid[_grid_winner(_lockstep(p, grid, np.tile(cfg.x0, (num, 1)), cfg.max_iters), num)]
-    return best.alpha, solve(p, SolveConfig(best, cfg.x0, max_iters=cfg.max_iters, f_tol=0.0))
+    runs, f_min = _lockstep(p, grid, np.tile(cfg.x0, (num, 1)), cfg.max_iters, keep=cfg.max_iters)
+    best = _grid_winner(runs, f_min, num)
+    # a copy, not a view that keeps every grid point's records alive
+    runs[best].trace = runs[best].trace.copy()
+    return grid[best].alpha, runs[best]
 
 
 def _write_csv(path: Path, labels: list[str], columns: list) -> None:
@@ -195,9 +198,10 @@ def _write_sidecar(path: Path, cfg: ExperimentConfig, extra: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def _padded(values: list[float] | np.ndarray, length: int, fallback: float = 0.0) -> np.ndarray:
+def _padded(values: np.ndarray, length: int, fallback: float = 0.0) -> np.ndarray:
     """Front-run of a per-iteration series padded to fixed length with its
-    last value (runs that stop early hold their final level)."""
+    last value (runs that stop early hold their final level), or with
+    ``fallback`` for an empty series."""
     out = np.empty(length)
     k = min(len(values), length)
     out[:k] = values[:k]
@@ -205,8 +209,9 @@ def _padded(values: list[float] | np.ndarray, length: int, fallback: float = 0.0
     return out
 
 
-def _cummin(values, length: int) -> np.ndarray:
-    return np.minimum.accumulate(_padded(values, length))
+def _cummin(values: np.ndarray, length: int) -> np.ndarray:
+    """The cumulative minimum of f, inf (the minimum over no values) for a run without records."""
+    return np.minimum.accumulate(_padded(values, length, np.inf))
 
 
 # Method kinds whose exp1 runs advance in one lockstep batch.  md_backtracking
@@ -243,54 +248,40 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     p = gen_instance(cfg.spec)
     scale = cfg.inits[0]
     budget = cfg.iters + cfg.limit_extra_iters
-    count = len(cfg.methods)
     # the grid's stepsizes and the Polyak and constant-stepsize methods run
     # in one lockstep batch; the grid's winner is its own row there
     grid = _constant_grid(p) if any(m.kind == "md_constant_grid" for m in cfg.methods) else []
-    batched = [i for i, m in enumerate(cfg.methods) if m.kind in _LOCKSTEP_KINDS]
-    runs = _lockstep(p, grid + [cfg.methods[i] for i in batched], np.full((len(grid) + len(batched), p.n), scale),
-                     budget, keep=cfg.iters)
-    row_of = {i: len(grid) + j for j, i in enumerate(batched)}
-    if grid:
-        best = _grid_winner(runs, len(grid))
-        row_of.update((i, best) for i, m in enumerate(cfg.methods) if m.kind == "md_constant_grid")
+    batched = [m for m in cfg.methods if m.kind in _LOCKSTEP_KINDS]
+    runs, f_min = _lockstep(p, grid + batched, np.full((len(grid) + len(batched), p.n), scale), budget,
+                            keep=cfg.iters)
+    best = _grid_winner(runs, f_min, len(grid)) if grid else None
+    batch = iter(runs[len(grid):])
     methods = [grid[best] if m.kind == "md_constant_grid" else m for m in cfg.methods]
     labels = ["md_constant_opt" if m.kind == "md_constant_grid" else m.label for m in cfg.methods]
     starts = [np.full(2 * p.n if m.kind == "eg_pm" else p.n, scale) for m in methods]
+    results = [runs[best] if asked.kind == "md_constant_grid"
+               else next(batch) if asked.kind in _LOCKSTEP_KINDS
+               else solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0))
+               for asked, method, start in zip(cfg.methods, methods, starts)]
 
-    # per method: f and the stepsize of the first iters iterations, the final iterate and the status
-    f_cols, step_cols, finals, statuses = [None] * count, [None] * count, [None] * count, [None] * count
-    for i, method in enumerate(methods):
-        if i in row_of:
-            r = row_of[i]
-            f_cols[i] = runs.f[r, :runs.length[r]]
-            step_cols[i] = runs.stepsize[r, :runs.length[r]]
-            finals[i], statuses[i] = runs.x_final[r], runs.status[r]
-        else:
-            res = solve(p, SolveConfig(method, starts[i], max_iters=budget, f_tol=0.0))
-            trace = res.trace[:cfg.iters]
-            f_cols[i] = [rec.f_value for rec in trace]
-            step_cols[i] = [rec.stepsize for rec in trace]
-            finals[i] = res.w_final if method.kind == "eg_pm" else res.x_final
-            statuses[i] = res.status
-
-    div_cols = [None] * count
+    div_cols = [None] * len(methods)
     for split in (False, True):
         group = [i for i, method in enumerate(methods) if (method.kind == "eg_pm") is split]
         if group:
-            replayed = _replay_divergence(p, [methods[i] for i in group], np.array([starts[i] for i in group]),
-                                          [step_cols[i] for i in group],
-                                          np.array([np.clip(finals[i], 0.0, None) for i in group]))
+            replayed = _replay_divergence(
+                p, [methods[i] for i in group], np.array([starts[i] for i in group]),
+                [results[i].trace.stepsize[:cfg.iters] for i in group],
+                np.array([np.clip(results[i].w_final if split else results[i].x_final, 0.0, None) for i in group]))
             for i, divergence in zip(group, replayed):
                 div_cols[i] = _padded(divergence, cfg.iters)
 
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "exp1_cummin.csv", out / "exp1_divergence.csv", out / "exp1_meta.txt"]
-    _write_csv(paths[0], labels, [_cummin(f, cfg.iters) for f in f_cols])
+    _write_csv(paths[0], labels, [_cummin(res.trace.f_value, cfg.iters) for res in results])
     _write_csv(paths[1], labels, div_cols)
     _write_sidecar(paths[2], cfg, {"methods": ",".join(labels),
-                                   **{f"status.{label}": s.value for label, s in zip(labels, statuses)}})
+                                   **{f"status.{label}": res.status.value for label, res in zip(labels, results)}})
     return paths
 
 
@@ -302,12 +293,13 @@ def run_experiment2(cfg: ExperimentConfig) -> list[Path]:
     each equal to its own ``solve`` bit for bit.
     """
     p = gen_instance(cfg.spec)
-    runs = _lockstep(p, [Method.md_polyak()] * len(cfg.inits), np.array([np.full(p.n, s) for s in cfg.inits]),
-                     cfg.iters, keep=cfg.iters)
+    runs, _ = _lockstep(p, [Method.md_polyak()] * len(cfg.inits), np.array([np.full(p.n, s) for s in cfg.inits]),
+                        cfg.iters, keep=cfg.iters)
+    labels = [f"x0_{scale:g}" for scale in cfg.inits]
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "exp2_cummin.csv", out / "exp2_meta.txt"]
-    _write_csv(paths[0], [f"x0_{scale:g}" for scale in cfg.inits],
-               [_cummin(runs.f[r, :runs.length[r]], cfg.iters) for r in range(len(cfg.inits))])
-    _write_sidecar(paths[1], cfg, {"methods": "md_polyak"})
+    _write_csv(paths[0], labels, [_cummin(res.trace.f_value, cfg.iters) for res in runs])
+    _write_sidecar(paths[1], cfg, {"methods": "md_polyak",
+                                   **{f"status.{label}": res.status.value for label, res in zip(labels, runs)}})
     return paths

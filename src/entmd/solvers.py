@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "Method",
     "ProblemInstance",
     "SolveConfig",
-    "TraceRecord",
     "SolveResult",
     "ConvexObjective",
     "objective",
@@ -214,23 +213,22 @@ class SolveConfig:
             self.trace_reference = ref
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    """State of one iteration: the iterate's statistics and the step taken from it."""
-
-    iter: int
-    f_value: float
-    stepsize: float
-    l1_norm: float
-    d_h_to_ref: float | None = None
+# A trace has one record per iteration, indexed from 0: the iterate's f and
+# l1 norm and the stepsize taken from it, and with a trace_reference also the
+# divergence D_h(reference, iterate).
+_TRACE = np.dtype([("f_value", float), ("stepsize", float), ("l1_norm", float)])
+_TRACE_REF = np.dtype(_TRACE.descr + [("d_h_to_ref", float)])
 
 
 @dataclass(eq=False)
 class SolveResult:
+    """The end of a solve and its trace, a record array: ``trace.f_value`` is
+    the column of f values and ``trace[k].f_value`` the f of iterate k."""
+
     x_final: np.ndarray
     status: Status
     iters_run: int
-    trace: list[TraceRecord] = field(default_factory=list)
+    trace: np.recarray
     # eg_pm only: the final concatenated pair (u, v); x_final is u - v.
     w_final: np.ndarray | None = None
     # set for schemes without a convergence guarantee (hd_polyak)
@@ -514,7 +512,9 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
         raise DimensionMismatch("trace_reference length must match x0")
     checking = kind in ("md_polyak", "hd_plus_polyak") and cfg.check_descent and z is not None
 
-    trace: list[TraceRecord] = []
+    # one flat list: f, the stepsize and the l1 norm of each iteration in
+    # turn, each followed by D_h(z, x) when tracing a reference
+    records = []
     status = Status.MAX_ITERS
     iters_run = cfg.max_iters
 
@@ -551,7 +551,7 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
                 break
             alpha, x_next = taken
 
-            trace.append(TraceRecord(k, f, alpha, l1, d_prev))
+            records += (f, alpha, l1) if z is None else (f, alpha, l1, d_prev)
 
             l1 = float(np.add.reduce(x_next))
             if not math.isfinite(l1) and not np.logical_and.reduce(np.isfinite(x_next)):
@@ -570,6 +570,7 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
     finally:
         np.seterr(**err_state)
 
+    trace = np.array(records, dtype=float).view(_TRACE if z is None else _TRACE_REF).view(np.recarray)
     return SolveResult(x, status, iters_run, trace, heuristic=(kind == "hd_polyak"))
 
 
@@ -599,11 +600,13 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
             return alpha, _exp_update(x, g, alpha)
     elif kind == "md_backtracking":
         alpha0, shrink = cfg.method.alpha0, cfg.method.shrink
-        if alpha0 is None:
-            g0_inf = float(np.max(np.abs(fg(cfg.x0)[1])))
-            alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
 
         def step(x, g):
+            # the first step is taken from x0, where the loop has checked g to be finite
+            nonlocal alpha0
+            if alpha0 is None:
+                g0_inf = float(np.maximum.reduce(np.abs(g)))
+                alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
             return _backtracking_stepsize(p.a, x, g, alpha0, shrink)
 
     res = _iterate(fg, cfg, step=step)
@@ -629,32 +632,14 @@ def _objective_gradient(p: ProblemInstance, kind: str):
     return fg
 
 
-@dataclass(eq=False)
-class _Lockstep:
-    """The runs of one :func:`_lockstep` batch; row r belongs to run r.
-
-    ``f[r, k]`` and ``stepsize[r, k]`` are trace record k of run r for
-    ``k < min(length[r], keep)``; ``length[r]`` is its trace length and
-    ``f_min[r]`` the smallest f in its trace (inf for an empty trace).
-    """
-
-    f: np.ndarray
-    stepsize: np.ndarray
-    length: np.ndarray
-    f_min: np.ndarray
-    x_final: np.ndarray
-    status: list[Status]
-    iters_run: np.ndarray
-
-
 def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, keep: int = 0,
-              given: list | None = None, visit=None) -> _Lockstep:
+              given: list | None = None, visit=None) -> tuple[list[SolveResult], np.ndarray]:
     """One solve of ``p`` per row of ``x0``, all advancing together.
 
     Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], max_iters,
-    f_tol=0.0))`` ends, bit for bit in its iterates, stepsizes, f values,
-    status and iteration count; ``iters`` is the ``max_iters`` of every run
-    or a sequence of one per run.  The stepsize is the Polyak rule with c = 1,
+    f_tol=0.0))`` ends, bit for bit in its iterates, trace, status and
+    iteration count; ``iters`` is the ``max_iters`` of every run or a
+    sequence of one per run.  The stepsize is the Polyak rule with c = 1,
     or ``alpha`` for ``md_constant``; with ``given``, run r takes the
     stepsizes ``given[r]`` instead, which replays a recorded run of any kind.
     A batch holds ``eg_pm`` runs only or none.  A run that stops leaves the
@@ -665,7 +650,9 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, 
     is one ddot per row as ``r @ r`` is.  A GEMM block ``a @ X.T`` would
     round differently, and Polyak runs amplify that difference.
 
-    f and the stepsize of the first ``keep`` iterations are kept.
+    Returns one :class:`SolveResult` per run, whose trace holds the first
+    ``keep`` records of its solve's trace, and the smallest f of each whole
+    run (inf for a run without records).
     ``visit(k, live, x)``, if given, sees before the step of iteration k the
     iterate ``x[i]`` of each run ``live[i]`` that steps.
     """
@@ -684,14 +671,18 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, 
         for r, steps in enumerate(given):
             replayed[r, :budget[r]] = steps[:budget[r]]
 
-    out = _Lockstep(np.empty((rows, keep)), np.empty((rows, keep)), budget.copy(), np.full(rows, np.inf),
-                    np.empty(np.shape(x0)), [Status.MAX_ITERS] * rows, budget.copy())
+    trace = np.recarray((rows, keep), _TRACE)
+    f_rec, step_rec, l1_rec = trace.f_value, trace.stepsize, trace.l1_norm
+    x_final = np.empty(np.shape(x0))
+    status = [Status.MAX_ITERS] * rows
+    iters_run, length, f_min = budget.copy(), budget.copy(), np.full(rows, np.inf)
     # the Polyak runs come last and runs that share an update stay adjacent
     # (md_constant's update is the exponential one), so the Polyak rule and
     # each update run on one slice
     live = np.array(sorted(range(rows), key=lambda r: (polyak[r], updates[r].__name__)), dtype=np.intp)
     x = np.array(x0, dtype=float)[live]
     fmin = np.full(rows, np.inf)
+    l1 = np.add.reduce(x, axis=1)
 
     def regroup():
         """Per-run constants of the runs in ``live``."""
@@ -706,16 +697,16 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, 
 
     def leave(stop, k, stepped, statuses):
         """Runs ``live[stop]`` end at their current iterate after k iterations and ``k + stepped`` steps."""
-        nonlocal x, fmin, live
+        nonlocal x, fmin, l1, live
         idx = live[stop]
-        out.iters_run[idx] = k
-        out.length[idx] = k + stepped
-        out.x_final[idx] = x[stop]
-        out.f_min[idx] = fmin[stop]
+        iters_run[idx] = k
+        length[idx] = k + stepped
+        x_final[idx] = x[stop]
+        f_min[idx] = fmin[stop]
         for r, s in zip(idx, statuses):
-            out.status[r] = s
+            status[r] = s
         go = ~stop
-        x, fmin, live = x[go], fmin[go], live[go]
+        x, fmin, l1, live = x[go], fmin[go], l1[go], live[go]
         regroup()
         return go
 
@@ -758,8 +749,9 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, 
             else:
                 alpha = rest
             if k < keep:
-                out.f[live, k] = f
-                out.stepsize[live, k] = alpha
+                f_rec[live, k] = f
+                step_rec[live, k] = alpha
+                l1_rec[live, k] = l1
             np.minimum(fmin, f, out=fmin)
             if visit is not None:
                 visit(k, live, x)
@@ -770,19 +762,29 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, 
             else:
                 x_next = np.concatenate([update(x[lo:hi], g[lo:hi], col[lo:hi]) for update, lo, hi in groups])
             # solve stops a run whose new iterate has a non-finite entry; the
-            # entries are nonnegative, so a finite sum shows none has
-            if not math.isfinite(np.add.reduce(x_next, axis=None)):
+            # entries are nonnegative, so finite l1 norms show none has
+            l1_next = np.add.reduce(x_next, axis=1)
+            if not math.isfinite(np.add.reduce(l1_next)):
                 stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
                 if stop.any():
-                    x_next = x_next[leave(stop, k, 1, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))]
+                    go = leave(stop, k, 1, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))
                     if not live.size:
                         break
-            x = x_next
+                    x_next, l1_next = x_next[go], l1_next[go]
+            x, l1 = x_next, l1_next
     finally:
         np.seterr(**err_state)
-    out.x_final[live] = x
-    out.f_min[live] = fmin
-    return out
+    x_final[live] = x
+    f_min[live] = fmin
+
+    results = []
+    for r, method in enumerate(methods):
+        res = SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :min(length[r], keep)],
+                          heuristic=(method.kind == "hd_polyak"))
+        if split:
+            res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
+        results.append(res)
+    return results, f_min
 
 
 # Iterates per divergence evaluation of the replay: one (64, len(x0)) block per run
@@ -829,8 +831,10 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
             for r in live:
                 evaluate(r, k - j, _REPLAY_BLOCK)
 
+    budgets = [len(s) for s in steps]
     with np.errstate(all="ignore"):
-        lengths = _lockstep(p, methods, x0, [len(s) for s in steps], given=steps, visit=visit).length
+        runs, _ = _lockstep(p, methods, x0, budgets, keep=max(budgets), given=steps, visit=visit)
+        lengths = [len(res.trace) for res in runs]
         for r, length in enumerate(lengths):
             tail = max(length, 1) % _REPLAY_BLOCK
             if tail:

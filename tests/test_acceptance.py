@@ -96,10 +96,8 @@ def _check_certified_descent(corpus, runs):
     in-solver check."""
     for p, res in zip(corpus, runs):
         assert res.status is not Status.NUMERICAL_BREAKDOWN
-        trace = res.trace
-        for prev, nxt in zip(trace, trace[1:]):
-            lhs = nxt.d_h_to_ref - prev.d_h_to_ref
-            assert lhs <= -prev.stepsize * prev.f_value + 1e-9 * (1.0 + prev.d_h_to_ref)
+        d, alpha, f = res.trace.d_h_to_ref, res.trace.stepsize, res.trace.f_value
+        assert np.all(d[1:] - d[:-1] <= -alpha[:-1] * f[:-1] + 1e-9 * (1.0 + d[:-1]))
 
 
 def _check_rate_and_stepsize(corpus, runs):
@@ -111,14 +109,10 @@ def _check_rate_and_stepsize(corpus, runs):
         # stepsize lower bound with z = planted
         z = p.planted
         lower = 1.0 / (4.0 * (bregman_divergence(z, x0) + float(np.sum(z))) * mc)
-        for rec in res.trace:
-            assert rec.stepsize >= lower - 1e-12
+        assert np.all(res.trace.stepsize >= lower - 1e-12)
         # O(1/k) envelope from the converged limit
         curve = sublinear_bound_curve(res.trace, res.x_final, x0, mc)
-        best = math.inf
-        for rec, (k, bound) in zip(res.trace, curve):
-            best = min(best, rec.f_value)
-            assert best <= bound
+        assert np.all(np.minimum.accumulate(res.trace.f_value) <= [bound for _, bound in curve])
 
 
 def _check_convergence_counts(runs, label):
@@ -235,8 +229,8 @@ def test_criterion_07_split_scheme_reduction():
         assert worst_final <= 1e-12
         # objective agreement; stepsizes are ratios of near-zero quantities at
         # the tail and are covered indirectly by the iterate comparison
-        for r1, r2 in zip(res_eg.trace, res_md.trace):
-            assert abs(r1.f_value - r2.f_value) <= 1e-12 * (1.0 + r2.f_value)
+        f_eg, f_md = res_eg.trace.f_value, res_md.trace.f_value
+        assert len(f_eg) == len(f_md) and np.all(np.abs(f_eg - f_md) <= 1e-12 * (1.0 + f_md))
     _report(7, f"split scheme tracks the stacked-system solver; worst iterate drift {worst_iter:.2e}")
 
 
@@ -307,8 +301,7 @@ def test_criterion_10_linear_rate_certificates():
                           f_tol=1e-24, trace_reference=z)
         res = solve(p, cfg)
         assert res.status is Status.CONVERGED
-        ds = [rec.d_h_to_ref for rec in res.trace]
-        ds.append(bregman_divergence(z, res.x_final))
+        ds = [*res.trace.d_h_to_ref.tolist(), bregman_divergence(z, res.x_final)]
         for d_prev, d_next in zip(ds, ds[1:]):
             slack = d_next - cert.global_factor_fn(d_prev) * d_prev
             worst_global_slack = max(worst_global_slack, slack)
@@ -362,11 +355,9 @@ def test_criterion_13_convex_mode_bounds():
     r = bregman_divergence(c, x0)
     z_l1 = float(np.sum(c))
     alpha_floor = 1.0 / (8.0 * big_l * (r + z_l1))
-    best = math.inf
-    for rec in res.trace:
-        assert rec.stepsize >= alpha_floor - 1e-12
-        best = min(best, rec.f_value)
-        assert best <= 16.0 * big_l * r * (r + z_l1) / (rec.iter + 1)
+    assert np.all(res.trace.stepsize >= alpha_floor - 1e-12)
+    best = np.minimum.accumulate(res.trace.f_value)
+    assert np.all(best <= 16.0 * big_l * r * (r + z_l1) / np.arange(1, len(best) + 1))
     _report(13, "convex-mode stepsize floor and 16 L R (R + ||z||_1) / (k+1) rate hold")
 
 

@@ -256,10 +256,8 @@ class TestSublinearBoundCurve:
         res = solve(p, SolveConfig(Method.md_polyak(), x0))
         assert res.status is Status.CONVERGED
         curve = sublinear_bound_curve(res.trace, res.x_final, x0, max_col_norm_sq(p.a))
-        best = np.inf
-        for rec, (k, bound) in zip(res.trace, curve):
-            best = min(best, rec.f_value)
-            assert best <= bound
+        assert [k for k, _ in curve] == list(range(len(res.trace)))
+        assert np.all(np.minimum.accumulate(res.trace.f_value) <= [bound for _, bound in curve])
 
 
 class TestL1MinimalSolution:

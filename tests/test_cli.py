@@ -64,8 +64,8 @@ class TestSolveCommand:
         main(["solve", write_instance(tmp_path, p), "--method", "md-backtracking", "--x0-scale", "0.1",
               "--iters", "40", "--trace", str(trace)])
         res = entmd.solve(p, entmd.SolveConfig(entmd.Method.md_backtracking(), np.full(8, 0.1), max_iters=40))
-        rows = [",".join([str(rec.iter)] + [format(v, ".17g") for v in (rec.f_value, rec.stepsize, rec.l1_norm)])
-                for rec in res.trace]
+        rows = [",".join([str(k)] + [format(v, ".17g") for v in (rec.f_value, rec.stepsize, rec.l1_norm)])
+                for k, rec in enumerate(res.trace)]
         assert trace.read_text() == "\n".join(["iter,f_value,stepsize,l1_norm"] + rows) + "\n"
 
     def test_max_iters_exit_two(self, tmp_path, capsys):
@@ -218,6 +218,23 @@ class TestExperimentCommands:
         assert code == 0
         header = (tmp_path / "exp2_cummin.csv").read_text().splitlines()[0]
         assert header == "iter,x0_0.01,x0_0.0001"
+
+    def test_runs_without_records_read_infinite(self, tmp_path, capsys):
+        # a start at 1e300 overflows f at x0: the run stops before its first
+        # record, and its cumulative minimum is the minimum over no values
+        assert main(["exp2", "--seed", "1", "--iters", "5", "--scales", "1e300,1e-4", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "exp2_cummin.csv").read_text().splitlines()]
+        assert rows[0] == ["iter", "x0_1e+300", "x0_0.0001"] and len(rows) == 6
+        assert all(row[1] == "inf" and 0.0 < float(row[2]) < np.inf for row in rows[1:])
+        meta = parse_keyvalue((tmp_path / "exp2_meta.txt").read_text())
+        assert meta["status.x0_1e+300"] == "NumericalBreakdown" and meta["status.x0_0.0001"] == "MaxIters"
+        assert main(["exp1", "--seed", "1", "--iters", "5", "--extra-iters", "2", "--x0-scale", "1e300",
+                     "--methods", "md-polyak,md-backtracking,eg-pm", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "exp1_cummin.csv").read_text().splitlines()]
+        assert rows[0] == ["iter", "md_polyak", "md_backtracking", "eg_pm"] and len(rows) == 6
+        assert all(row[1:3] == ["inf", "inf"] and float(row[3]) < np.inf for row in rows[1:])
+        meta = parse_keyvalue((tmp_path / "exp1_meta.txt").read_text())
+        assert meta["status.md_polyak"] == meta["status.md_backtracking"] == "NumericalBreakdown"
 
     @pytest.mark.parametrize("argv", [["exp2", "--scales", "1e-4,nan"], ["exp2", "--scales", "inf"],
                                       ["exp1", "--x0-scale", "nan", "--sparsity", "2", "--methods", "md-polyak"],

@@ -180,7 +180,7 @@ def reference_divergence(p, method, scale, iters, extra):
     limit = long_res.w_final if method.kind == "eg_pm" else long_res.x_final
     rerun = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0,
                                  trace_reference=np.clip(limit, 0.0, None), check_descent=False))
-    column = [rec.d_h_to_ref for rec in rerun.trace]
+    column = rerun.trace.d_h_to_ref.tolist()
     return column + [column[-1] if column else 0.0] * (iters - len(column))
 
 
@@ -195,7 +195,7 @@ def reference_grid_search(p, x0, iters, num=25, span=(1e-2, 1e2)):
     best_alpha, best_res, best_f = None, None, np.inf
     for alpha in np.geomspace(span[0] / mc, span[1] / mc, num):
         res = solve(p, SolveConfig(Method.md_constant(float(alpha)), x0, max_iters=iters, f_tol=0.0))
-        f_min = min((rec.f_value for rec in res.trace), default=np.inf)
+        f_min = res.trace.f_value.min(initial=np.inf)
         if res.status is Status.CONVERGED:
             f_min = 0.0
         if f_min < best_f:
@@ -209,11 +209,11 @@ class TestGridSearchConstant:
         x0 = np.full(10, 1e-2)
         alpha, res = grid_search_constant(p, x0, iters=200, num=9)
         assert alpha > 0
-        assert res.trace
+        assert len(res.trace) > 0
         # the chosen stepsize should beat a clearly bad one
         bad = solve(p, SolveConfig(Method.md_constant(alpha * 1e3), x0, max_iters=200, f_tol=0.0))
-        best_f = min(rec.f_value for rec in res.trace)
-        bad_f = min((rec.f_value for rec in bad.trace), default=np.inf)
+        best_f = res.trace.f_value.min()
+        bad_f = bad.trace.f_value.min(initial=np.inf)
         assert best_f <= bad_f
 
     @pytest.mark.parametrize("m, n, sparsity, seed, scale, iters", [
@@ -254,11 +254,10 @@ class TestGridSearchConstant:
         x0 = np.full(n, scale)
         methods = [Method.md_constant(float(alpha))
                    for alpha in np.geomspace(1e-2 / max_col_norm_sq(p.a), 1e2 / max_col_norm_sq(p.a), 25)]
-        runs = _lockstep(p, methods, np.tile(x0, (25, 1)), iters)
+        runs, f_min = _lockstep(p, methods, np.tile(x0, (25, 1)), iters)
         solves = [solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)) for method in methods]
-        expected = [min((rec.f_value for rec in res.trace), default=np.inf) for res in solves]
-        assert np.array_equal(runs.f_min, expected)
-        assert runs.status == [res.status for res in solves]
+        assert np.array_equal(f_min, [res.trace.f_value.min(initial=np.inf) for res in solves])
+        assert [res.status for res in runs] == [res.status for res in solves]
 
     @pytest.mark.parametrize("num, span", [
         (0, (1e-2, 1e2)),

@@ -277,7 +277,7 @@ class TestBacktracking:
             backtracking_stepsize(p, [2.0], [1.0], 100.0, shrink=1e-20)
         res = solve(p, SolveConfig(Method.md_backtracking(100.0, shrink=1e-20), [2.0], max_iters=50))
         assert res.status is Status.NUMERICAL_BREAKDOWN
-        assert res.iters_run == 0 and res.trace == []
+        assert res.iters_run == 0 and len(res.trace) == 0
 
     def test_accepted_trial_is_returned(self):
         # the loop takes the accepted trial as its next iterate instead of recomputing it
@@ -299,7 +299,15 @@ class TestBacktracking:
             backtracking_stepsize(p, x, gradient(p, x), 1e6, shrink=0.999)
         res = solve(p, SolveConfig(Method.md_backtracking(1e6, shrink=0.999), x))
         assert res.status is Status.NUMERICAL_BREAKDOWN
-        assert res.iters_run == 0 and res.trace == []
+        assert res.iters_run == 0 and len(res.trace) == 0
+
+    def test_overflow_at_x0_breaks_down_without_warning(self):
+        # the default alpha0 comes from the gradient at x0, which overflows
+        # here; the solve reports it as a breakdown and leaks no RuntimeWarning
+        p = gen_instance(InstanceSpec(6, 10, 3, seed=1))
+        res = solve(p, SolveConfig(Method.md_backtracking(), np.full(10, 1e300), max_iters=5))
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == 0 and len(res.trace) == 0
 
 
 class TestSolve:
@@ -318,8 +326,7 @@ class TestSolve:
         # after one step x = 2 exp(-1/4)
         f1 = 0.5 * (2 * math.exp(-0.25) - 1.0) ** 2
         assert res.trace[1].f_value == pytest.approx(f1, rel=1e-12)
-        fs = [rec.f_value for rec in res.trace]
-        assert fs == sorted(fs, reverse=True)
+        assert np.all(np.diff(res.trace.f_value) <= 0.0)
         assert objective(p, res.x_final) <= 1e-16
 
     def test_max_iters_status(self):
@@ -329,15 +336,38 @@ class TestSolve:
         assert res.iters_run == 2
         assert len(res.trace) == 2
 
+    def test_trace_is_a_record_array(self):
+        # record k and row k of each column are one value; the divergence
+        # column exists exactly when a reference was traced
+        p = centered_gaussian_instance(6, 12, 3, seed=25)
+        x0 = np.full(12, 0.1)
+        obj = ConvexObjective(lambda x: objective(p, x), lambda x: gradient(p, x), 0.0)
+        plain = ("f_value", "stepsize", "l1_norm")
+        for res, names in [
+            (solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=30)), plain),
+            (solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=30, trace_reference=p.planted)),
+             plain + ("d_h_to_ref",)),
+            (solve_convex(obj, SolveConfig(Method.hd_plus_polyak(), x0, max_iters=30)), plain),
+            (solve_convex(obj, SolveConfig(Method.hd_plus_polyak(), x0, max_iters=30, trace_reference=p.planted)),
+             plain + ("d_h_to_ref",)),
+            (_lockstep(p, [Method.md_polyak()], x0[None], 30, keep=30)[0][0], plain),
+        ]:
+            assert isinstance(res.trace, np.recarray) and res.trace.dtype.names == names
+            assert len(res.trace) == 30
+            for name in names:
+                assert getattr(res.trace[0], name) == getattr(res.trace, name)[0] == res.trace[name][0]
+                assert getattr(res.trace[-1], name) == getattr(res.trace, name)[29]
+            assert res.trace[0].f_value == objective(p, x0) and res.trace[0].l1_norm == pytest.approx(1.2)
+
     def test_cap_safety_and_positivity(self):
         p = centered_gaussian_instance(10, 20, 4, seed=23)
         res = solve(p, SolveConfig(Method.md_polyak(), np.full(20, 0.1)))
         assert res.status is Status.CONVERGED
         x = np.full(20, 0.1)
-        for rec in res.trace:
+        for alpha in res.trace.stepsize:
             g = gradient(p, x)
-            assert rec.stepsize * float(np.max(np.abs(g))) <= EXP_QUAD_BOUND * (1 + 1e-12)
-            x = md_step(x, g, rec.stepsize)
+            assert alpha * float(np.max(np.abs(g))) <= EXP_QUAD_BOUND * (1 + 1e-12)
+            x = md_step(x, g, alpha)
             assert np.all(x >= 0)
 
     def test_descent_check_flags_bad_reference(self):
@@ -353,7 +383,7 @@ class TestSolve:
         cfg = SolveConfig(Method.md_polyak(), np.full(12, 0.1), trace_reference=p.planted)
         res = solve(p, cfg)
         assert res.status is Status.CONVERGED
-        assert all(rec.d_h_to_ref is not None for rec in res.trace)
+        assert np.all(np.isfinite(res.trace.d_h_to_ref))
 
     def test_constant_stepsize_overflow_breaks_down(self):
         p = centered_gaussian_instance(6, 12, 3, seed=26)
@@ -364,8 +394,8 @@ class TestSolve:
     def test_backtracking_is_monotone(self):
         p = centered_gaussian_instance(8, 16, 4, seed=27)
         res = solve(p, SolveConfig(Method.md_backtracking(), np.full(16, 0.1), max_iters=300, f_tol=0.0))
-        fs = [rec.f_value for rec in res.trace]
-        assert all(f2 <= f1 * (1 + 1e-12) for f1, f2 in zip(fs, fs[1:]))
+        fs = res.trace.f_value
+        assert np.all(fs[1:] <= fs[:-1] * (1 + 1e-12))
 
     def test_hd_polyak_flagged_heuristic(self):
         p = centered_gaussian_instance(6, 12, 3, seed=28)
@@ -408,24 +438,24 @@ def test_trace_stepsizes_replay_through_public_steps(method, step):
     at = np.ascontiguousarray(p.a.T)
     alpha0 = EXP_QUAD_BOUND / float(np.max(np.abs(at @ (p.a @ x0 - p.b))))
     x = x0
-    for rec in res.trace:
+    for alpha in res.trace.stepsize:
         g = at @ (p.a @ x - p.b)
         if method.kind == "md_backtracking":
-            assert rec.stepsize == backtracking_stepsize(p, x, g, alpha0)
-        x = step(x, g, rec.stepsize)
+            assert alpha == backtracking_stepsize(p, x, g, alpha0)
+        x = step(x, g, alpha)
     assert np.array_equal(x, res.x_final)
 
 
 def reference_divergence(p, method, x0, iters, z):
     """D_h(z, x_k) as a solve traced against ``z`` records it."""
     res = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0, trace_reference=z, check_descent=False))
-    return np.array([rec.d_h_to_ref for rec in res.trace])
+    return res.trace.d_h_to_ref
 
 
 def replayed_divergence(p, runs):
     """The same for each run ``(method, x0, iters, z)``, from the stepsizes of
     untraced solves, replayed in one batch."""
-    steps = [[rec.stepsize for rec in solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)).trace]
+    steps = [solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)).trace.stepsize
              for method, x0, iters, _ in runs]
     return _replay_divergence(p, [run[0] for run in runs], np.array([run[1] for run in runs]), steps,
                               np.array([run[3] for run in runs]))
@@ -488,20 +518,18 @@ class TestReplayDivergence:
 def assert_rows_match_solves(p, methods, x0, iters, given=None):
     """Each row of one lockstep batch equals its own solve bit for bit; with
     ``given``, the solves are those whose stepsizes the rows replay."""
-    runs = _lockstep(p, methods, x0, iters, keep=int(np.max(iters)), given=given)
+    runs, f_min = _lockstep(p, methods, x0, iters, keep=int(np.max(iters)), given=given)
     for r, (method, start, budget) in enumerate(zip(methods, x0, np.broadcast_to(iters, (len(methods),)))):
         res = solve(p, SolveConfig(method, start, max_iters=max(budget, 1), f_tol=0.0))
-        f = np.array([rec.f_value for rec in res.trace])
-        steps = np.array([rec.stepsize for rec in res.trace])
-        length = runs.length[r]
-        assert length == len(res.trace)
-        assert runs.f[r, :length].tobytes() == f.tobytes()
-        assert runs.stepsize[r, :length].tobytes() == steps.tobytes()
-        assert runs.f_min[r] == min(f, default=np.inf)
-        final = res.w_final if method.kind == "eg_pm" else res.x_final
-        assert runs.x_final[r].tobytes() == final.tobytes()
+        row = runs[r]
+        assert row.trace.dtype == res.trace.dtype and row.trace.tobytes() == res.trace.tobytes()
+        assert f_min[r] == res.trace.f_value.min(initial=np.inf)
+        assert row.x_final.tobytes() == res.x_final.tobytes()
+        if method.kind == "eg_pm":
+            assert row.w_final.tobytes() == res.w_final.tobytes()
         if given is None:
-            assert runs.status[r] is res.status and runs.iters_run[r] == res.iters_run
+            assert row.status is res.status and row.iters_run == res.iters_run
+            assert row.heuristic is res.heuristic
     return runs
 
 
@@ -524,11 +552,11 @@ class TestLockstep:
         methods, x0 = [row[0] for row in rows], np.array([row[1] for row in rows])
         runs = assert_rows_match_solves(p, methods, x0, iters)
         # rows leave the batch at different iterations
-        assert len(set(runs.iters_run.tolist())) > 1
+        assert len({res.iters_run for res in runs}) > 1
         # replayed with the solves' stepsizes, together with md_backtracking
         methods += [Method.md_backtracking()] * 3
         x0 = np.concatenate([x0, x0[:3]])
-        given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0)).trace]
+        given = [solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0)).trace.stepsize
                  for method, start in zip(methods, x0)]
         assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], given)
 
@@ -539,7 +567,7 @@ class TestLockstep:
         p = ProblemInstance(a, b)
         rows = lockstep_corpus(p, [1e-8, 1e-4, 1.0, 3.0])
         runs = assert_rows_match_solves(p, [row[0] for row in rows], np.array([row[1] for row in rows]), 400)
-        converged = [k for k, s in zip(runs.iters_run.tolist(), runs.status) if s is Status.CONVERGED]
+        converged = [res.iters_run for res in runs if res.status is Status.CONVERGED]
         assert len(set(converged)) >= 4
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -549,8 +577,7 @@ class TestLockstep:
         methods = [Method.eg_pm()] * 3
         x0 = np.array([np.full(18, scale) for scale in (1e-8, 1e-4, 1.0)])
         assert_rows_match_solves(p, methods, x0, 200)
-        given = [[rec.stepsize for rec in solve(p, SolveConfig(method, start, max_iters=200 - 50 * r,
-                                                                f_tol=0.0)).trace]
+        given = [solve(p, SolveConfig(method, start, max_iters=200 - 50 * r, f_tol=0.0)).trace.stepsize
                  for r, (method, start) in enumerate(zip(methods, x0))]
         assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], given)
 
@@ -562,27 +589,29 @@ class TestLockstep:
                    Method.md_polyak(), Method.hd_polyak(), Method.md_constant(1e3)]
         x0 = np.array([[0.5], [1e300], [1e-4], [0.5], [1e-4], [1e-8], [1.0]])
         runs = assert_rows_match_solves(p, methods, x0, 100)
-        assert [s.value for s in runs.status[:4]] == ["NumericalBreakdown"] * 4
-        assert runs.length[:4].tolist() == [0, 0, 1, 0]
+        assert [res.status.value for res in runs[:4]] == ["NumericalBreakdown"] * 4
+        assert [len(res.trace) for res in runs[:4]] == [0, 0, 1, 0]
         # a gradient overflowing while f is finite, and an exact zero residual
         p = ProblemInstance([[1e300]], [0.0])
         methods = [Method.md_polyak(), Method.md_polyak(), Method.md_constant(1e-299), Method.hd_plus_polyak(),
                    Method.hd_polyak()]
         x0 = np.array([[1e-290], [1e-300], [1e-300], [1e10], [1e-300]])
         runs = assert_rows_match_solves(p, methods, x0, 100)
-        assert [s.value for s in runs.status] == ["NumericalBreakdown", "MaxIters", "MaxIters", "NumericalBreakdown",
-                                                  "Converged"]
+        assert [res.status.value for res in runs] == ["NumericalBreakdown", "MaxIters", "MaxIters",
+                                                      "NumericalBreakdown", "Converged"]
 
     def test_kept_records_and_budgets(self):
         p = gen_instance(InstanceSpec(11, 12, sparsity=3, seed=5))
         methods = [Method.md_polyak(), Method.hd_polyak(), Method.md_constant(0.01)]
         x0 = np.full((3, 12), 1e-4)
-        runs = _lockstep(p, methods, x0, [50, 80, 0], keep=20)
-        assert runs.f.shape == (3, 20) and runs.iters_run.tolist() == [50, 80, 0]
-        full = _lockstep(p, methods, x0, 80, keep=80)
-        assert np.array_equal(runs.f[:2], full.f[:2, :20])
-        assert runs.x_final[1].tobytes() == full.x_final[1].tobytes()
-        assert runs.x_final[2].tobytes() == x0[2].tobytes() and runs.f_min[2] == np.inf
+        runs, f_min = _lockstep(p, methods, x0, [50, 80, 0], keep=20)
+        assert [len(res.trace) for res in runs] == [20, 20, 0] and [res.iters_run for res in runs] == [50, 80, 0]
+        full, full_min = _lockstep(p, methods, x0, 80, keep=80)
+        assert runs[0].trace.tobytes() == full[0].trace[:20].tobytes()
+        # the minima cover the whole runs, not only their kept records
+        assert f_min[1] == full_min[1] == full[1].trace.f_value.min() < runs[1].trace.f_value.min()
+        assert runs[1].x_final.tobytes() == full[1].x_final.tobytes()
+        assert runs[2].x_final.tobytes() == x0[2].tobytes() and f_min[2] == np.inf
 
     def test_backtracking_needs_given_stepsizes(self):
         p = one_dim_instance()
@@ -651,10 +680,8 @@ class TestSolveConvex:
         assert res.status is Status.CONVERGED
         r = bregman_divergence(c, x0)
         coeff = 16 * r * (r + float(np.sum(c)))
-        best = np.inf
-        for rec in res.trace:
-            best = min(best, rec.f_value)
-            assert best <= coeff / (rec.iter + 1)
+        best = np.minimum.accumulate(res.trace.f_value)
+        assert np.all(best <= coeff / np.arange(1, len(best) + 1))
 
     def test_first_step_half_of_quadratic(self):
         # the same quadratic solved via the generic path takes half the
