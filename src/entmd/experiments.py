@@ -146,6 +146,10 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     and for Polyak runs a 1e-16 difference grew to 3% in f within 100
     iterations and to 7x within 5000 (dense 60x100, x0 = 1e-8).
 
+    The batch keeps every grid point's trace until the winner's is copied
+    out: ``num * iters`` records of 24 B, 12.5 MB at the default ``num``
+    and 20000 iterations.
+
     Raises
     ------
     DomainError

@@ -812,6 +812,8 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
     block[:, 0] = x0  # a run without steps still checks x0
     found = [[] for _ in methods]
     ended = [False] * len(methods)
+    # a run visited at iteration k records its trace up to k
+    lengths = np.zeros(len(methods), dtype=np.int64)
 
     def evaluate(r, start, count):
         if ended[r]:
@@ -825,16 +827,15 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
         found[r].append(d)
 
     def visit(k, live, x):
+        lengths[live] = k + 1
         j = k % _REPLAY_BLOCK
         block[live, j] = x
         if j == _REPLAY_BLOCK - 1:
             for r in live:
                 evaluate(r, k - j, _REPLAY_BLOCK)
 
-    budgets = [len(s) for s in steps]
     with np.errstate(all="ignore"):
-        runs, _ = _lockstep(p, methods, x0, budgets, keep=max(budgets), given=steps, visit=visit)
-        lengths = [len(res.trace) for res in runs]
+        _lockstep(p, methods, x0, [len(s) for s in steps], given=steps, visit=visit)
         for r, length in enumerate(lengths):
             tail = max(length, 1) % _REPLAY_BLOCK
             if tail:
