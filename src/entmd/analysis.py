@@ -117,6 +117,14 @@ class WorstCaseInstance:
     expected_gap: float
 
 
+def _start_scale(eta: float) -> float:
+    """exp(-eta), the entries of the start exp(-eta) * ones; DomainError where it overflows."""
+    try:
+        return math.exp(-eta)
+    except OverflowError:
+        raise DomainError(f"exp(-eta) overflows for eta={eta!r}") from None
+
+
 def bregman_projection(p: ProblemInstance, x0, tol: float | None = None,
                        max_iters: int = 200_000) -> np.ndarray:
     """Entropy projection of ``x0`` onto the solution set, by solving.
@@ -233,7 +241,7 @@ def l1_gap_identity_residual(x_star, z, eta: float) -> float:
     n = x_star.shape[0]
     l1x = float(np.sum(x_star))
     l1z = float(np.sum(z))
-    if l1x <= n * math.exp(-eta):
+    if l1x <= n * _start_scale(eta):
         raise DomainError("hypothesis ||x*||_1 > ||x0||_1 fails")
     xt = x_star / l1x
     zt = z / l1z if l1z > 0 else z
@@ -478,9 +486,9 @@ def bias_report(p: ProblemInstance, eta: float, samples: int = 10,
 
     The exact gap and the two upper bounds are filled in when the exhaustive
     l1 oracle applies (n <= 12) and the bounds' hypotheses hold; otherwise
-    they are None.
+    they are None.  An overflowing start, exp(-eta) = inf, raises DomainError.
     """
-    x0 = np.full(p.n, math.exp(-eta))
+    x0 = np.full(p.n, _start_scale(eta))
     limit = bregman_projection(p, x0, max_iters=max_iters)
     orth = orthogonality_residual(p, x0, limit, samples=samples, rng=rng)
     x_l1 = float(np.sum(limit))

@@ -5,10 +5,12 @@ convention 0*log 0 = 0.  The induced divergence
 
     D_h(x, y) = sum_i  x_i log(x_i / y_i) - x_i + y_i
 
-is evaluated coordinatewise in the cancellation-free form
-``x * (u - log1p(u))`` with ``u = (y - x) / x``, which stays accurate down to
-divergences near machine precision.  The Lambert W function (both real
-branches) inverts the one-dimensional divergence in closed form.
+is summed in index order, one term per coordinate: the cancellation-free
+``x * (u - log1p(u))`` with ``u = (y - x) / x`` where y_i / x_i lies in
+(0.5, 2), which stays accurate down to divergences near machine precision;
+``x (log x - log y) - x + y`` elsewhere; and y_i where x_i = 0.  The Lambert
+W function (both real branches) inverts the one-dimensional divergence in
+closed form.
 """
 
 from __future__ import annotations
@@ -95,93 +97,37 @@ def bregman_divergence(x, y) -> float:
     y = _nonneg_vector(y, "y")
     if x.shape != y.shape:
         raise DimensionMismatch("bregman_divergence: length mismatch")
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         d = _dh_core(x, y)
     if d == math.inf:
         raise InfiniteDivergence("D_h(x, y) is infinite: x_i > 0 with y_i = 0, or the sum overflowed")
     return d
 
 
-def _dh_core(x: np.ndarray, y: np.ndarray) -> float:
-    """Divergence arithmetic for already-validated nonnegative arrays; inf if infinite.
-
-    The caller suppresses numpy's overflow and divide-by-zero warnings.
-    Where every x_i is positive, or every ratio is in the near branch, the
-    arrays are used as they are: compacting them would keep every value and
-    its order, so the sums are the same.
+def _dh_core(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """D_h(x, y) for validated nonnegative arrays, inf where infinite: a float
+    for a vector y, and for a C-contiguous block of rows y the bits of each
+    row's vector call.  The caller suppresses numpy's floating-point
+    warnings: terms not chosen, such as 0/0 at x_i = y_i = 0, are discarded.
     """
-    if np.minimum.reduce(x) > 0.0:
-        xp, yp, rest = x, y, 0.0
-    else:
-        pos = x > 0
-        xp, yp = x[pos], y[pos]
-        rest = float(np.add.reduce(y[~pos]))
-    # Near-equal coordinates go through the cancellation-free u - log1p(u)
-    # form; distant ones (including denormal y) use separated logarithms,
-    # which cannot overflow in the quotient.  The ratio itself may overflow
-    # for extreme scale mismatches; those coordinates land in the far branch.
-    ratio = yp / xp
+    # the ratio overflows for extreme scale mismatches and is inf or NaN
+    # where x_i = 0: those coordinates are not near
+    ratio = y / x
     near = (ratio > 0.5) & (ratio < 2.0)
-    if np.logical_and.reduce(near):
-        u = (yp - xp) / xp
-        total = float(np.add.reduce(xp * (u - np.log1p(u))))
-    else:
-        xn = xp[near]
-        u = (yp[near] - xn) / xn
-        total = float(np.add.reduce(xn * (u - np.log1p(u))))
-        far = ~near
-        xf = xp[far]
-        yf = yp[far]
-        # inf where y_i = 0 (log 0 = -inf) and for astronomically distant pairs
-        total += float(np.add.reduce(xf * (np.log(xf) - np.log(yf)) - xf + yf))
-    total += rest
-    if not math.isfinite(total):
-        return math.inf
-    # each term is >= 0; clamp the last-ulp rounding of the sum
-    return max(total, 0.0)
-
-
-def _dh_rows(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """:func:`_dh_core` ``(x, y)`` for every row y of the C-contiguous block ``ys``, bit for bit.
-
-    The caller suppresses numpy's floating-point warnings.  The near and far
-    terms are computed elementwise once for the whole block.  Each row's
-    sums keep ``_dh_core``'s order: its near terms, then its far terms, each
-    compacted in index order, then ``rest``.  Rows with the same number of
-    near terms are summed together: their compacted terms form a
-    C-contiguous (rows, count) array, and numpy reduces each row of it as it
-    reduces a 1-D array of that length.
-    """
-    if np.minimum.reduce(x) > 0.0:
-        xp, yp, rest = x, ys, 0.0
-    else:
-        pos = x > 0
-        # a column mask returns a block that is not C-contiguous, and an
-        # axis-1 reduce over such a block sums in another order
-        xp, yp = x[pos], np.ascontiguousarray(ys[:, pos])
-        rest = np.add.reduce(np.ascontiguousarray(ys[:, ~pos]), axis=1)
-    ratio = yp / xp
-    near = (ratio > 0.5) & (ratio < 2.0)
-    u = (yp - xp) / xp
-    near_terms = xp * (u - np.log1p(u))
-    width = xp.size
-    counts = np.add.reduce(near, axis=1)
-    if np.minimum.reduce(counts, initial=width) == width:
-        total = np.add.reduce(near_terms, axis=1)
-    else:
-        far_terms = xp * (np.log(xp) - np.log(yp)) - xp + yp
-        total = np.empty(len(ys))
-        for count in np.unique(counts):
-            rows = np.flatnonzero(counts == count)
-            if count == width:
-                total[rows] = np.add.reduce(near_terms[rows], axis=1)
-                continue
-            mask = near[rows]
-            total[rows] = (np.add.reduce(near_terms[rows][mask].reshape(rows.size, count), axis=1)
-                           + np.add.reduce(far_terms[rows][~mask].reshape(rows.size, width - count), axis=1))
-    total += rest
-    # max(total, 0.0) of _dh_core keeps a -0.0 total
-    return np.where(np.isfinite(total), np.where(total < 0.0, 0.0, total), math.inf)
+    u = (y - x) / x
+    terms = x * (u - np.log1p(u))
+    if not np.logical_and.reduce(near, axis=None):
+        # inf where x_i > 0 = y_i (log 0 = -inf) and for astronomically distant pairs
+        far = x * (np.log(x) - np.log(y)) - x + y
+        terms = np.where(near, terms, np.where(x > 0.0, far, y))
+    total = np.add.reduce(terms, axis=-1)
+    # each term is >= 0: clamp the last-ulp rounding of the sum, and read a
+    # sum that is not finite as inf.  A vector's sum takes the rule in
+    # Python, at a tenth of the cost of numpy's calls on a scalar.
+    if total.ndim == 0:
+        total = float(total)
+        return max(total, 0.0) if math.isfinite(total) else math.inf
+    return np.where(np.isfinite(total), np.maximum(total, 0.0), math.inf)
 
 
 def weighted_norm_sq(x, v) -> float:

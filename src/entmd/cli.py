@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .analysis import (
+    _start_scale,
     bias_report,
     bregman_projection,
     instability_construction,
@@ -108,7 +108,7 @@ def _write_trace(res: SolveResult, path) -> None:
 
 def _x0_from_flags(args, n: int) -> np.ndarray:
     if getattr(args, "eta", None) is not None:
-        return np.full(n, math.exp(-args.eta))
+        return np.full(n, _start_scale(args.eta))
     scale = getattr(args, "x0_scale", None)
     if scale is None:
         scale = 1e-4

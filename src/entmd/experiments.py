@@ -118,13 +118,12 @@ def _constant_grid(p: ProblemInstance, num: int = 25, span: tuple[float, float] 
     return [Method.md_constant(float(alpha)) for alpha in np.geomspace(lo / mc, hi / mc, num)]
 
 
-def _grid_winner(runs: list[SolveResult], f_min: np.ndarray, count: int) -> int:
-    """The grid point that wins among the first ``count`` runs of a lockstep batch, whose minima are ``f_min``."""
+def _grid_winner(runs: list[SolveResult], f_min: np.ndarray, count: int) -> tuple[int, bool]:
+    """The grid point that wins among the first ``count`` runs of a lockstep batch, whose minima are
+    ``f_min``, and whether it reaches a finite objective; where none does, the smallest stepsize wins."""
     minima = np.where([res.status is Status.CONVERGED for res in runs[:count]], 0.0, f_min[:count])
     best = int(np.argmin(minima))
-    if not np.isfinite(minima[best]):
-        raise DomainError("no stepsize in the grid reaches a finite objective")
-    return best
+    return best, bool(np.isfinite(minima[best]))
 
 
 def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
@@ -165,7 +164,9 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     if cfg.x0.shape[0] != p.n:
         raise DimensionMismatch("x0 length must equal the number of columns")
     runs, f_min = _lockstep(p, grid, np.tile(cfg.x0, (num, 1)), cfg.max_iters, keep=cfg.max_iters)
-    best = _grid_winner(runs, f_min, num)
+    best, finite = _grid_winner(runs, f_min, num)
+    if not finite:
+        raise DomainError("no stepsize in the grid reaches a finite objective")
     # a copy, not a view that keeps every grid point's records alive
     runs[best].trace = runs[best].trace.copy()
     return grid[best].alpha, runs[best]
@@ -231,7 +232,9 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``inits[0] * ones``; the final iterate estimates the limit.  Panel one is
     the cumulative-minimum objective over the first ``iters`` iterations per
     method, panel two the divergence from the limit estimate to each iterate.
-    ``md_constant_grid`` is the stepsize :func:`grid_search_constant` picks.
+    ``md_constant_grid`` is the stepsize :func:`grid_search_constant` picks;
+    where no grid stepsize reaches a finite objective, it is the smallest
+    one, and its breakdown is recorded as another method's is.
     The grid's stepsizes and the Polyak and constant-stepsize methods
     advance together in one lockstep batch, and the grid's winner is its own
     run there; ``md_backtracking`` and ``eg_pm`` are solved alone.  Every run
@@ -258,7 +261,7 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     batched = [m for m in cfg.methods if m.kind in _LOCKSTEP_KINDS]
     runs, f_min = _lockstep(p, grid + batched, np.full((len(grid) + len(batched), p.n), scale), budget,
                             keep=cfg.iters)
-    best = _grid_winner(runs, f_min, len(grid)) if grid else None
+    best = _grid_winner(runs, f_min, len(grid))[0] if grid else None
     batch = iter(runs[len(grid):])
     methods = [grid[best] if m.kind == "md_constant_grid" else m for m in cfg.methods]
     labels = ["md_constant_opt" if m.kind == "md_constant_grid" else m.label for m in cfg.methods]

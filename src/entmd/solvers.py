@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bregman import EXP_QUAD_BOUND, _dh_core, _dh_rows
+from .bregman import EXP_QUAD_BOUND, _dh_core
 from .errors import (
     BreakdownError,
     ConvergenceError,
@@ -818,7 +818,7 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
     def evaluate(r, start, count):
         if ended[r]:
             return
-        d = _dh_rows(refs[r], block[r, :count])
+        d = _dh_core(refs[r], block[r, :count])
         infinite = np.flatnonzero(d == math.inf)
         if infinite.size:
             if start + infinite[0] == 0:

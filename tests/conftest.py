@@ -1,8 +1,21 @@
 """Shared instance builders for the test suite."""
 
+import shutil
+import tempfile
+
 import numpy as np
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from entmd import ProblemInstance, seeded_rng
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it finds in the source under its home
+    # directory, .hypothesis/ in the working directory by default, while it
+    # collects the tests: keep that cache in a directory removed at the end
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def centered_gaussian_instance(m, n, sparsity, seed, x0_scale=None):

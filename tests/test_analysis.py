@@ -83,6 +83,10 @@ class TestL1GapIdentity:
         with pytest.raises(DomainError):
             l1_gap_identity_residual([0.5, 0.5], [1.0, 0.0], eta=0.1)
 
+    def test_overflowing_start_violates_the_hypothesis(self):
+        with pytest.raises(DomainError):
+            l1_gap_identity_residual([0.5, 0.5], [1.0, 0.0], eta=-1000.0)
+
     def test_small_system_with_oracle(self):
         p = centered_gaussian_instance(4, 8, 3, seed=43)
         eta = 6.0
@@ -289,6 +293,11 @@ class TestBiasReport:
         assert report.improved_bound is not None and report.slow_bound is not None
         assert report.exact_gap <= report.improved_bound + 1e-8
         assert report.improved_bound <= report.slow_bound + 1e-12
+
+    def test_overflowing_start_rejected(self):
+        p = centered_gaussian_instance(5, 10, 3, seed=56)
+        with pytest.raises(DomainError, match="overflows"):
+            bias_report(p, -1000.0)
 
     def test_large_n_skips_oracle(self):
         p = centered_gaussian_instance(6, 14, 3, seed=58)

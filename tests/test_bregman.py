@@ -1,8 +1,12 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmd import (
     EXP_QUAD_BOUND,
@@ -21,7 +25,7 @@ from entmd import (
     weighted_norm_sq,
     ymin_lower_bound,
 )
-from entmd.bregman import _dh_core, _dh_rows
+from entmd.bregman import _dh_core
 
 
 class TestEntropy:
@@ -80,34 +84,56 @@ class TestBregmanDivergence:
         assert d == pytest.approx(expected, rel=1e-5)
 
 
-class TestDivergenceFastPaths:
-    # _dh_core skips the boolean compaction when every x_i is positive or every
-    # ratio is near 1; an appended pair forces the compacting path instead
+def divergence_terms(x, y):
+    """D_h(x, y)'s per-coordinate terms, each branch chosen coordinate by coordinate."""
+    u = (y - x) / x
+    near = x * (u - np.log1p(u))
+    far = x * (np.log(x) - np.log(y)) - x + y
+    return [y[i] if x[i] == 0.0 else near[i] if 0.5 < y[i] / x[i] < 2.0 else far[i] for i in range(len(x))]
+
+
+class TestDivergenceTerms:
+    # _dh_core sums its terms in index order, whichever branch each comes from
     @staticmethod
-    def pairs(low, high, seed):
+    def mixed_pair(seed, n=50):
         rng = seeded_rng(seed)
-        x = rng.uniform(0.1, 2.0, 50)
-        return x, x * rng.uniform(low, high, 50)
+        x = rng.uniform(0.1, 2.0, n)
+        return x, x * np.exp(rng.normal(0.0, 1.0, n))
 
-    @pytest.mark.parametrize("low, high", [(0.6, 1.6), (0.2, 5.0)])
-    def test_zero_pair_gives_the_same_bits(self, low, high):
-        x, y = self.pairs(low, high, 40)
-        assert _dh_core(np.append(x, 0.0), np.append(y, 0.0)) == _dh_core(x, y)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_pair_sums_its_terms_in_index_order(self, seed):
+        x, y = self.mixed_pair(70 + seed)
+        with np.errstate(all="ignore"):
+            terms = divergence_terms(x, y)
+            assert _dh_core(x, y) == float(np.add.reduce(np.array(terms)))
 
-    def test_far_pair_adds_exactly_its_own_term(self):
-        x, y = self.pairs(0.6, 1.6, 41)
-        far = _dh_core(np.array([1.0]), np.array([1e-200]))
-        assert far == pytest.approx(200.0 * math.log(10.0) - 1.0)
-        assert _dh_core(np.insert(x, 0, 1.0), np.insert(y, 0, 1e-200)) == _dh_core(x, y) + far
+    @pytest.mark.parametrize("seed", [70, 74, 76])
+    def test_zero_reference_entry_contributes_its_iterate_entry(self, seed):
+        x, y = self.mixed_pair(seed)
+        x[[0, 7, 30]] = 0.0
+        y[30] = 0.0
+        with np.errstate(all="ignore"):
+            terms = divergence_terms(x, y)
+            assert terms[0] == y[0] and terms[7] == y[7] and terms[30] == 0.0
+            assert _dh_core(x, y) == float(np.add.reduce(np.array(terms)))
+            assert _dh_core(np.zeros(3), np.array([0.25, 0.0, 0.5])) == 0.75
+
+    @pytest.mark.parametrize("x, y", [([0.0, 1.0], [0.0, 1.5]), ([0.0, 1.0], [2.0, 0.7])])
+    def test_public_divergence_emits_no_warning_on_a_zero_reference_entry(self, x, y):
+        # the discarded terms of a zero x_i compute 0/0 or 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = bregman_divergence(x, y)
+        assert d == pytest.approx(y[0] + math.log(1.0 / y[1]) - 1.0 + y[1])
 
 
 class TestDivergenceRows:
-    # _dh_rows must give _dh_core's bits for every row, -0.0 and inf included
+    # _dh_core on a block must give its vector call's bits for every row, -0.0 and inf included
     @staticmethod
     def assert_rows_match(x, ys):
         ys = np.ascontiguousarray(ys, dtype=float)
         with np.errstate(all="ignore"):
-            got = _dh_rows(x, ys)
+            got = _dh_core(x, ys)
             want = np.array([_dh_core(x, y) for y in ys])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -141,7 +167,7 @@ class TestDivergenceRows:
         ys[0] = np.where(x > 0.0, x, 0.0)  # zero divergence
         ys[1] = np.where(x > 0.0, x * 1.2, 0.7)  # all near on the support
         self.assert_rows_match(x, ys)
-        # every row near on the support: the whole block is reduced at once
+        # every row near on the support
         x = self.reference(58, n=100)
         x[::3] = 0.0
         self.assert_rows_match(x, np.where(x > 0.0, x * rng.uniform(0.6, 1.9, (64, x.size)), 0.5))
@@ -153,7 +179,7 @@ class TestDivergenceRows:
         ys[1, 2] = 0.0
         ys[3, 0] = 0.0
         with np.errstate(all="ignore"):
-            d = _dh_rows(x, ys)
+            d = _dh_core(x, ys)
         assert d[1] == d[3] == math.inf and d[0] == d[2] == 0.0
         self.assert_rows_match(x, ys)
 
@@ -183,6 +209,54 @@ class TestDivergenceRows:
             ys = base * np.exp(rng.normal(0.0, 1.0, (len(spread), n)) * spread)
             ys[rng.random(ys.shape) < 0.01] = 0.0
             self.assert_rows_match(x, ys)
+
+
+# entries: zero, subnormals, 1e-300 to 1e300, and near the overflow threshold
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2e-308),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(min_value=1.0, max_value=9.99), st.integers(min_value=-300, max_value=299)),
+    st.floats(min_value=1e307, max_value=1.7e308),
+)
+
+
+@st.composite
+def reference_and_block(draw):
+    """A reference x and a block of rows: near or far multiples of x, some mixed with entries drawn alone."""
+    x = np.array(draw(st.lists(_ENTRY, min_size=1, max_size=40)))
+    factor = st.floats(min_value=0.3, max_value=3.0)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        entry = st.one_of(factor, st.none()) if draw(st.booleans()) else factor
+        factors = draw(st.lists(entry, min_size=x.size, max_size=x.size))
+        rows.append([draw(_ENTRY) if f is None else min(xi * f, sys.float_info.max)
+                     for xi, f in zip(x.tolist(), factors)])
+    return x, np.array(rows)
+
+
+class TestDivergenceProperties:
+    # math.fsum rounds the exact sum of the same terms once: the bound checks
+    # the kernel's branch choice and summation, the inf rule is checked exactly
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(reference_and_block())
+    def test_against_an_exact_sum_of_its_terms(self, case):
+        x, ys = case
+        with np.errstate(all="ignore"):
+            block = _dh_core(x, ys)
+            singles = [_dh_core(x, y) for y in ys]
+            all_terms = [divergence_terms(x, y) for y in ys]
+        assert block.tobytes() == np.array(singles).tobytes()
+        for y, d, terms in zip(ys, singles, all_terms):
+            assert d >= 0.0
+            try:
+                exact = math.fsum(terms)
+            except OverflowError:
+                exact = math.inf
+            infinite = bool(np.any((x > 0.0) & (y == 0.0))) or exact == math.inf
+            assert (d == math.inf) is infinite
+            if not infinite:
+                assert abs(d - max(exact, 0.0)) <= 1e-12 * math.fsum(abs(t) for t in terms)
 
 
 class TestWeightedNormSq:

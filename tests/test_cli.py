@@ -177,6 +177,15 @@ class TestBiasCommand:
         assert float(pairs["orthogonality_residual"]) <= 1e-6
 
 
+@pytest.mark.parametrize("command", ["solve", "project", "bias"])
+def test_overflowing_eta_exit_one(tmp_path, capsys, command):
+    # exp(-eta) overflows: a usage error, not a traceback
+    path = write_instance(tmp_path, centered_gaussian_instance(4, 8, 2, seed=81))
+    assert main([command, path, "--eta", "-1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err
+
+
 class TestCertificateCommands:
     def test_rate_cert(self, tmp_path, capsys):
         p = positive_solution_instance(10, 4, seed=81)
@@ -235,6 +244,16 @@ class TestExperimentCommands:
         assert all(row[1:3] == ["inf", "inf"] and float(row[3]) < np.inf for row in rows[1:])
         meta = parse_keyvalue((tmp_path / "exp1_meta.txt").read_text())
         assert meta["status.md_polyak"] == meta["status.md_backtracking"] == "NumericalBreakdown"
+        # with the default methods no grid stepsize reaches a finite objective:
+        # md_constant_opt is the smallest stepsize's run, recorded as the others are
+        assert main(["exp1", "--seed", "1", "--iters", "5", "--extra-iters", "2", "--x0-scale", "1e300",
+                     "--out", str(tmp_path)]) == 0
+        labels = ["md_constant_opt", "md_backtracking", "md_polyak", "hd_polyak", "hd_plus_polyak"]
+        rows = [line.split(",") for line in (tmp_path / "exp1_cummin.csv").read_text().splitlines()]
+        assert rows[0] == ["iter", *labels] and len(rows) == 6
+        assert all(row[1:] == ["inf"] * 5 for row in rows[1:])
+        meta = parse_keyvalue((tmp_path / "exp1_meta.txt").read_text())
+        assert all(meta[f"status.{label}"] == "NumericalBreakdown" for label in labels)
 
     @pytest.mark.parametrize("argv", [["exp2", "--scales", "1e-4,nan"], ["exp2", "--scales", "inf"],
                                       ["exp1", "--x0-scale", "nan", "--sparsity", "2", "--methods", "md-polyak"],

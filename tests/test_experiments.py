@@ -286,3 +286,9 @@ class TestGridSearchConstant:
             grid_search_constant(p, np.full(5, 1e-2), iters=10)
         with pytest.raises(DomainError):
             grid_search_constant(p, np.full(6, 1e-2), iters=0)
+
+    def test_no_finite_objective_rejected(self):
+        # f overflows at x0 for every grid stepsize
+        p = gen_instance(InstanceSpec(4, 6, sparsity=2, seed=23))
+        with pytest.raises(DomainError, match="finite objective"):
+            grid_search_constant(p, np.full(6, 1e300), iters=5)
