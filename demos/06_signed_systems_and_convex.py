@@ -40,12 +40,11 @@ obj = ConvexObjective(
     value=lambda x: 0.5 * float(np.sum((x - c) ** 2)),
     gradient=lambda x: x - c,
     f_star=0.0,
-    l_smooth=1.0,
 )
 x0 = np.full(15, 0.05)
 res = solve_convex(obj, SolveConfig(Method.md_polyak(), x0, f_tol=1e-22))
 r = bregman_divergence(c, x0)
-coeff = 16.0 * r * (r + float(np.sum(c)))
+coeff = 16.0 * r * (r + float(np.sum(c)))  # the gradient x - c is 1-Lipschitz: L = 1
 print(f"convex solve: {res.status.value} after {res.iters_run} iterations")
 print("iter      gap          rate bound 16 L R (R + ||z||_1) / (k+1)")
 best = np.minimum.accumulate(res.trace.f_value)

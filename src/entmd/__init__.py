@@ -52,7 +52,6 @@ from .errors import (  # noqa: E402
 from .experiments import (  # noqa: E402
     ExperimentConfig,
     InstanceSpec,
-    SingularLaw,
     gen_instance,
     grid_search_constant,
     run_experiment1,

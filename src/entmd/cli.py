@@ -29,12 +29,10 @@ from .errors import ConvergenceError, EntmdError
 from .experiments import (
     ExperimentConfig,
     InstanceSpec,
-    SingularLaw,
     _write_csv,
     run_experiment1,
     run_experiment2,
 )
-from .linalg import seeded_rng
 from .solvers import Method, ProblemInstance, SolveConfig, SolveResult, Status, solve
 
 __all__ = ["main", "run", "load_instance", "save_instance"]
@@ -188,7 +186,7 @@ def _cmd_bias(args) -> int:
         p, eta, built = load_instance(args.instance), args.eta, None
     else:
         raise _CliError("bias needs an instance file or --construct N ETA")
-    report = bias_report(p, eta, samples=args.samples, rng=seeded_rng(args.seed))
+    report = bias_report(p, eta)
     pairs = {
         "eta": eta,
         "limit_l1": float(np.sum(report.limit)),
@@ -242,7 +240,7 @@ def _cmd_instability(args) -> int:
 
 def _spec_from_flags(args) -> InstanceSpec:
     sparsity = None if args.sparsity in (None, "dense") else int(args.sparsity)
-    return InstanceSpec(args.m, args.n, sparsity, SingularLaw(args.law), seed=args.seed)
+    return InstanceSpec(args.m, args.n, sparsity, seed=args.seed)
 
 
 def _cmd_exp1(args) -> int:
@@ -321,7 +319,6 @@ def _build_parser() -> _Parser:
     pb = sub.add_parser("bias", parents=[common], help="sparsity-bias report")
     pb.add_argument("instance", nargs="?", default=None)
     pb.add_argument("--eta", type=float, default=None)
-    pb.add_argument("--samples", type=int, default=10)
     pb.add_argument("--construct", nargs=2, metavar=("N", "ETA"), default=None,
                     help="build the near-worst-case instance instead of reading a file")
     pb.set_defaults(func=_cmd_bias)
@@ -343,8 +340,6 @@ def _build_parser() -> _Parser:
         pe.add_argument("--n", type=int, default=100)
         pe.add_argument("--sparsity", default="10" if name == "exp1" else "dense",
                         help="nonzero count of the planted solution, or 'dense'")
-        pe.add_argument("--law", choices=[law.value for law in SingularLaw],
-                        default=SingularLaw.HALF_NORMAL.value)
         pe.add_argument("--iters", type=int, default=5_000)
         if name == "exp1":
             pe.add_argument("--extra-iters", type=int, default=5_000)

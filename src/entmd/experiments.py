@@ -10,7 +10,6 @@ written with 17 significant digits and LF line endings.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,6 @@ from .solvers import (Method, ProblemInstance, SolveConfig, SolveResult, Status,
                       solve)
 
 __all__ = [
-    "SingularLaw",
     "InstanceSpec",
     "ExperimentConfig",
     "gen_instance",
@@ -32,13 +30,6 @@ __all__ = [
     "run_experiment1",
     "run_experiment2",
 ]
-
-
-class SingularLaw(enum.Enum):
-    """Distribution of the nonzero singular values: |N(0,1)|, the
-    absolute-normal reading of a normal spectrum for rectangular A."""
-
-    HALF_NORMAL = "half_normal"
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,6 @@ class InstanceSpec:
     m: int
     n: int
     sparsity: int | None = None
-    singular_law: SingularLaw = SingularLaw.HALF_NORMAL
     seed: int = 0
 
     def __post_init__(self):
@@ -190,7 +180,7 @@ def _write_sidecar(path: Path, cfg: ExperimentConfig, extra: dict) -> None:
         "m": spec.m,
         "n": spec.n,
         "sparsity": "dense" if spec.sparsity is None else spec.sparsity,
-        "singular_law": spec.singular_law.value,
+        "singular_law": "half_normal",  # gen_instance's spectrum, |N(0, 1)|
         "seed": spec.seed,
         "iters": cfg.iters,
         "limit_extra_iters": cfg.limit_extra_iters,
@@ -203,20 +193,20 @@ def _write_sidecar(path: Path, cfg: ExperimentConfig, extra: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def _padded(values: np.ndarray, length: int, fallback: float = 0.0) -> np.ndarray:
+def _padded(values: np.ndarray, length: int) -> np.ndarray:
     """Front-run of a per-iteration series padded to fixed length with its
-    last value (runs that stop early hold their final level), or with
-    ``fallback`` for an empty series."""
+    last value (runs that stop early hold their final level), or with inf
+    for an empty series: a run without records is never read as converged."""
     out = np.empty(length)
     k = min(len(values), length)
     out[:k] = values[:k]
-    out[k:] = values[k - 1] if k > 0 else fallback
+    out[k:] = values[k - 1] if k > 0 else np.inf
     return out
 
 
 def _cummin(values: np.ndarray, length: int) -> np.ndarray:
     """The cumulative minimum of f, inf (the minimum over no values) for a run without records."""
-    return np.minimum.accumulate(_padded(values, length, np.inf))
+    return np.minimum.accumulate(_padded(values, length))
 
 
 # Method kinds whose exp1 runs advance in one lockstep batch.  md_backtracking
@@ -243,7 +233,7 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     lockstep batch (``eg_pm`` in a second one), so it follows the runs'
     iterates bit for bit without storing them.  A column ends at the first
     iterate whose divergence is infinite and holds its last value from
-    there on.
+    there on; a run without records reads inf in both panels.
 
     Raises
     ------

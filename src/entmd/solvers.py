@@ -237,16 +237,11 @@ class SolveResult:
 
 @dataclass(eq=False)
 class ConvexObjective:
-    """A convex function with known optimal value, for the generic solver.
-
-    ``l_smooth`` is the gradient Lipschitz constant when known; it is carried
-    as metadata (the stepsize rule does not need it).
-    """
+    """A convex function with known optimal value, for the generic solver."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     f_star: float
-    l_smooth: float | None = None
 
 
 def objective(p: ProblemInstance, x) -> float:

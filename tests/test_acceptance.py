@@ -241,7 +241,7 @@ def test_criterion_08_orthogonality_of_limits():
         eta = 2.0
         x0 = np.full(24, math.exp(-eta))
         limit = bregman_projection(p, x0)  # f <= 1e-24
-        check = orthogonality_residual(p, x0, limit, samples=10, rng=seeded_rng(5000 + seed))
+        check = orthogonality_residual(p, x0, limit)
         assert not check.kernel_trivial
         assert check.residual <= 1e-6
         worst = max(worst, check.residual)
@@ -347,7 +347,6 @@ def test_criterion_13_convex_mode_bounds():
         value=lambda x: 0.5 * float(np.sum((x - c) ** 2)),
         gradient=lambda x: x - c,
         f_star=0.0,
-        l_smooth=1.0,
     )
     res = solve_convex(obj, SolveConfig(Method.md_polyak(), x0, max_iters=20_000, f_tol=1e-22))
     assert res.status is Status.CONVERGED

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entmd.analysis
 from entmd import (
     ConvergenceError,
     DomainError,
+    InstanceSpec,
     Method,
     ProblemInstance,
     SolveConfig,
@@ -15,6 +20,7 @@ from entmd import (
     bias_report,
     bregman_divergence,
     bregman_projection,
+    gen_instance,
     improved_bound,
     instability_construction,
     instability_escape_distance,
@@ -54,7 +60,7 @@ class TestBregmanProjection:
         p = centered_gaussian_instance(5, 10, 3, seed=41)
         x0 = np.full(10, math.exp(-2.0))
         x_star = bregman_projection(p, x0)
-        check = orthogonality_residual(p, x0, x_star, samples=8, rng=seeded_rng(42))
+        check = orthogonality_residual(p, x0, x_star)
         assert not check.kernel_trivial
         assert check.residual <= 1e-6
 
@@ -62,14 +68,40 @@ class TestBregmanProjection:
 class TestOrthogonalityResidual:
     def test_trivial_kernel(self):
         p = ProblemInstance(np.eye(2), [1.0, 2.0])
-        check = orthogonality_residual(p, [0.5, 0.5], [1.0, 2.0], samples=3)
+        check = orthogonality_residual(p, [0.5, 0.5], [1.0, 2.0])
         assert check.kernel_trivial
         assert check.residual == 0.0
 
     def test_symmetric_pair(self):
         p = ProblemInstance([[1.0, 1.0]], [1.0])
-        check = orthogonality_residual(p, np.full(2, 1e-3), [0.5, 0.5], samples=5)
+        check = orthogonality_residual(p, np.full(2, 1e-3), [0.5, 0.5])
         assert check.residual <= 1e-12
+
+    def test_moved_limit_fails(self):
+        # criterion 8's first instance: its limit moved along ker(A) by
+        # 1e-3 min(x*) still solves the system but is not the projection
+        p = centered_gaussian_instance(12, 24, 6, seed=930)
+        x0 = np.full(24, math.exp(-2.0))
+        limit = bregman_projection(p, x0)
+        assert orthogonality_residual(p, x0, limit).residual <= 1e-6
+        moved = limit + 1e-3 * float(np.min(limit)) * scipy.linalg.null_space(p.a)[:, 0]
+        assert np.linalg.norm(p.a @ moved - p.b) <= 1e-10
+        check = orthogonality_residual(p, x0, moved)
+        assert check.residual > 1e-6
+        # the distance of log(moved / x0) from range(A^T), by least squares
+        v = np.log(moved / x0)
+        coef, *_ = np.linalg.lstsq(p.a.T, v, rcond=None)
+        assert check.residual == pytest.approx(np.linalg.norm(p.a.T @ coef - v) / (1.0 + np.linalg.norm(v)),
+                                               rel=1e-6)
+
+    def test_boundary_limit_uses_its_support(self):
+        # x3 = 0 on the whole solution set; the limit (0.5, 0.5, 0) passes on its support
+        p = ProblemInstance([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.0])
+        check = orthogonality_residual(p, np.full(3, 0.1), [0.5, 0.5, 0.0])
+        assert not check.kernel_trivial and check.residual <= 1e-15
+        # ker(A) is nontrivial, but (1, 0, 0) is the only nonnegative solution
+        p = ProblemInstance([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 0.0])
+        assert orthogonality_residual(p, np.full(3, 0.1), [1.0, 0.0, 0.0]) == (0.0, True)
 
 
 class TestL1GapIdentity:
@@ -264,30 +296,90 @@ class TestSublinearBoundCurve:
         assert np.all(np.minimum.accumulate(res.trace.f_value) <= [bound for _, bound in curve])
 
 
+def _l1_corpus():
+    """Named instances for the l1 oracle: degenerate columns and rows, more rows than columns, b = 0, and
+    experiment-sized draws."""
+    rng = seeded_rng(51)
+    g = rng.standard_normal((5, 8))
+    z = np.zeros(8)
+    z[[1, 4, 6]] = [0.3, 1.2, 0.7]
+    zero_dup = np.hstack([g, np.zeros((5, 1)), g[:, [1, 4]]])
+    rank_def = np.vstack([g[:4], g[0] + 2.0 * g[3]])  # rank 4
+    tall = rng.standard_normal((12, 8))
+    cases = {f"centered 5x9 #{seed}": centered_gaussian_instance(5, 9, 3, seed=50 + seed) for seed in range(5)}
+    cases.update({
+        "zero and duplicate columns": ProblemInstance(zero_dup, g @ z),
+        "rank-deficient": ProblemInstance(rank_def, rank_def @ z),
+        "m > n": ProblemInstance(tall, tall @ z),
+        "b = 0": ProblemInstance(g, np.zeros(5)),
+        "n = 14": centered_gaussian_instance(6, 14, 3, seed=58),
+        "worst case n = 12": worst_case_construction(12, 10.0).problem,
+    })
+    for seed in (1, 2):
+        cases[f"exp1 60x100 seed {seed}"] = gen_instance(InstanceSpec(60, 100, 10, seed=seed))
+    return cases
+
+
+L1_CORPUS = _l1_corpus()
+
+
+def assert_l1_optimal(p, z):
+    """z is a nonnegative solution whose l1 norm is HiGHS's optimum to 1e-9 relative."""
+    lp = scipy.optimize.linprog(np.ones(p.n), A_eq=p.a, b_eq=p.b, bounds=(0, None), method="highs")
+    assert lp.status == 0
+    assert np.all(z >= 0.0)
+    assert np.linalg.norm(p.a @ z - p.b) <= 1e-9 * (1.0 + np.linalg.norm(p.b))
+    assert float(np.sum(z)) == pytest.approx(lp.fun, rel=1e-9, abs=0.0)
+
+
+@st.composite
+def small_feasible_instances(draw):
+    """Integer systems of up to 4 x 7 with a nonnegative integer solution; zero and repeated columns and
+    rank deficiency occur among them."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    a = np.array(draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)), dtype=float).reshape(m, n)
+    x = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    return ProblemInstance(a, a @ x)
+
+
 class TestL1MinimalSolution:
     def test_matches_linprog(self):
-        for seed in range(5):
-            p = centered_gaussian_instance(5, 9, 3, seed=50 + seed)
-            z = l1_minimal_solution(p)
-            lp = scipy.optimize.linprog(np.ones(9), A_eq=p.a, b_eq=p.b, bounds=(0, None), method="highs")
-            assert lp.status == 0
-            assert float(np.sum(z)) == pytest.approx(float(np.sum(lp.x)), rel=1e-8, abs=1e-10)
-            assert np.linalg.norm(p.a @ z - p.b) <= 1e-8 * (1 + np.linalg.norm(p.b))
+        for p in L1_CORPUS.values():
+            assert_l1_optimal(p, l1_minimal_solution(p))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(small_feasible_instances())
+    def test_matches_linprog_on_small_systems(self, p):
+        assert_l1_optimal(p, l1_minimal_solution(p))
+
+    def test_row_scaling_changes_nothing(self):
+        p = L1_CORPUS["centered 5x9 #0"]
+        scale = np.array([1e-10, 1e-3, 1.0, 1e3, 1e10])
+        scaled = ProblemInstance(scale[:, None] * p.a, scale * p.b)
+        assert float(np.sum(l1_minimal_solution(scaled))) == pytest.approx(
+            float(np.sum(l1_minimal_solution(p))), rel=1e-9, abs=0.0)
 
     def test_zero_rhs(self):
         p = ProblemInstance([[1.0, -1.0]], [0.0])
         assert np.array_equal(l1_minimal_solution(p), [0.0, 0.0])
 
-    def test_cap_enforced(self):
-        p = centered_gaussian_instance(4, 13, 3, seed=55)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("a, b", [([[1.0, 1.0]], [-1.0]), ([[0.0, 0.0]], [1.0]),
+                                      ([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])])
+    def test_infeasible_rhs_raises(self, a, b):
+        with pytest.raises(ConvergenceError, match="no nonnegative solution"):
+            l1_minimal_solution(ProblemInstance(a, b))
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        p = L1_CORPUS["n = 14"]
+        monkeypatch.setattr(entmd.analysis, "_LP_PIVOTS_PER_DIM", 0)
+        with pytest.raises(ConvergenceError, match="pivot cap"):
             l1_minimal_solution(p)
 
 
 class TestBiasReport:
     def test_small_instance_sandwich(self):
         p = centered_gaussian_instance(5, 10, 3, seed=56)
-        report = bias_report(p, eta=6.0, samples=6, rng=seeded_rng(57))
+        report = bias_report(p, eta=6.0)
         assert report.orthogonality_residual <= 1e-6
         assert report.exact_gap is not None
         assert report.improved_bound is not None and report.slow_bound is not None
@@ -299,11 +391,19 @@ class TestBiasReport:
         with pytest.raises(DomainError, match="overflows"):
             bias_report(p, -1000.0)
 
-    def test_large_n_skips_oracle(self):
-        p = centered_gaussian_instance(6, 14, 3, seed=58)
-        report = bias_report(p, eta=4.0, samples=4, rng=seeded_rng(59))
-        assert report.exact_gap is None
+    def test_oracle_runs_beyond_twelve_columns(self):
+        p = L1_CORPUS["n = 14"]
+        report = bias_report(p, eta=4.0)
+        assert_l1_optimal(p, report.l1_minimal)
+        assert report.exact_gap == pytest.approx(float(np.sum(report.limit) - np.sum(report.l1_minimal)))
+
+    def test_oracle_at_its_cap_leaves_the_gap_unset(self, monkeypatch):
+        p = L1_CORPUS["n = 14"]
+        monkeypatch.setattr(entmd.analysis, "_LP_PIVOTS_PER_DIM", 0)
+        report = bias_report(p, eta=4.0)
+        assert report.orthogonality_residual <= 1e-6
         assert report.l1_minimal is None
+        assert report.exact_gap is None and report.slow_bound is None and report.improved_bound is None
 
 
 def test_projection_limit_solves_system():

@@ -8,7 +8,6 @@ from entmd import (
     InstanceSpec,
     Method,
     ProblemInstance,
-    SingularLaw,
     SolveConfig,
     Status,
     gen_instance,
@@ -60,10 +59,6 @@ class TestGenInstance:
         evals = np.linalg.eigvalsh(p.a.T @ p.a)
         nonzero = np.sqrt(np.clip(evals[-8:], 0.0, None))
         assert np.max(np.abs(np.sort(nonzero) - sigma)) < 1e-8
-
-    def test_both_laws_accepted(self):
-        for law in SingularLaw:
-            gen_instance(InstanceSpec(3, 5, sparsity=2, singular_law=law, seed=6))
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -664,7 +664,6 @@ class TestSolveConvex:
             value=lambda x: 0.5 * float(np.sum((x - c) ** 2)),
             gradient=lambda x: x - c,
             f_star=0.0,
-            l_smooth=1.0,
         )
 
     def test_already_optimal(self):
@@ -690,7 +689,7 @@ class TestSolveConvex:
         p = ProblemInstance(np.eye(3), [1.0, 1.0, 1.0], planted=[1.0, 1.0, 1.0])
         x0 = np.full(3, 0.5)
         quad = solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=1, f_tol=0.0))
-        obj = ConvexObjective(lambda x: objective(p, x), lambda x: gradient(p, x), 0.0, 1.0)
+        obj = ConvexObjective(lambda x: objective(p, x), lambda x: gradient(p, x), 0.0)
         cvx = solve_convex(obj, SolveConfig(Method.md_polyak(), x0, max_iters=1, f_tol=0.0))
         assert cvx.trace[0].stepsize == pytest.approx(quad.trace[0].stepsize / 2)
 
@@ -707,7 +706,7 @@ class TestSolveConvex:
 
     def test_wrong_f_star_rejected(self):
         c = np.array([1.0])
-        obj = ConvexObjective(lambda x: 0.5 * float(np.sum((x - c) ** 2)), lambda x: x - c, 1.0, 1.0)
+        obj = ConvexObjective(lambda x: 0.5 * float(np.sum((x - c) ** 2)), lambda x: x - c, 1.0)
         with pytest.raises(DomainError):
             solve_convex(obj, SolveConfig(Method.md_polyak(), np.array([1.0])))
 
