@@ -288,7 +288,6 @@ def _cmd_exp2(args) -> int:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--format", choices=("keyvalue", "json"), default="keyvalue")
 
@@ -313,7 +312,8 @@ def _build_parser() -> _Parser:
     pp.add_argument("--eta", type=float, default=None)
     pp.add_argument("--x0-scale", type=float, default=None)
     pp.add_argument("--tol", type=float, default=None, help="residual-norm tolerance")
-    pp.add_argument("--iters", type=int, default=200_000)
+    pp.add_argument("--iters", type=int, default=200_000,
+                    help="budget of Newton steps plus md_polyak iterations")
     pp.set_defaults(func=_cmd_project)
 
     pb = sub.add_parser("bias", parents=[common], help="sparsity-bias report")
@@ -336,6 +336,7 @@ def _build_parser() -> _Parser:
 
     for name, fn in (("exp1", _cmd_exp1), ("exp2", _cmd_exp2)):
         pe = sub.add_parser(name, parents=[common], help=f"run experiment {name[-1]} and write CSVs")
+        pe.add_argument("--seed", type=int, default=0, help="seed of the generated instance")
         pe.add_argument("--m", type=int, default=60)
         pe.add_argument("--n", type=int, default=100)
         pe.add_argument("--sparsity", default="10" if name == "exp1" else "dense",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,94 @@ class TestBregmanProjection:
         check = orthogonality_residual(p, x0, x_star)
         assert not check.kernel_trivial
         assert check.residual <= 1e-6
+
+    def test_raw_spectrum_converges(self):
+        # sigma_min 3.4e-4: md_polyak alone reaches its 200k budget here
+        p = gen_instance(InstanceSpec(60, 100, None, seed=3))
+        x0 = np.full(100, math.exp(-2.0))
+        x_star = bregman_projection(p, x0)
+        assert objective(p, x_star) <= 1e-24
+        check = orthogonality_residual(p, x0, x_star)
+        assert not check.kernel_trivial and check.residual <= 1e-6
+
+    def test_boundary_limit(self):
+        # the dual has no minimizer: x3 shrinks toward 0 and must stay positive
+        p = ProblemInstance([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.0])
+        x = bregman_projection(p, np.full(3, 0.1))
+        assert x[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert 0.0 < x[2] <= entmd.analysis.DEFAULT_PROJECTION_TOL
+
+    def test_boundary_limit_budget_error(self):
+        # exp1's instance: the limit is on the boundary and 2000 steps do not reach f <= 1e-24
+        p = gen_instance(InstanceSpec(60, 100, 10, seed=1))
+        with pytest.raises(ConvergenceError):
+            bregman_projection(p, np.full(100, math.exp(-6.0)), max_iters=2000)
+
+    def test_overflowing_residual_raises_without_warning(self):
+        # f(x0) overflows: the Newton phase stops at once and the solve breaks down
+        p = centered_gaussian_instance(4, 8, 2, seed=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="NumericalBreakdown"):
+                bregman_projection(p, np.full(8, 1e200))
+
+    def test_overflowing_hessian_raises_a_typed_error(self):
+        # f(x0) = 1 but A diag(x0) A^T is inf and singular; least squares on it fails inside LAPACK
+        p = ProblemInstance([[1.0, -1.0], [1.0, -1.0]], [1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="MaxIters"):
+            bregman_projection(p, [1e308, 1e308], max_iters=1000)
+
+    def test_newton_steps_count_against_the_budget(self, monkeypatch):
+        budgets = []
+
+        def recording_solve(p, cfg):
+            budgets.append(cfg.max_iters)
+            return solve(p, cfg)
+
+        monkeypatch.setattr(entmd.analysis, "solve", recording_solve)
+        p = centered_gaussian_instance(5, 10, 3, seed=41)
+        x0 = np.full(10, math.exp(-2.0))
+        bregman_projection(p, x0, max_iters=40)  # md_polyak alone needs thousands of iterations
+        with pytest.raises(ConvergenceError):
+            bregman_projection(p, x0, max_iters=1)
+        _, steps = entmd.analysis._dual_newton(p, x0, 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2, 39)
+        assert 0 < steps < 40
+        assert budgets == [40 - steps, 1]
+
+
+@st.composite
+def projection_cases(draw):
+    """Centered instances up to 8 x 16, some with a duplicated row or more rows than columns, and a start
+    exp(-eta) * ones with eta in [0, 10]."""
+    variant = draw(st.sampled_from(("plain", "duplicated row", "m > n")))
+    if variant == "m > n":
+        n = draw(st.integers(2, 7))
+        m = draw(st.integers(n + 1, 8))
+    else:
+        n = draw(st.integers(2, 16))
+        m = draw(st.integers(1, 7 if variant == "duplicated row" else 8))
+    p = centered_gaussian_instance(m, n, draw(st.integers(1, n)), seed=draw(st.integers(0, 2**32 - 1)))
+    if variant == "duplicated row":
+        a = np.vstack([p.a, p.a[:1]])
+        p = ProblemInstance(a, a @ p.planted, planted=p.planted)
+    return p, draw(st.floats(0.0, 10.0))
+
+
+class TestBregmanProjectionProperties:
+    # the md_polyak-only reference gets 5000 iterations; where it converges the
+    # two limits solve the system to f <= 1e-24 and must agree
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(projection_cases())
+    def test_against_md_polyak_alone(self, case):
+        p, eta = case
+        x0 = np.full(p.n, math.exp(-eta))
+        x = bregman_projection(p, x0)
+        assert objective(p, x) <= 1e-24
+        assert np.all(x > 0.0)
+        assert orthogonality_residual(p, x0, x).residual <= 1e-10
+        ref = solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=5000, f_tol=1e-24))
+        if ref.status is Status.CONVERGED:
+            assert np.max(np.abs(x - ref.x_final)) <= 1e-8 * np.max(ref.x_final)
 
 
 class TestOrthogonalityResidual:

@@ -155,6 +155,14 @@ class TestProjectCommand:
 
 
 class TestBiasCommand:
+    def test_seed_is_a_usage_error(self, tmp_path, capsys):
+        # only exp1 and exp2 draw an instance from a seed
+        assert main(["bias", "--construct", "4", "8", "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        path = write_instance(tmp_path, centered_gaussian_instance(4, 8, 2, seed=79))
+        for argv in (["solve", path], ["project", path], ["rate-cert", path], ["instability", path, "--alpha", "1"]):
+            assert main(argv + ["--seed", "3"]) == 1
+
     def test_requires_eta_with_instance(self, tmp_path, capsys):
         p = centered_gaussian_instance(4, 8, 2, seed=79)
         path = write_instance(tmp_path, p)
