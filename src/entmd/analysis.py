@@ -70,8 +70,8 @@ _HALVINGS = 60  # line-search halvings before the Newton phase gives up
 _TINY = float(np.finfo(float).tiny)
 
 # Pivot cap of the l1 oracle per row plus column of A.  On gen_instance draws
-# Bland's rule took at most 1.05 (m + n) pivots at 8x12, 5.7 at exp1's 60x100,
-# 12.9 at 120x200 and 46 at 300x500 (11 s on one core): 25 stops that in ~6 s.
+# the simplex took at most 0.75 (m + n) pivots at 8x12, 1.2 at 60x100, 1.34 at
+# 120x200 and 4.2 at the paper's 300x500 (1.1 s on one core), well inside 25.
 _LP_PIVOTS_PER_DIM = 25
 _LP_TOL = 1e-9  # pivot and reduced-cost tolerance; rows are scaled to max |a_ij| = 1
 
@@ -217,12 +217,15 @@ def bregman_projection(p: ProblemInstance, x0, tol: float | None = None,
 
     Raises
     ------
+    DomainError
+        If ``tol`` is negative, infinite or NaN.
     ConvergenceError
         If the iteration budget is exhausted first (e.g. empty solution set).
     """
-    if tol is None:
-        tol = DEFAULT_PROJECTION_TOL
-    f_tol = 0.5 * float(tol) ** 2
+    tol = DEFAULT_PROJECTION_TOL if tol is None else float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
+    f_tol = 0.5 * tol * tol  # inf, not OverflowError, for tol above ~1e154
     cfg = SolveConfig(Method.md_polyak(), as_vector(x0), max_iters=max_iters, f_tol=f_tol)
     if cfg.x0.shape[0] != p.n:
         raise DimensionMismatch("x0 length must equal the number of columns")
@@ -453,8 +456,10 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
     iterations started at (1 + rel_perturb) * planted.
 
     Stops early if the iterates overflow; the maximum observed distance is
-    returned either way.
+    returned either way.  Raises DomainError if ``iters`` is below 1.
     """
+    if iters < 1:
+        raise DomainError(f"iters must be at least 1, got {iters!r}")
     target = inst.scaled.planted
     a = inst.scaled.a
     at = np.ascontiguousarray(a.T)
@@ -498,24 +503,39 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     basis[r] = j
 
 
-def _bland(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
-    """Pivot ``t`` (basic values in the last column, reduced costs in the last row) to an optimal
-    basis by Bland's rule; returns the pivots left of ``budget``.
+def _positive_rows(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of column j's positive entries and their ratio-test ratios."""
+    rows = np.flatnonzero(t[:-1, j] > _LP_TOL)
+    return rows, t[rows, -1] / t[rows, j]
 
-    The smallest-index column with a negative reduced cost and a positive entry enters, and the ratio
-    test's tie with the smallest basic index leaves.  Both objectives are bounded below, so a column
-    with a negative reduced cost and no positive entry is rounding, not a ray.
+
+def _simplex(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
+    """Pivot ``t`` (basic values in the last column, reduced costs in the last row) to an optimal
+    basis; returns the pivots left of ``budget``.
+
+    Dantzig pricing: the column with the most negative reduced cost enters.  Where its ratio test is
+    degenerate (no positive entry, or a smallest ratio that is not positive) the step takes Bland's
+    pivot instead: the smallest-index column with a negative reduced cost and a positive entry enters.
+    Either way the ratio test's tie with the smallest basic index leaves.  A Dantzig pivot lowers the
+    objective, so a run of degenerate pivots is a run of Bland pivots, which cannot cycle.  Both
+    objectives are bounded below, so a column with a negative reduced cost and no positive entry is
+    rounding, not a ray.
     """
+    cost = t[-1, :-1]
     while True:
-        for j in np.flatnonzero(t[-1, :-1] < -_LP_TOL):
-            rows = np.flatnonzero(t[:-1, j] > _LP_TOL)
-            if rows.size:
-                break
-        else:
+        j = int(np.argmin(cost))
+        if not cost[j] < -_LP_TOL:
             return budget
+        rows, ratios = _positive_rows(t, j)
+        if not (rows.size and ratios.min() > 0.0):
+            for j in np.flatnonzero(cost < -_LP_TOL):
+                rows, ratios = _positive_rows(t, j)
+                if rows.size:
+                    break
+            else:
+                return budget
         if budget == 0:
             raise ConvergenceError("the l1 oracle's simplex reached its pivot cap")
-        ratios = t[rows, -1] / t[rows, j]
         ties = rows[ratios == ratios.min()]
         _pivot(t, basis, ties[np.argmin(basis[ties])], j)
         budget -= 1
@@ -524,13 +544,15 @@ def _bland(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
 def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.ndarray:
     """Exact l1-minimal nonnegative solution: min 1^T x subject to A x = b, x >= 0.
 
-    A dense two-phase tableau simplex with Bland's rule, on the rows of
-    [A | b] divided by their largest |a_ij| and signed so that b_i >= 0.
+    A dense two-phase tableau simplex (:func:`_simplex`: Dantzig pricing,
+    Bland's rule on degenerate pivots), on the rows of [A | b] divided by
+    their largest |a_ij| and signed so that b_i >= 0.
     Phase one minimizes the sum of artificial residuals; artificials still
     basic at level zero are pivoted out, or their rows dropped as redundant.
     Phase two minimizes 1^T x, and x re-solves the scaled system on the
     final basis's columns by least squares.  Both phases together take at
-    most ``_LP_PIVOTS_PER_DIM * (m + n)`` pivots.  ``atol`` bounds phase
+    most ``_LP_PIVOTS_PER_DIM * (m + n)`` pivots; at the paper's 300x500
+    shape they take about 3 (m + n), about a second.  ``atol`` bounds phase
     one's optimum, min over x >= 0 of sum_i |A_i x - b_i| / max_j |a_ij|,
     for b to count as feasible; its default is 1e-9 (1 + that sum at x = 0).
 
@@ -550,7 +572,7 @@ def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.nda
         atol = 1e-9 * (1.0 + float(np.sum(b)))
     basis = np.arange(n, n + m)  # artificials, whose columns never re-enter and are not stored
     t[m] = -np.sum(t[:m], axis=0)
-    budget = _bland(t, basis, _LP_PIVOTS_PER_DIM * (m + n))
+    budget = _simplex(t, basis, _LP_PIVOTS_PER_DIM * (m + n))
     if -t[m, n] > atol:
         raise ConvergenceError("the system has no nonnegative solution")
     keep = np.ones(m + 1, dtype=bool)
@@ -564,7 +586,7 @@ def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.nda
     t, basis = t[keep], basis[keep[:m]]
     t[-1] = -np.sum(t[:-1], axis=0)
     t[-1, :n] += 1.0
-    _bland(t, basis, budget)
+    _simplex(t, basis, budget)
     x = np.zeros(n)
     x[basis] = np.clip(np.linalg.lstsq(a[:, basis], b, rcond=None)[0], 0.0, None)
     return x

@@ -57,6 +57,18 @@ class TestBregmanProjection:
         with pytest.raises(ConvergenceError):
             bregman_projection(p, np.full(8, 0.1), max_iters=3)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+    def test_bad_tol_rejected(self, tol):
+        # squared into f_tol, a negative or infinite tol used to accept x0 as the projection
+        p = centered_gaussian_instance(6, 10, 3, seed=40)
+        with pytest.raises(DomainError, match="tol must be finite and nonnegative"):
+            bregman_projection(p, np.full(10, 0.1), tol=tol)
+
+    def test_huge_tol_accepts_the_start(self):
+        # 1e200 ** 2 overflows; f_tol is then inf, not an OverflowError
+        p = centered_gaussian_instance(6, 10, 3, seed=40)
+        assert np.array_equal(bregman_projection(p, np.full(10, 0.1), tol=1e200), np.full(10, 0.1))
+
     def test_satisfies_orthogonality(self):
         p = centered_gaussian_instance(5, 10, 3, seed=41)
         x0 = np.full(10, math.exp(-2.0))
@@ -336,6 +348,12 @@ class TestInstability:
                                              max_iters=3000, f_tol=1e-20))
         assert res.status in (Status.MAX_ITERS, Status.NUMERICAL_BREAKDOWN)
 
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_escape_needs_an_iteration(self, iters):
+        inst = instability_construction(positive_solution_instance(8, 5, seed=47), 0.7)
+        with pytest.raises(DomainError, match="iters"):
+            instability_escape_distance(inst, iters=iters)
+
     def test_needs_planted(self):
         p = ProblemInstance([[1.0]], [1.0])
         with pytest.raises(DomainError):
@@ -463,6 +481,32 @@ class TestL1MinimalSolution:
         monkeypatch.setattr(entmd.analysis, "_LP_PIVOTS_PER_DIM", 0)
         with pytest.raises(ConvergenceError, match="pivot cap"):
             l1_minimal_solution(p)
+
+    @pytest.mark.parametrize("p", [L1_CORPUS["exp1 60x100 seed 1"], L1_CORPUS["exp1 60x100 seed 2"],
+                                   gen_instance(InstanceSpec(120, 200, None, seed=0))],
+                             ids=["exp1 60x100 seed 1", "exp1 60x100 seed 2", "dense 120x200"])
+    def test_two_pivots_per_dimension_suffice(self, monkeypatch, p):
+        # Bland's rule alone took 5.2, 3.1 and 12 (m + n) pivots here; Dantzig pricing 1.1, 0.7 and 1.1
+        monkeypatch.setattr(entmd.analysis, "_LP_PIVOTS_PER_DIM", 2)
+        assert_l1_optimal(p, l1_minimal_solution(p))
+
+    def test_paper_shape(self):
+        # 300x500, the paper's shape: about 2.8 (m + n) pivots; Bland's rule alone stopped at the cap
+        p = gen_instance(InstanceSpec(300, 500, 30, seed=0))
+        assert_l1_optimal(p, l1_minimal_solution(p))
+
+    def test_beale_cycling_example_terminates(self):
+        # Beale's LP: min -3/4 x3 + 150 x4 - 1/50 x5 + 6 x6 from the degenerate basis {0, 1, 2}.  Pure
+        # Dantzig pricing with the smallest-basic-index tie rule cycles here with period 6, back to
+        # {0, 1, 2}; the Bland fallback on degenerate ratio tests reaches the optimum -1/20.
+        t = np.array([[1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0, 0.0],
+                      [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, -3 / 4, 150.0, -1 / 50, 6.0, 0.0]])
+        basis = np.array([0, 1, 2])
+        entmd.analysis._simplex(t, basis, 10)  # ConvergenceError after 10 pivots
+        assert -t[-1, -1] == pytest.approx(-1 / 20, rel=1e-12)
+        assert sorted(basis) == [0, 3, 5]
 
 
 class TestBiasReport:

@@ -153,6 +153,15 @@ class TestProjectCommand:
         path = write_instance(tmp_path, p)
         assert main(["project", path, "--eta", "3.0", "--iters", "3"]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+    def test_bad_tol_exit_one(self, tmp_path, capsys, tol):
+        # a negative or infinite tol used to report x0 as the projection
+        path = write_instance(tmp_path, centered_gaussian_instance(6, 10, 3, seed=78))
+        assert main(["project", path, "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and nonnegative")
+
 
 class TestBiasCommand:
     def test_seed_is_a_usage_error(self, tmp_path, capsys):
@@ -218,6 +227,15 @@ class TestCertificateCommands:
         assert code == 0
         assert float(pairs["jacobian_spectral_radius"]) == pytest.approx(2.0, abs=1e-9)
         assert float(pairs["max_escape_distance"]) > 0
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_instability_without_iterations_exit_one(self, tmp_path, capsys, iters):
+        # no iteration used to print max_escape_distance=0, which reads as "no escape"
+        path = write_instance(tmp_path, positive_solution_instance(8, 5, seed=82))
+        assert main(["instability", path, "--alpha", "1", "--iters", iters]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: iters must be at least 1")
 
 
 class TestExperimentCommands:
