@@ -25,7 +25,9 @@ from .linalg import (
     kernel_projector,
     lambda_max_scaled_gram,
     max_col_norm_sq,
+    smaller_gram,
     smallest_positive_eigenvalue,
+    vector_norm,
 )
 from .solvers import (
     Method,
@@ -70,8 +72,9 @@ _HALVINGS = 60  # line-search halvings before the Newton phase gives up
 _TINY = float(np.finfo(float).tiny)
 
 # Pivot cap of the l1 oracle per row plus column of A.  On gen_instance draws
-# the simplex took at most 0.75 (m + n) pivots at 8x12, 1.2 at 60x100, 1.34 at
-# 120x200 and 4.2 at the paper's 300x500 (1.1 s on one core), well inside 25.
+# the simplex took at most 0.70 (m + n) pivots at 8x12, 1.18 at 60x100 and
+# 1.30 at 120x200, and 3.15-5.14 at the paper's 300x500 (seeds 0-4, sparsity
+# 30; 1.0-2.0 s on one core of a 2-core Xeon), well inside 25.
 _LP_PIVOTS_PER_DIM = 25
 _LP_TOL = 1e-9  # pivot and reduced-cost tolerance; rows are scaled to max |a_ij| = 1
 
@@ -390,6 +393,9 @@ def rate_certificate(p: ProblemInstance, z) -> RateCertificate:
     ``global_factor_fn(d)`` bounds D_h(z, x_{k+1}) / D_h(z, x_k) whenever
     D_h(z, x_k) = d; ``local_factor`` is its d -> 0 limit
     1 - lambda_min_plus z_min / (8 max_col_sq ||z||_1), always in (0, 1).
+    ``lambda_min_plus``, the smallest positive eigenvalue of A^T A, comes
+    from the smaller Gram matrix: A A^T (m x m) when m < n, else A^T A;
+    both have the same positive eigenvalues.
 
     Raises
     ------
@@ -402,10 +408,10 @@ def rate_certificate(p: ProblemInstance, z) -> RateCertificate:
     z_min = float(np.min(z))
     if z_min <= 0:
         raise DomainError("rate_certificate requires z strictly positive")
-    resid = float(np.linalg.norm(p.a @ z - p.b))
-    if resid > 1e-8 * (1.0 + float(np.linalg.norm(p.b))):
+    resid = vector_norm(p.a @ z - p.b)
+    if resid > 1e-8 * (1.0 + vector_norm(p.b)):
         raise DomainError("z is not a solution of the system")
-    lam_plus = smallest_positive_eigenvalue(p.a.T @ p.a)
+    lam_plus = smallest_positive_eigenvalue(smaller_gram(p.a))
     mc = max_col_norm_sq(p.a)
     z_l1 = float(np.sum(z))
     local = 1.0 - lam_plus * z_min / (8.0 * mc * z_l1)
@@ -456,7 +462,9 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
     iterations started at (1 + rel_perturb) * planted.
 
     Stops early if the iterates overflow; the maximum observed distance is
-    returned either way.  Raises DomainError if ``iters`` is below 1.
+    returned either way, rescaled where its squared sum would overflow
+    (:func:`~entmd.linalg.vector_norm`).  Raises DomainError if ``iters`` is
+    below 1.
     """
     if iters < 1:
         raise DomainError(f"iters must be at least 1, got {iters!r}")
@@ -475,7 +483,10 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
             if not np.all(np.isfinite(x_next)):
                 break
             x = x_next
-            worst = max(worst, float(np.linalg.norm(x - target)))
+            dist = float(np.linalg.norm(x - target))
+            if dist == math.inf:  # the squared sum overflowed; every entry is finite
+                dist = vector_norm(x - target)
+            worst = max(worst, dist)
     return worst
 
 
@@ -499,14 +510,16 @@ def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     t[r] /= t[r, j]
     col = t[:, j].copy()
     col[r] = 0.0
-    t -= np.outer(col, t[r])
+    t -= col[:, None] * t[r]
     basis[r] = j
 
 
-def _positive_rows(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of column j's positive entries and their ratio-test ratios."""
-    rows = np.flatnonzero(t[:-1, j] > _LP_TOL)
-    return rows, t[rows, -1] / t[rows, j]
+def _ratio_test(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows of column j's positive entries, their ratio-test ratios and the smallest ratio (nan if none)."""
+    col = t[:-1, j]
+    rows = (col > _LP_TOL).nonzero()[0]
+    ratios = t[rows, -1] / col[rows]
+    return rows, ratios, ratios.min() if rows.size else math.nan
 
 
 def _simplex(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
@@ -523,21 +536,21 @@ def _simplex(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
     """
     cost = t[-1, :-1]
     while True:
-        j = int(np.argmin(cost))
+        j = int(cost.argmin())
         if not cost[j] < -_LP_TOL:
             return budget
-        rows, ratios = _positive_rows(t, j)
-        if not (rows.size and ratios.min() > 0.0):
-            for j in np.flatnonzero(cost < -_LP_TOL):
-                rows, ratios = _positive_rows(t, j)
+        rows, ratios, lo = _ratio_test(t, j)
+        if not lo > 0.0:  # no positive entry (nan) or a degenerate ratio test
+            for j in (cost < -_LP_TOL).nonzero()[0]:
+                rows, ratios, lo = _ratio_test(t, j)
                 if rows.size:
                     break
             else:
                 return budget
         if budget == 0:
             raise ConvergenceError("the l1 oracle's simplex reached its pivot cap")
-        ties = rows[ratios == ratios.min()]
-        _pivot(t, basis, ties[np.argmin(basis[ties])], j)
+        ties = rows[ratios == lo]
+        _pivot(t, basis, ties[0] if ties.size == 1 else ties[basis[ties].argmin()], j)
         budget -= 1
 
 
@@ -552,7 +565,7 @@ def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.nda
     Phase two minimizes 1^T x, and x re-solves the scaled system on the
     final basis's columns by least squares.  Both phases together take at
     most ``_LP_PIVOTS_PER_DIM * (m + n)`` pivots; at the paper's 300x500
-    shape they take about 3 (m + n), about a second.  ``atol`` bounds phase
+    shape they take 3-5 (m + n), 1-2 s.  ``atol`` bounds phase
     one's optimum, min over x >= 0 of sum_i |A_i x - b_i| / max_j |a_ij|,
     for b to count as feasible; its default is 1e-9 (1 + that sum at x = 0).
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .analysis import (
     worst_case_construction,
 )
 from .bregman import bregman_divergence
-from .errors import ConvergenceError, EntmdError
+from .errors import ConvergenceError, DomainError, EntmdError
 from .experiments import (
     ExperimentConfig,
     InstanceSpec,
@@ -104,14 +105,26 @@ def _write_trace(res: SolveResult, path) -> None:
     _write_csv(path, names, [res.trace[name].tolist() for name in names])
 
 
+def _eta_start(eta: float) -> float:
+    """exp(-eta), the entries of the start that --eta selects; a usage error
+    naming the flag unless it is finite and positive."""
+    try:
+        scale = _start_scale(eta)
+    except DomainError as exc:
+        raise _CliError(f"--eta {eta!r}: {exc}") from None
+    if not 0.0 < scale < math.inf:
+        raise _CliError(f"--eta {eta!r}: the start exp(-eta) = {scale!r} must be finite and positive")
+    return scale
+
+
 def _x0_from_flags(args, n: int) -> np.ndarray:
     if getattr(args, "eta", None) is not None:
-        return np.full(n, _start_scale(args.eta))
+        return np.full(n, _eta_start(args.eta))
     scale = getattr(args, "x0_scale", None)
     if scale is None:
         scale = 1e-4
-    if scale <= 0:
-        raise _CliError("--x0-scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise _CliError("--x0-scale must be finite and positive")
     return np.full(n, scale)
 
 
@@ -183,6 +196,7 @@ def _cmd_bias(args) -> int:
     elif args.instance is not None:
         if args.eta is None:
             raise _CliError("bias requires --eta when reading an instance file")
+        _eta_start(args.eta)
         p, eta, built = load_instance(args.instance), args.eta, None
     else:
         raise _CliError("bias needs an instance file or --construct N ETA")
@@ -207,6 +221,8 @@ def _cmd_rate_cert(args) -> int:
     p = load_instance(args.instance)
     if p.planted is None:
         raise _CliError("rate-cert needs an instance file with a planted solution z")
+    if not args.dh >= 0.0:
+        raise _CliError(f"--dh must be nonnegative, got {args.dh!r}")
     cert = rate_certificate(p, p.planted)
     _emit(
         {

@@ -9,6 +9,8 @@ routines take an explicit generator and never touch global state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
@@ -18,8 +20,10 @@ __all__ = [
     "as_vector",
     "seeded_rng",
     "max_col_norm_sq",
+    "vector_norm",
     "smallest_positive_eigenvalue",
     "lambda_max_scaled_gram",
+    "smaller_gram",
     "random_orthogonal",
     "kernel_projector",
 ]
@@ -56,6 +60,22 @@ def max_col_norm_sq(a) -> float:
     return float(np.max(np.sum(a * a, axis=0)))
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, also where its squared sum overflows.
+
+    numpy's ``norm`` squares the entries, so above ~1.3e154 it returns inf
+    with an overflow warning; there the norm is s ||v / s|| with
+    s = max |v_i|, which is finite while the norm is.
+    """
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(v))
+    if r == math.inf:
+        s = float(np.max(np.abs(v)))
+        if s < math.inf:
+            r = s * float(np.linalg.norm(v / s))
+    return r
+
+
 def smallest_positive_eigenvalue(g) -> float:
     """Smallest eigenvalue of a symmetric matrix above the zero threshold.
 
@@ -86,8 +106,9 @@ def smallest_positive_eigenvalue(g) -> float:
 def lambda_max_scaled_gram(a, x) -> float:
     """Largest eigenvalue of ``diag(x) A^T A`` for nonnegative weights x.
 
-    Computed by LAPACK (``eigvalsh``) as the top eigenvalue of the symmetric
-    similar matrix ``diag(sqrt(x)) A^T A diag(sqrt(x))``.
+    With B = A diag(sqrt(x)), that matrix is similar to the n x n Gram
+    matrix B^T B, whose positive eigenvalues are those of the m x m Gram
+    matrix B B^T.  LAPACK (``eigvalsh``) decomposes the smaller of the two.
 
     Raises
     ------
@@ -100,8 +121,13 @@ def lambda_max_scaled_gram(a, x) -> float:
         raise DimensionMismatch("weight vector length must equal the number of columns")
     if np.any(x < 0):
         raise DomainError("weights must be nonnegative")
-    b = a * np.sqrt(x)  # A diag(sqrt x); gram of b is the similar matrix
-    return float(np.linalg.eigvalsh(b.T @ b)[-1])
+    return float(np.linalg.eigvalsh(smaller_gram(a * np.sqrt(x)))[-1])
+
+
+def smaller_gram(a: np.ndarray) -> np.ndarray:
+    """The smaller of the Gram matrices A A^T (m x m) and A^T A (n x n); both
+    have the same positive eigenvalues."""
+    return a @ a.T if a.shape[0] < a.shape[1] else a.T @ a
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

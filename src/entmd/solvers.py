@@ -42,7 +42,7 @@ from .errors import (
     DomainError,
     InfiniteDivergence,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, vector_norm
 
 __all__ = [
     "Status",
@@ -163,8 +163,8 @@ class ProblemInstance:
                 raise DimensionMismatch("planted solution length must equal the number of columns")
             if np.any(z < 0):
                 raise DomainError("planted solution must be nonnegative")
-            resid = float(np.linalg.norm(self.a @ z - self.b))
-            if resid > 1e-10 * (1.0 + float(np.linalg.norm(self.b))):
+            resid = vector_norm(self.a @ z - self.b)
+            if resid > 1e-10 * (1.0 + vector_norm(self.b)):
                 raise DomainError(f"planted vector is not a solution (residual {resid:g})")
             self.planted = z
 

@@ -67,3 +67,20 @@ def signed_system(m, n, seed):
     a = row_orthonormal_matrix(m, n, rng)
     z = rng.standard_normal(n)
     return a, a @ z, z
+
+
+def gram_test_matrices():
+    """Matrices whose two Gram matrices A A^T and A^T A differ in size: wide, tall and rank-deficient."""
+    rng = seeded_rng(8)
+    low_rank = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 10))
+    return {
+        "wide 5x9": rng.standard_normal((5, 9)),
+        "tall 9x5": rng.standard_normal((9, 5)),
+        "rank 2, 6x10": low_rank,
+        "rank 2, 10x6": low_rank.T.copy(),
+    }
+
+
+def within_eigenvalue_tolerance(value, ref, lam_max):
+    """|value - ref| <= 1e-10 lambda_max + 1e-8 |ref|, the bound the benchmark's checks put on an eigenvalue."""
+    return abs(value - ref) <= 1e-10 * lam_max + 1e-8 * abs(ref)

@@ -37,7 +37,12 @@ from entmd import (
     sublinear_bound_curve,
     worst_case_construction,
 )
-from conftest import centered_gaussian_instance, positive_solution_instance
+from conftest import (
+    centered_gaussian_instance,
+    gram_test_matrices,
+    positive_solution_instance,
+    within_eigenvalue_tolerance,
+)
 
 
 class TestBregmanProjection:
@@ -311,6 +316,26 @@ class TestRateCertificate:
         with pytest.raises(DomainError):
             rate_certificate(p, [2.0, 2.0])
 
+    @pytest.mark.parametrize("a", gram_test_matrices().values(), ids=gram_test_matrices())
+    def test_lambda_min_plus_matches_the_n_by_n_gram(self, a):
+        # m < n decomposes A A^T, m >= n A^T A; both must give A^T A's smallest positive eigenvalue
+        z = seeded_rng(10).uniform(0.5, 1.5, a.shape[1])
+        cert = rate_certificate(ProblemInstance(a, a @ z, planted=z), z)
+        evals = np.linalg.eigvalsh(a.T @ a)
+        ref = float(evals[evals > 1e-10 * evals[-1]][0])
+        assert within_eigenvalue_tolerance(cert.lambda_min_plus, ref, float(evals[-1]))
+
+    def test_solution_check_past_the_squared_sum_range(self):
+        # ||b|| ~ 1e301: the plain norms overflow to inf, which warned and let any z pass the check
+        p = positive_solution_instance(12, 5, seed=44)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = ProblemInstance(p.a, 1e300 * p.b, planted=1e300 * p.planted)
+            cert = rate_certificate(huge, huge.planted)
+            with pytest.raises(DomainError, match="not a solution"):
+                rate_certificate(huge, 1.5 * huge.planted)
+        assert cert.lambda_min_plus == rate_certificate(p, p.planted).lambda_min_plus
+
     def test_local_factor_in_unit_interval(self):
         for seed in range(3):
             p = positive_solution_instance(12, 5, seed=44 + seed)
@@ -347,6 +372,17 @@ class TestInstability:
         res = solve(inst.scaled, SolveConfig(Method.md_constant(inst.alpha), x0,
                                              max_iters=3000, f_tol=1e-20))
         assert res.status in (Status.MAX_ITERS, Status.NUMERICAL_BREAKDOWN)
+
+    def test_escape_distance_past_the_squared_sum_range(self):
+        # alpha = 1e-300 scales x* to ~1e301, past the ~1.3e154 where numpy's norm overflows to inf
+        p = gen_instance(InstanceSpec(4, 8, 2, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = instability_construction(p, 1e-300)
+            escape = instability_escape_distance(inst, iters=2000)
+        planted = inst.scaled.planted
+        planted_norm = float(np.max(planted)) * float(np.linalg.norm(planted / np.max(planted)))
+        assert 0.1 * planted_norm <= escape < math.inf
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_escape_needs_an_iteration(self, iters):
@@ -430,6 +466,17 @@ def _l1_corpus():
 L1_CORPUS = _l1_corpus()
 
 
+def degenerate_integer_instance():
+    """An 11x19 integer system full of degenerate pivots and ratio-test ties: a rounded 10x16 draw, a
+    redundant row, two duplicate columns and a zero column."""
+    g = np.round(2.0 * seeded_rng(61).standard_normal((10, 16)))
+    a = np.vstack([g, g[1] - g[3]])
+    a = np.hstack([a, a[:, [0, 5]], np.zeros((11, 1))])
+    z = np.zeros(19)
+    z[[1, 5, 17]] = [1.0, 2.0, 1.0]
+    return ProblemInstance(a, a @ z)
+
+
 def assert_l1_optimal(p, z):
     """z is a nonnegative solution whose l1 norm is HiGHS's optimum to 1e-9 relative."""
     lp = scipy.optimize.linprog(np.ones(p.n), A_eq=p.a, b_eq=p.b, bounds=(0, None), method="highs")
@@ -490,8 +537,41 @@ class TestL1MinimalSolution:
         monkeypatch.setattr(entmd.analysis, "_LP_PIVOTS_PER_DIM", 2)
         assert_l1_optimal(p, l1_minimal_solution(p))
 
+    @pytest.mark.parametrize("p, pivots, basis", [
+        (gen_instance(InstanceSpec(8, 12, 4, seed=2)), 11, [0, 2, 5, 7, 8, 9, 10, 11]),
+        (gen_instance(InstanceSpec(60, 100, None, seed=1)), 172,
+         [0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 21, 22, 23, 28, 30, 31, 33, 34, 36, 37, 38, 39, 41, 43,
+          44, 47, 48, 52, 53, 54, 56, 57, 58, 59, 60, 61, 63, 66, 68, 69, 70, 72, 73, 76, 77, 78, 79, 82, 85, 86,
+          88, 92, 93, 94, 97, 99]),
+        (gen_instance(InstanceSpec(60, 100, 10, seed=1)), 179,
+         [1, 5, 7, 8, 9, 11, 12, 13, 15, 16, 19, 20, 21, 23, 24, 25, 26, 28, 29, 30, 31, 34, 36, 37, 38, 39, 41, 42,
+          46, 48, 50, 52, 53, 54, 55, 57, 58, 59, 61, 62, 66, 67, 68, 69, 71, 72, 73, 74, 75, 76, 79, 82, 84, 87,
+          93, 95, 96, 97, 98, 99]),
+        (degenerate_integer_instance(), 17, [0, 1, 2, 4, 5, 6, 7, 8, 10, 12]),
+    ], ids=["8x12", "dense 60x100", "sparse 60x100", "degenerate 11x19"])
+    def test_pivot_path_is_pinned(self, monkeypatch, p, pivots, basis):
+        # The pivot count (both phases and the artificial pivot-outs) and the final basis of Dantzig pricing
+        # with the Bland fallback; a faster pivot must take exactly these steps
+        calls, bases = [], []
+        pivot, simplex = entmd.analysis._pivot, entmd.analysis._simplex
+
+        def counting_pivot(t, b, r, j):
+            calls.append((r, j))
+            pivot(t, b, r, j)
+
+        def recording_simplex(t, b, budget):
+            left = simplex(t, b, budget)
+            bases.append(sorted(b.tolist()))
+            return left
+
+        monkeypatch.setattr(entmd.analysis, "_pivot", counting_pivot)
+        monkeypatch.setattr(entmd.analysis, "_simplex", recording_simplex)
+        assert_l1_optimal(p, l1_minimal_solution(p))
+        assert len(calls) == pivots
+        assert bases[-1] == basis
+
     def test_paper_shape(self):
-        # 300x500, the paper's shape: about 2.8 (m + n) pivots; Bland's rule alone stopped at the cap
+        # 300x500, the paper's shape: about 4.1 (m + n) pivots; Bland's rule alone stopped at the cap
         p = gen_instance(InstanceSpec(300, 500, 30, seed=0))
         assert_l1_optimal(p, l1_minimal_solution(p))
 

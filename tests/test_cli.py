@@ -203,6 +203,17 @@ def test_overflowing_eta_exit_one(tmp_path, capsys, command):
     assert err.startswith("error: ") and "overflows" in err
 
 
+@pytest.mark.parametrize("eta", ["inf", "nan", "800"])
+@pytest.mark.parametrize("command", ["solve", "project", "bias"])
+def test_eta_without_a_finite_positive_start_exit_one(tmp_path, capsys, command, eta):
+    # exp(-eta) is 0 or nan: the message names the flag, not the start vector it builds
+    path = write_instance(tmp_path, centered_gaussian_instance(4, 8, 2, seed=81))
+    assert main([command, path, "--eta", eta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --eta {float(eta)!r}: ")
+
+
 class TestCertificateCommands:
     def test_rate_cert(self, tmp_path, capsys):
         p = positive_solution_instance(10, 4, seed=81)
@@ -212,6 +223,15 @@ class TestCertificateCommands:
         assert code == 0
         assert 0.0 < float(pairs["local_factor"]) < 1.0
         assert float(pairs["global_factor_at_dh"]) >= float(pairs["local_factor"])
+
+    @pytest.mark.parametrize("dh", ["nan", "-1"])
+    def test_rate_cert_bad_dh_exit_one(self, tmp_path, capsys, dh):
+        # nan used to fail inside lambert_w, with a message naming it
+        path = write_instance(tmp_path, positive_solution_instance(10, 4, seed=81))
+        assert main(["rate-cert", path, "--dh", dh]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --dh must be nonnegative")
 
     def test_rate_cert_needs_planted(self, tmp_path):
         from entmd import ProblemInstance

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from entmd import (
     seeded_rng,
     smallest_positive_eigenvalue,
 )
-from entmd.linalg import kernel_projector
+from entmd.linalg import kernel_projector, vector_norm
+from conftest import gram_test_matrices, within_eigenvalue_tolerance
+
+GRAM_MATRICES = gram_test_matrices()
 
 
 class TestMaxColNormSq:
@@ -63,6 +68,18 @@ class TestLambdaMaxScaledGram:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             lambda_max_scaled_gram(np.eye(2), [1.0, -1.0])
+
+    @pytest.mark.parametrize("weights", ["positive", "half zero", "zero"])
+    @pytest.mark.parametrize("name", GRAM_MATRICES)
+    def test_matches_the_n_by_n_gram(self, name, weights):
+        # m < n decomposes B B^T (B = A diag(sqrt x)), m >= n B^T B; both must give B^T B's top eigenvalue
+        a = GRAM_MATRICES[name]
+        x = {"positive": seeded_rng(9).uniform(0.1, 2.0, a.shape[1]),
+             "half zero": np.resize([0.0, 1.5], a.shape[1]),
+             "zero": np.zeros(a.shape[1])}[weights]
+        b = a * np.sqrt(x)
+        ref = float(np.linalg.eigvalsh(b.T @ b)[-1])
+        assert within_eigenvalue_tolerance(lambda_max_scaled_gram(a, x), ref, ref)
 
     def test_positive_scaling(self):
         rng = seeded_rng(5)
@@ -118,3 +135,19 @@ def test_kernel_projector_drops_dependent_rows():
     v_ker = v - q @ (q.T @ v)
     assert np.max(np.abs(a @ v_ker)) < 1e-10
     assert kernel_projector(np.zeros((2, 5))).shape == (5, 0)
+
+
+class TestVectorNorm:
+    def test_plain(self):
+        assert vector_norm(np.array([3.0, 4.0])) == 5.0
+
+    def test_squared_sum_overflows(self):
+        # numpy's norm gives inf here with an overflow warning
+        v = np.array([3e300, -4e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vector_norm(v) == pytest.approx(5e300, rel=1e-15)
+
+    def test_overflowing_norm_is_inf(self):
+        assert vector_norm(np.array([1.5e308, 1.5e308])) == np.inf
+        assert vector_norm(np.array([1.0, np.inf])) == np.inf
