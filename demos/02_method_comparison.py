@@ -8,12 +8,12 @@ stepsize from a 25-point grid and the backtracking rule.
 
 from pathlib import Path
 
-from entmd import ExperimentConfig, InstanceSpec, Method, run_experiment1
+from entmd import MD_CONSTANT_GRID, ExperimentConfig, InstanceSpec, Method, run_experiment1
 
 cfg = ExperimentConfig(
     InstanceSpec(m=30, n=50, sparsity=6, seed=7),
     methods=[
-        Method.md_constant_grid(),
+        MD_CONSTANT_GRID,  # the best constant stepsize of a 25-point grid
         Method.md_backtracking(),
         Method.md_polyak(),
         Method.hd_polyak(),

@@ -50,6 +50,7 @@ from .errors import (  # noqa: E402
     InfiniteDivergence,
 )
 from .experiments import (  # noqa: E402
+    MD_CONSTANT_GRID,
     ExperimentConfig,
     InstanceSpec,
     gen_instance,
@@ -72,13 +73,7 @@ from .solvers import (  # noqa: E402
     SolveResult,
     Status,
     backtracking_stepsize,
-    egpm_step,
-    gradient,
-    hd_plus_step,
-    hd_step,
     md_step,
-    objective,
-    polyak_stepsize,
     solve,
     solve_convex,
 )

@@ -137,11 +137,14 @@ class WorstCaseInstance:
 
 
 def _start_scale(eta: float) -> float:
-    """exp(-eta), the entries of the start exp(-eta) * ones; DomainError where it overflows."""
+    """exp(-eta), the entries of the start exp(-eta) * ones; DomainError unless it is finite and positive."""
     try:
-        return math.exp(-eta)
+        scale = math.exp(-eta)
     except OverflowError:
         raise DomainError(f"exp(-eta) overflows for eta={eta!r}") from None
+    if not 0.0 < scale < math.inf:  # underflow to 0, nan, or eta = -inf
+        raise DomainError(f"the start exp(-eta) = {scale!r} must be finite and positive, eta={eta!r}")
+    return scale
 
 
 def _newton_direction(h: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -319,6 +322,13 @@ def l1_gap_identity_residual(x_star, z, eta: float) -> float:
     return abs((l1x - l1z) - rhs)
 
 
+def _finite(value, name: str, positive: bool = False) -> float:
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        raise DomainError(f"{name} must be finite{' and positive' if positive else ''}, got {value!r}")
+    return value
+
+
 def slow_bound(n: int, z_l1: float, eta: float) -> float:
     """Dimension-based upper bound ||z||_1 log(n) / (eta + log(||z||_1 / n))
     on the l1 gap of the limit.
@@ -327,7 +337,7 @@ def slow_bound(n: int, z_l1: float, eta: float) -> float:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    z_l1 = float(z_l1)
+    z_l1, eta = _finite(z_l1, "z_l1", positive=True), _finite(eta, "eta")
     den = eta + math.log(z_l1 / n)
     if den <= 0:
         raise DomainError("slow_bound requires eta + log(z_l1 / n) > 0")
@@ -342,11 +352,13 @@ def improved_bound(n: int, x_l1: float, eta: float, z_l1: float) -> float:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    den = eta + math.log(float(x_l1) / n)
+    x_l1, z_l1 = _finite(x_l1, "x_l1", positive=True), _finite(z_l1, "z_l1", positive=True)
+    eta = _finite(eta, "eta")
+    den = eta + math.log(x_l1 / n)
     if den <= 0:
         raise DomainError("improved_bound requires eta + log(x_l1 / n) > 0")
     w = lambert_w((n - 1) / math.e, WBranch.PRINCIPAL)
-    return float(z_l1) * w / den
+    return z_l1 * w / den
 
 
 def worst_case_construction(n: int, eta: float) -> WorstCaseInstance:
@@ -361,10 +373,12 @@ def worst_case_construction(n: int, eta: float) -> WorstCaseInstance:
     Raises
     ------
     DomainError
-        If ``eta`` is too small for the tuned lam to lie in (0, 1).
+        If ``eta`` is not finite, or too small or too large for the tuned
+        lam to lie in (0, 1) in floating point.
     """
     if n < 2:
         raise DomainError("worst_case_construction needs n >= 2")
+    eta = _finite(eta, "eta")
     w = lambert_w((n - 1) / math.e, WBranch.PRINCIPAL)
     t_star = 1.0 / (1.0 + w)
     x_star = np.full(n, (1.0 - t_star) / (n - 1))
@@ -374,8 +388,11 @@ def worst_case_construction(n: int, eta: float) -> WorstCaseInstance:
     if den <= 0:
         raise DomainError("eta too small: eta + log(t*) must be positive")
     lam = (eta + x_log_x) / den
-    if not (0.0 < lam < 1.0):
+    if lam <= 0.0:
         raise DomainError(f"eta too small: tuned weight lam={lam:g} outside (0, 1)")
+    if lam >= 1.0:
+        # lam < 1 in exact arithmetic; a large eta rounds it to 1
+        raise DomainError(f"eta too large: tuned weight lam={lam!r} rounds to 1, outside (0, 1)")
     z = np.zeros(n)
     z[0] = lam
 
@@ -437,7 +454,8 @@ def instability_construction(p: ProblemInstance, alpha: float) -> InstabilityIns
     Raises
     ------
     DomainError
-        If no planted solution is available or its scaled top eigenvalue is 0.
+        If no planted solution is available, its scaled top eigenvalue is 0,
+        or ``alpha`` is so small that t, t b or t x* overflows.
     """
     if p.planted is None:
         raise DomainError("instability_construction needs a planted solution")
@@ -447,8 +465,14 @@ def instability_construction(p: ProblemInstance, alpha: float) -> InstabilityIns
     lam_base = lambda_max_scaled_gram(p.a, p.planted)
     if lam_base <= 0:
         raise DomainError("lambda_max(diag(x*) A^T A) must be positive")
-    t = 3.0 / (alpha * lam_base)
-    scaled = ProblemInstance(p.a, t * p.b, planted=t * p.planted)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # alpha * lam_base may underflow to 0, where t is inf
+        t = float(np.float64(3.0) / (alpha * lam_base))
+        b_t, z_t = t * p.b, t * p.planted
+    if not (np.isfinite(b_t).all() and np.isfinite(z_t).all()):  # an inf t leaves inf in z_t
+        raise DomainError(f"alpha {alpha!r} is too small: the scale t = 3 / (alpha lambda_max) = {t!r} "
+                          "makes the scaled system overflow")
+    scaled = ProblemInstance(p.a, b_t, planted=z_t)
     # Independent check: the spectral radius of the update Jacobian itself,
     # by a general (nonsymmetric) eigensolver; 2 up to rounding.
     jac = np.eye(p.n) - alpha * (scaled.planted[:, None] * (p.a.T @ p.a))
@@ -610,10 +634,11 @@ def bias_report(p: ProblemInstance, eta: float, max_iters: int = 200_000, rng=No
 
     The exact gap and the l1-minimal solution come from
     :func:`l1_minimal_solution`; they are None only where it stops at its
-    pivot cap.  Each upper bound is None where its hypothesis fails.  An
-    overflowing start, exp(-eta) = inf, raises DomainError.  ``rng`` is
-    ignored: the report draws nothing at random, and the keyword stays for
-    callers written when the orthogonality check sampled directions.
+    pivot cap.  Each upper bound is None where its hypothesis fails.  A
+    start exp(-eta) that overflows to inf, underflows to 0 or is nan raises
+    DomainError.  ``rng`` is ignored: the report draws nothing at random,
+    and the keyword stays for callers written when the orthogonality check
+    sampled directions.
     """
     x0 = np.full(p.n, _start_scale(eta))
     limit = bregman_projection(p, x0, max_iters=max_iters)

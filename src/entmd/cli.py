@@ -28,6 +28,7 @@ from .analysis import (
 from .bregman import bregman_divergence
 from .errors import ConvergenceError, DomainError, EntmdError
 from .experiments import (
+    MD_CONSTANT_GRID,
     ExperimentConfig,
     InstanceSpec,
     _write_csv,
@@ -109,12 +110,9 @@ def _eta_start(eta: float) -> float:
     """exp(-eta), the entries of the start that --eta selects; a usage error
     naming the flag unless it is finite and positive."""
     try:
-        scale = _start_scale(eta)
+        return _start_scale(eta)
     except DomainError as exc:
         raise _CliError(f"--eta {eta!r}: {exc}") from None
-    if not 0.0 < scale < math.inf:
-        raise _CliError(f"--eta {eta!r}: the start exp(-eta) = {scale!r} must be finite and positive")
-    return scale
 
 
 def _x0_from_flags(args, n: int) -> np.ndarray:
@@ -267,7 +265,7 @@ def _cmd_exp1(args) -> int:
     for name in args.methods.split(","):
         name = name.strip()
         if name == "md-constant-grid":
-            methods.append(Method.md_constant_grid())
+            methods.append(MD_CONSTANT_GRID)
         elif name in _METHOD_NAMES:
             methods.append(_METHOD_NAMES[name]())
         elif name == "md-backtracking":

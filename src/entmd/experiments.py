@@ -23,6 +23,7 @@ from .solvers import (Method, ProblemInstance, SolveConfig, SolveResult, Status,
                       solve)
 
 __all__ = [
+    "MD_CONSTANT_GRID",
     "InstanceSpec",
     "ExperimentConfig",
     "gen_instance",
@@ -54,10 +55,15 @@ class InstanceSpec:
             warnings.warn("m > n: the system is not underdetermined", stacklevel=2)
 
 
+# An entry of ExperimentConfig.methods: the md_constant method whose stepsize
+# grid_search_constant's grid picks, labelled md_constant_opt in the outputs.
+MD_CONSTANT_GRID = "md_constant_grid"
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     spec: InstanceSpec
-    methods: list[Method] = field(default_factory=lambda: [Method.md_polyak()])
+    methods: list[Method | str] = field(default_factory=lambda: [Method.md_polyak()])
     iters: int = 5_000
     limit_extra_iters: int = 5_000
     inits: list[float] = field(default_factory=lambda: [1e-4])
@@ -68,6 +74,8 @@ class ExperimentConfig:
             raise DomainError("iters must be at least 1")
         if int(self.limit_extra_iters) < 0:
             raise DomainError("limit_extra_iters must be nonnegative")
+        if not all(isinstance(m, Method) or m == MD_CONSTANT_GRID for m in self.methods):
+            raise DomainError("each method must be a Method or MD_CONSTANT_GRID")
         # NaN fails both comparisons
         if not self.inits or not all(0.0 < s < np.inf for s in self.inits):
             raise DomainError("initialization scales must be finite and positive")
@@ -222,7 +230,7 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``inits[0] * ones``; the final iterate estimates the limit.  Panel one is
     the cumulative-minimum objective over the first ``iters`` iterations per
     method, panel two the divergence from the limit estimate to each iterate.
-    ``md_constant_grid`` is the stepsize :func:`grid_search_constant` picks;
+    ``MD_CONSTANT_GRID`` is the stepsize :func:`grid_search_constant` picks;
     where no grid stepsize reaches a finite objective, it is the smallest
     one, and its breakdown is recorded as another method's is.
     The grid's stepsizes and the Polyak and constant-stepsize methods
@@ -247,16 +255,16 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     budget = cfg.iters + cfg.limit_extra_iters
     # the grid's stepsizes and the Polyak and constant-stepsize methods run
     # in one lockstep batch; the grid's winner is its own row there
-    grid = _constant_grid(p) if any(m.kind == "md_constant_grid" for m in cfg.methods) else []
-    batched = [m for m in cfg.methods if m.kind in _LOCKSTEP_KINDS]
+    grid = _constant_grid(p) if MD_CONSTANT_GRID in cfg.methods else []
+    batched = [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind in _LOCKSTEP_KINDS]
     runs, f_min = _lockstep(p, grid + batched, np.full((len(grid) + len(batched), p.n), scale), budget,
                             keep=cfg.iters)
     best = _grid_winner(runs, f_min, len(grid))[0] if grid else None
     batch = iter(runs[len(grid):])
-    methods = [grid[best] if m.kind == "md_constant_grid" else m for m in cfg.methods]
-    labels = ["md_constant_opt" if m.kind == "md_constant_grid" else m.label for m in cfg.methods]
+    methods = [grid[best] if m == MD_CONSTANT_GRID else m for m in cfg.methods]
+    labels = ["md_constant_opt" if m == MD_CONSTANT_GRID else m.label for m in cfg.methods]
     starts = [np.full(2 * p.n if m.kind == "eg_pm" else p.n, scale) for m in methods]
-    results = [runs[best] if asked.kind == "md_constant_grid"
+    results = [runs[best] if asked == MD_CONSTANT_GRID
                else next(batch) if asked.kind in _LOCKSTEP_KINDS
                else solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0))
                for asked, method, start in zip(cfg.methods, methods, starts)]

@@ -14,15 +14,21 @@ Schemes
 * ``md_backtracking``  exponential update, stepsize halved until the local
                        curvature test a * D_f < D_h accepts
 
-All schemes, and :func:`solve_convex`, run through one iteration loop that
-differs only in the objective callback, the update rule and the stepsize
-rule.  Every solve records a per-iteration trace (objective, stepsize, l1
-norm and optionally the Bregman divergence to a reference point) and reports
-one of three terminal statuses.  When a reference solution is supplied, the Polyak
-schemes verify the per-iteration divergence descent inequality and flag any
-numerical violation as a breakdown instead of silently continuing.  Runs on
-one instance can also advance together in a lockstep batch on the same
-update rules, each ending where its own solve ends, bit for bit.
+Two iteration loops run them.  ``_iterate`` runs one solve for
+:func:`solve` and :func:`solve_convex`; the two differ only in the objective
+callback, and the schemes only in the update rule and the stepsize rule.
+``_lockstep`` advances several runs on one instance together on the same
+update rules, each ending where its own solve ends, bit for bit; the
+experiments' batches and the divergence replay use it.  Every solve records
+a per-iteration trace (objective, stepsize, l1 norm and optionally the
+Bregman divergence to a reference point) and reports one of three terminal
+statuses.  When a reference solution is supplied, the Polyak schemes verify
+the per-iteration divergence descent inequality and flag any numerical
+violation as a breakdown instead of silently continuing.
+
+The public single-step functions are :func:`md_step`, one exponential
+update, and :func:`backtracking_stepsize`, the stepsize ``md_backtracking``
+takes from a point.
 """
 
 from __future__ import annotations
@@ -51,13 +57,7 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "ConvexObjective",
-    "objective",
-    "gradient",
-    "polyak_stepsize",
     "md_step",
-    "hd_plus_step",
-    "hd_step",
-    "egpm_step",
     "backtracking_stepsize",
     "solve",
     "solve_convex",
@@ -77,8 +77,6 @@ _KINDS = (
     "eg_pm",
     "md_constant",
     "md_backtracking",
-    # resolved to a concrete md_constant by the experiment driver's grid search
-    "md_constant_grid",
 )
 
 
@@ -126,12 +124,6 @@ class Method:
     @classmethod
     def md_constant(cls, alpha: float) -> "Method":
         return cls("md_constant", alpha=float(alpha))
-
-    @classmethod
-    def md_constant_grid(cls) -> "Method":
-        """Placeholder resolved by the experiment driver: the best constant
-        stepsize from a log grid.  Not directly solvable."""
-        return cls("md_constant_grid")
 
     @classmethod
     def md_backtracking(cls, alpha0: float | None = None, shrink: float = 0.5) -> "Method":
@@ -244,23 +236,6 @@ class ConvexObjective:
     f_star: float
 
 
-def objective(p: ProblemInstance, x) -> float:
-    """f(x) = 0.5 ||A x - b||^2."""
-    x = as_vector(x)
-    if x.shape[0] != p.n:
-        raise DimensionMismatch("objective: vector length must equal the number of columns")
-    r = p.a @ x - p.b
-    return 0.5 * float(r @ r)
-
-
-def gradient(p: ProblemInstance, x) -> np.ndarray:
-    """grad f(x) = A^T (A x - b)."""
-    x = as_vector(x)
-    if x.shape[0] != p.n:
-        raise DimensionMismatch("gradient: vector length must equal the number of columns")
-    return p.a.T @ (p.a @ x - p.b)
-
-
 def _polyak_stepsize(x: np.ndarray, g: np.ndarray, f: float, c: float, g_inf: float) -> float | None:
     """min(f / (c ||g||^2_x), 1.79 / g_inf) for f > 0, where g_inf = ||g||_inf; None for a zero gradient."""
     if g_inf == 0.0:
@@ -310,66 +285,12 @@ _UPDATES = {
 }
 
 
-def _finite_or_breakdown(out: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        raise BreakdownError(f"non-finite iterate produced by {what}")
-    return out
-
-
 def _vector_pair(x, g, what: str) -> tuple[np.ndarray, np.ndarray]:
     x = as_vector(x)
     g = as_vector(g)
     if x.shape != g.shape:
         raise DimensionMismatch(f"{what}: iterate and gradient lengths differ")
     return x, g
-
-
-def _stepsize_arg(alpha, what: str) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError(f"{what}: the stepsize must be finite and nonnegative")
-    return alpha
-
-
-def _step_args(x, g, alpha, what: str) -> tuple[np.ndarray, np.ndarray, float]:
-    x, g = _vector_pair(x, g, what)
-    if np.any(x < 0):
-        raise DomainError(f"{what}: the iterate must be nonnegative")
-    return x, g, _stepsize_arg(alpha, what)
-
-
-def _checked_step(update, x, g, alpha: float, what: str) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = update(x, g, alpha)
-    return _finite_or_breakdown(out, what)
-
-
-def polyak_stepsize(x, g, f_gap: float, convex_mode: bool = False) -> float:
-    """Adaptive stepsize min(f_gap / (c ||g||^2_x), 1.79 / ||g||_inf).
-
-    ``c`` is 1 for the quadratic objective (``f_gap`` is f(x)) and 2 in
-    ``convex_mode`` (``f_gap`` is f(x) - f*).  Returns 0 when the gap is 0.
-    When the weighted norm vanishes on the boundary while the gradient does
-    not, the cap term is returned.
-
-    Raises
-    ------
-    DomainError
-        If ``x`` has a negative entry, the gap is negative or not finite, or
-        the gradient is identically zero while the gap is positive.
-    """
-    x, g = _vector_pair(x, g, "polyak_stepsize")
-    if np.any(x < 0):
-        raise DomainError("polyak_stepsize: weights must be nonnegative")
-    f_gap = float(f_gap)
-    if not 0.0 <= f_gap < np.inf:
-        raise DomainError("polyak_stepsize: the objective gap must be finite and nonnegative")
-    if f_gap == 0.0:
-        return 0.0
-    alpha = _polyak_stepsize(x, g, f_gap, 2.0 if convex_mode else 1.0, float(np.max(np.abs(g))))
-    if alpha is None:
-        raise DomainError("polyak_stepsize: zero gradient with a positive gap")
-    return alpha
 
 
 def md_step(x, g, alpha: float) -> np.ndarray:
@@ -384,52 +305,17 @@ def md_step(x, g, alpha: float) -> np.ndarray:
     DomainError
         If ``x`` has a negative entry, or ``alpha`` is negative or not finite.
     """
-    x, g, alpha = _step_args(x, g, alpha, "md_step")
-    return _checked_step(_exp_update, x, g, alpha, "md_step")
-
-
-def hd_plus_step(x, g, alpha: float) -> np.ndarray:
-    """Polynomial update x * (1 - alpha g + alpha^2 g^2).
-
-    Requires ``alpha * ||g||_inf <= 1.79``; under that cap the multiplier is
-    positive, so nonnegativity is preserved.  ``x`` and ``alpha`` must be
-    nonnegative, ``alpha`` finite.
-    """
-    x, g, alpha = _step_args(x, g, alpha, "hd_plus_step")
-    if alpha * float(np.max(np.abs(g))) > EXP_QUAD_BOUND * (1.0 + 1e-12):
-        raise DomainError("hd_plus_step requires alpha * ||g||_inf <= 1.79")
-    return _checked_step(_hd_plus_update, x, g, alpha, "hd_plus_step")
-
-
-def hd_step(x, g, alpha: float) -> np.ndarray:
-    """Squared multiplicative update x * (1 - alpha g)^2 (heuristic scheme).
-
-    A coordinate where alpha * g_i = 1 lands exactly on zero.  ``x`` and
-    ``alpha`` must be nonnegative, ``alpha`` finite.
-    """
-    x, g, alpha = _step_args(x, g, alpha, "hd_step")
-    return _checked_step(_hd_update, x, g, alpha, "hd_step")
-
-
-def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """One update of the positive/negative split scheme.
-
-    ``g`` is the gradient of f at u - v; the two halves move with opposite
-    exponents: u * exp(-alpha g) and v * exp(+alpha g).  ``alpha`` must be
-    finite and nonnegative.
-    """
-    u = as_vector(u)
-    v = as_vector(v)
-    g = as_vector(g)
-    alpha = _stepsize_arg(alpha, "egpm_step")
+    x, g = _vector_pair(x, g, "md_step")
+    if np.any(x < 0):
+        raise DomainError("md_step: the iterate must be nonnegative")
+    alpha = float(alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("md_step: the stepsize must be finite and nonnegative")
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        u_next = u * np.exp(-alpha * g)
-        v_next = v * np.exp(alpha * g)
-    u_next = np.where(u == 0.0, 0.0, u_next)
-    v_next = np.where(v == 0.0, 0.0, v_next)
-    _finite_or_breakdown(u_next, "egpm_step")
-    _finite_or_breakdown(v_next, "egpm_step")
-    return u_next, v_next
+        out = _exp_update(x, g, alpha)
+    if not np.all(np.isfinite(out)):
+        raise BreakdownError("non-finite iterate produced by md_step")
+    return out
 
 
 def _backtracking_stepsize(a: np.ndarray, x: np.ndarray, g: np.ndarray, alpha: float,
@@ -578,8 +464,6 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     ``NUMERICAL_BREAKDOWN``.
     """
     kind = cfg.method.kind
-    if kind == "md_constant_grid":
-        raise DomainError("md_constant_grid must be resolved by the experiment driver")
     n = p.n
     split = kind == "eg_pm"
     if cfg.x0.shape[0] != (2 * n if split else n):

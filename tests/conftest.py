@@ -6,7 +6,8 @@ import tempfile
 import numpy as np
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from entmd import ProblemInstance, seeded_rng
+from entmd import EXP_QUAD_BOUND, BreakdownError, DomainError, ProblemInstance, seeded_rng
+from entmd.linalg import as_vector
 
 
 def pytest_configure(config):
@@ -84,3 +85,51 @@ def gram_test_matrices():
 def within_eigenvalue_tolerance(value, ref, lam_max):
     """|value - ref| <= 1e-10 lambda_max + 1e-8 |ref|, the bound the benchmark's checks put on an eigenvalue."""
     return abs(value - ref) <= 1e-10 * lam_max + 1e-8 * abs(ref)
+
+
+# Independent references for the solvers' arithmetic: f, its gradient, the
+# Polyak stepsize and one split-scheme step, each straight from its formula.
+
+def objective(p: ProblemInstance, x) -> float:
+    """f(x) = 0.5 ||A x - b||^2."""
+    r = p.a @ as_vector(x) - p.b
+    return 0.5 * float(r @ r)
+
+
+def gradient(p: ProblemInstance, x) -> np.ndarray:
+    """grad f(x) = A^T (A x - b)."""
+    return p.a.T @ (p.a @ as_vector(x) - p.b)
+
+
+def polyak_stepsize(x, g, f: float) -> float:
+    """min(f / ||g||^2_x, 1.79 / ||g||_inf) for f > 0 and g != 0; the cap
+    where the weighted norm vanishes on the boundary."""
+    x = as_vector(x)
+    g = as_vector(g)
+    cap = EXP_QUAD_BOUND / float(np.max(np.abs(g)))
+    wn = float(np.add.reduce(x * g * g))
+    return cap if wn == 0.0 else min(f / wn, cap)
+
+
+def egpm_step(u, v, g, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """One update of the positive/negative split scheme.
+
+    ``g`` is the gradient of f at u - v; the two halves move with opposite
+    exponents: u * exp(-alpha g) and v * exp(+alpha g).  ``alpha`` must be
+    finite and nonnegative (DomainError); an overflowing update raises
+    BreakdownError.
+    """
+    u = as_vector(u)
+    v = as_vector(v)
+    g = as_vector(g)
+    alpha = float(alpha)
+    if not 0.0 <= alpha < np.inf:
+        raise DomainError("egpm_step: the stepsize must be finite and nonnegative")
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        u_next = u * np.exp(-alpha * g)
+        v_next = v * np.exp(alpha * g)
+    u_next = np.where(u == 0.0, 0.0, u_next)
+    v_next = np.where(v == 0.0, 0.0, v_next)
+    if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(v_next))):
+        raise BreakdownError("non-finite iterate produced by egpm_step")
+    return u_next, v_next

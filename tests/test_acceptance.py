@@ -13,6 +13,7 @@ import scipy.optimize
 
 from entmd import (
     EXP_QUAD_BOUND,
+    MD_CONSTANT_GRID,
     ConvexObjective,
     ExperimentConfig,
     InstanceSpec,
@@ -24,7 +25,6 @@ from entmd import (
     bregman_inverse_1d,
     bregman_projection,
     exp_quadratic_margin,
-    gradient,
     improved_bound,
     instability_construction,
     instability_escape_distance,
@@ -34,10 +34,8 @@ from entmd import (
     max_col_norm_sq,
     max_norm_bound,
     md_step,
-    objective,
     orthogonality_residual,
     pinsker_lower_bound,
-    polyak_stepsize,
     rate_certificate,
     run_experiment1,
     run_experiment2,
@@ -49,8 +47,8 @@ from entmd import (
     WBranch,
     worst_case_construction,
 )
-from entmd.solvers import egpm_step
-from conftest import centered_gaussian_instance, positive_solution_instance, signed_system
+from conftest import (centered_gaussian_instance, egpm_step, gradient, objective, polyak_stepsize,
+                      positive_solution_instance, signed_system)
 
 CORPUS_SIZE = 50
 CORPUS_SHAPE = (40, 80, 8)  # m, n, sparsity
@@ -368,7 +366,7 @@ EXP2_SCALES = [1e-2, 1e-4, 1e-8, 1e-16, 1e-32]
 def _exp1_config(seed, out_dir):
     return ExperimentConfig(
         InstanceSpec(60, 100, sparsity=10, seed=seed),
-        methods=[Method.md_constant_grid(), Method.md_backtracking(), Method.md_polyak()],
+        methods=[MD_CONSTANT_GRID, Method.md_backtracking(), Method.md_polyak()],
         iters=5_000,
         limit_extra_iters=0,
         inits=[1e-4],

@@ -28,7 +28,6 @@ from entmd import (
     l1_gap_identity_residual,
     l1_minimal_solution,
     max_col_norm_sq,
-    objective,
     orthogonality_residual,
     rate_certificate,
     seeded_rng,
@@ -40,6 +39,7 @@ from entmd import (
 from conftest import (
     centered_gaussian_instance,
     gram_test_matrices,
+    objective,
     positive_solution_instance,
     within_eigenvalue_tolerance,
 )
@@ -225,6 +225,12 @@ class TestL1GapIdentity:
         with pytest.raises(DomainError):
             l1_gap_identity_residual([0.5, 0.5], [1.0, 0.0], eta=-1000.0)
 
+    @pytest.mark.parametrize("eta", [800.0, math.nan])
+    def test_start_without_positive_entries_rejected(self, eta):
+        # exp(-eta) is 0 or nan: no start exp(-eta) * ones to take the identity from
+        with pytest.raises(DomainError, match="exp\\(-eta\\)"):
+            l1_gap_identity_residual([0.5, 0.5], [1.0, 0.0], eta=eta)
+
     def test_small_system_with_oracle(self):
         p = centered_gaussian_instance(4, 8, 3, seed=43)
         eta = 6.0
@@ -256,6 +262,25 @@ class TestBounds:
         want = w / (10 + math.log(1 / 10))
         assert improved_bound(10, 1.0, 10.0, 1.0) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.143, abs=5e-4)
+
+    @pytest.mark.parametrize("bound, args, match", [
+        (slow_bound, (5, 0.0, 1.0), "z_l1 must be finite and positive"),
+        (slow_bound, (5, -1.0, 1.0), "z_l1 must be finite and positive"),
+        (slow_bound, (5, math.nan, 1.0), "z_l1 must be finite"),
+        (slow_bound, (5, math.inf, 1.0), "z_l1 must be finite"),
+        (slow_bound, (5, 1.0, math.nan), "eta must be finite"),
+        (slow_bound, (5, 1.0, math.inf), "eta must be finite"),
+        (improved_bound, (5, 0.0, 1.0, 1.0), "x_l1 must be finite and positive"),
+        (improved_bound, (5, math.inf, 1.0, 1.0), "x_l1 must be finite"),
+        (improved_bound, (5, 1.0, math.nan, 1.0), "eta must be finite"),
+        (improved_bound, (5, 1.0, math.inf, 1.0), "eta must be finite"),
+        (improved_bound, (5, 1.0, 10.0, 0.0), "z_l1 must be finite and positive"),
+        (improved_bound, (5, 1.0, 10.0, math.nan), "z_l1 must be finite"),
+    ])
+    def test_bad_arguments_raise_a_typed_error(self, bound, args, match):
+        # these used to raise math's untyped ValueError, or return nan, 0 or inf
+        with pytest.raises(DomainError, match=match):
+            bound(*args)
 
     def test_improved_below_slow(self):
         for n in (2, 5, 10, 100, 10_000, 1_000_000):
@@ -291,6 +316,17 @@ class TestWorstCaseConstruction:
     def test_eta_too_small(self):
         with pytest.raises(DomainError):
             worst_case_construction(10, 0.5)
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_eta_not_finite(self, eta):
+        # used to blame a small eta for the nan weight lam
+        with pytest.raises(DomainError, match="eta must be finite"):
+            worst_case_construction(12, eta)
+
+    def test_eta_too_large(self):
+        # lam < 1 exactly, but at eta = 1e17 it rounds to 1
+        with pytest.raises(DomainError, match="eta too large"):
+            worst_case_construction(12, 1e17)
 
 
 class TestRateCertificate:
@@ -383,6 +419,14 @@ class TestInstability:
         planted = inst.scaled.planted
         planted_norm = float(np.max(planted)) * float(np.linalg.norm(planted / np.max(planted)))
         assert 0.1 * planted_norm <= escape < math.inf
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+    def test_alpha_too_small_for_the_scaled_system(self, alpha):
+        # t = 3 / (alpha lambda_max) is inf, and inf * 0 in t b used to leak a
+        # RuntimeWarning before the instance rejected its non-finite entries
+        p = gen_instance(InstanceSpec(4, 8, 3, seed=1))
+        with pytest.raises(DomainError, match="alpha .* too small"):
+            instability_construction(p, alpha)
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_escape_needs_an_iteration(self, iters):
@@ -603,6 +647,13 @@ class TestBiasReport:
         p = centered_gaussian_instance(5, 10, 3, seed=56)
         with pytest.raises(DomainError, match="overflows"):
             bias_report(p, -1000.0)
+
+    @pytest.mark.parametrize("eta", [1e15, math.inf, math.nan])
+    def test_start_without_positive_entries_rejected(self, eta):
+        # exp(-eta) is 0 or nan: the error names eta, not the start vector it builds
+        p = centered_gaussian_instance(5, 10, 3, seed=56)
+        with pytest.raises(DomainError, match="exp\\(-eta\\)"):
+            bias_report(p, eta)
 
     def test_oracle_runs_beyond_twelve_columns(self):
         p = L1_CORPUS["n = 14"]

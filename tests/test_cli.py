@@ -193,6 +193,15 @@ class TestBiasCommand:
         assert "expected_gap" in pairs
         assert float(pairs["orthogonality_residual"]) <= 1e-6
 
+    @pytest.mark.parametrize("eta, reason", [("inf", "eta must be finite"), ("nan", "eta must be finite"),
+                                             ("1e17", "eta too large"), ("1e15", "exp(-eta) = 0.0")])
+    def test_construct_names_the_eta_fault(self, capsys, eta, reason):
+        # each used to print "eta too small" or blame the start vector x0
+        assert main(["bias", "--construct", "12", eta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+
 
 @pytest.mark.parametrize("command", ["solve", "project", "bias"])
 def test_overflowing_eta_exit_one(tmp_path, capsys, command):
@@ -247,6 +256,14 @@ class TestCertificateCommands:
         assert code == 0
         assert float(pairs["jacobian_spectral_radius"]) == pytest.approx(2.0, abs=1e-9)
         assert float(pairs["max_escape_distance"]) > 0
+
+    def test_instability_alpha_too_small_exit_one(self, tmp_path, capsys):
+        # used to leak a RuntimeWarning and then blame the vector entries
+        path = write_instance(tmp_path, entmd.gen_instance(entmd.InstanceSpec(4, 8, 3, seed=1)))
+        assert main(["instability", path, "--alpha", "1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha 1e-320 is too small")
 
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_instability_without_iterations_exit_one(self, tmp_path, capsys, iters):

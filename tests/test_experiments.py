@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entmd import (
+    MD_CONSTANT_GRID,
     DimensionMismatch,
     DomainError,
     ExperimentConfig,
@@ -85,7 +86,7 @@ class TestExperiment1:
         assert "seed=12" in meta and "status.md_polyak=" in meta
 
     def test_five_methods_columns(self, tmp_path):
-        methods = [Method.md_constant_grid(), Method.md_backtracking(), Method.md_polyak(),
+        methods = [MD_CONSTANT_GRID, Method.md_backtracking(), Method.md_polyak(),
                    Method.hd_polyak(), Method.hd_plus_polyak()]
         cfg = ExperimentConfig(InstanceSpec(5, 8, sparsity=2, seed=13),
                                methods=methods, iters=25, limit_extra_iters=5, out_path=tmp_path)
@@ -116,7 +117,7 @@ class TestExperiment1:
     @pytest.mark.parametrize("iters, extra, scale", [(1, 30, 1e-4), (64, 40, 1e-4), (150, 60, 1e-4), (97, 0, 1.0)])
     def test_divergence_panel_equals_a_traced_rerun(self, tmp_path, iters, extra, scale):
         methods = [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.eg_pm(),
-                   Method.md_constant(0.02), Method.md_backtracking(), Method.md_constant_grid()]
+                   Method.md_constant(0.02), Method.md_backtracking(), MD_CONSTANT_GRID]
         spec = InstanceSpec(10, 16, sparsity=4, seed=19)
         cfg = ExperimentConfig(spec, methods=methods, iters=iters, limit_extra_iters=extra, inits=[scale],
                                out_path=tmp_path)
@@ -139,6 +140,12 @@ class TestExperiment1:
                                methods=[], iters=10, out_path=tmp_path)
         with pytest.raises(DomainError):
             run_experiment1(cfg)
+
+    @pytest.mark.parametrize("method", ["md_polyak", None])
+    def test_methods_are_methods_or_the_grid_marker(self, method):
+        # such an entry used to fail inside run_experiment1 with an AttributeError
+        with pytest.raises(DomainError, match="MD_CONSTANT_GRID"):
+            ExperimentConfig(InstanceSpec(4, 6, sparsity=2, seed=16), methods=[Method.md_polyak(), method])
 
 
 class TestExperiment2:
@@ -165,7 +172,7 @@ class TestExperiment2:
 def reference_divergence(p, method, scale, iters, extra):
     """Experiment 1's divergence column computed by a second solve of the
     first ``iters`` iterations, traced against the clipped limit estimate."""
-    if method.kind == "md_constant_grid":
+    if method == MD_CONSTANT_GRID:
         x0 = np.full(p.n, scale)
         alpha, long_res = grid_search_constant(p, x0, iters + extra)
         method = Method.md_constant(alpha)

@@ -18,50 +18,49 @@ from entmd import (
     Status,
     backtracking_stepsize,
     bregman_divergence,
-    egpm_step,
     gen_instance,
-    gradient,
-    hd_plus_step,
-    hd_step,
     max_col_norm_sq,
     md_step,
-    objective,
-    polyak_stepsize,
     seeded_rng,
     solve,
     solve_convex,
 )
 from entmd.solvers import (_backtracking_stepsize, _exp_update, _hd_plus_update, _hd_update, _lockstep,
-                           _replay_divergence)
-from conftest import centered_gaussian_instance, signed_system
+                           _objective_gradient, _polyak_stepsize, _replay_divergence)
+from conftest import centered_gaussian_instance, egpm_step, gradient, objective, signed_system
 
 
 def one_dim_instance():
     return ProblemInstance([[1.0]], [1.0], planted=[1.0])
 
 
+def objective_gradient(p, x):
+    """(f, grad f) at x from the callback solve iterates on."""
+    return _objective_gradient(p, "md_polyak")(np.array(x, dtype=float))
+
+
 class TestObjectiveGradient:
     def test_exact_solution(self):
-        p = one_dim_instance()
-        assert objective(p, [1.0]) == 0.0
-        assert np.array_equal(gradient(p, [1.0]), [0.0])
+        f, g = objective_gradient(one_dim_instance(), [1.0])
+        assert f == 0.0
+        assert np.array_equal(g, [0.0])
 
     def test_off_solution(self):
-        p = one_dim_instance()
-        assert objective(p, [2.0]) == pytest.approx(0.5)
-        assert gradient(p, [2.0]) == pytest.approx([1.0])
+        f, g = objective_gradient(one_dim_instance(), [2.0])
+        assert f == pytest.approx(0.5)
+        assert g == pytest.approx([1.0])
 
     def test_identity_system(self):
         p = ProblemInstance(np.eye(2), [1.0, 1.0])
-        assert gradient(p, [0.0, 2.0]) == pytest.approx([-1.0, 1.0])
+        assert objective_gradient(p, [0.0, 2.0])[1] == pytest.approx([-1.0, 1.0])
 
     def test_zero_case(self):
         p = ProblemInstance([[1.0]], [0.0])
-        assert objective(p, [0.0]) == 0.0
+        assert objective_gradient(p, [0.0])[0] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            objective(one_dim_instance(), [1.0, 2.0])
+            solve(one_dim_instance(), SolveConfig(Method.md_polyak(), [1.0, 2.0]))
 
 
 class TestProblemInstance:
@@ -79,38 +78,38 @@ class TestProblemInstance:
 
 
 class TestPolyakStepsize:
+    # _polyak_stepsize(x, g, f, c, ||g||_inf), the stepsize every Polyak solve takes
     def test_polyak_term_binds(self):
         # f = 0.5, g = (1,), weighted norm = 2 at x = (2,)
-        assert polyak_stepsize([2.0], [1.0], 0.5) == pytest.approx(0.25)
+        assert _polyak_stepsize(np.array([2.0]), np.array([1.0]), 0.5, 1.0, 1.0) == pytest.approx(0.25)
 
     def test_cap_binds(self):
         # x = 0.1: f = 0.405, ||g||^2_x = 0.081, cap = 1.79 / 0.9
-        alpha = polyak_stepsize([0.1], [-0.9], 0.405)
+        alpha = _polyak_stepsize(np.array([0.1]), np.array([-0.9]), 0.405, 1.0, 0.9)
         assert alpha == pytest.approx(EXP_QUAD_BOUND / 0.9)
 
     def test_zero_gap(self):
-        assert polyak_stepsize([1.0], [1.0], 0.0) == 0.0
+        assert _polyak_stepsize(np.array([1.0]), np.array([1.0]), 0.0, 1.0, 1.0) == 0.0
 
     def test_boundary_weighted_norm(self):
         # zero weight where the gradient lives: fall back to the cap
-        assert polyak_stepsize([0.0], [2.0], 1.0) == pytest.approx(EXP_QUAD_BOUND / 2.0)
+        alpha = _polyak_stepsize(np.array([0.0]), np.array([2.0]), 1.0, 1.0, 2.0)
+        assert alpha == pytest.approx(EXP_QUAD_BOUND / 2.0)
 
     def test_convex_mode_halves_polyak_term(self):
-        quad = polyak_stepsize([2.0], [1.0], 0.5)
-        cvx = polyak_stepsize([2.0], [1.0], 0.5, convex_mode=True)
+        # solve_convex takes c = 2 where solve takes c = 1
+        quad = _polyak_stepsize(np.array([2.0]), np.array([1.0]), 0.5, 1.0, 1.0)
+        cvx = _polyak_stepsize(np.array([2.0]), np.array([1.0]), 0.5, 2.0, 1.0)
         assert cvx == pytest.approx(quad / 2)
 
     def test_errors(self):
-        with pytest.raises(DomainError):
-            polyak_stepsize([-1.0], [1.0], 1.0)
-        with pytest.raises(DomainError):
-            polyak_stepsize([1.0], [0.0], 1.0)
-        with pytest.raises(DomainError):
-            polyak_stepsize([1.0], [1.0], -1.0)
-        with pytest.raises(DomainError):
-            polyak_stepsize([1.0], [1.0], math.nan)
-        with pytest.raises(DomainError):
-            polyak_stepsize([1.0], [1.0], math.inf)
+        # a zero gradient with a positive gap has no stepsize: None, which a
+        # solve reports as a breakdown at that iteration
+        assert _polyak_stepsize(np.array([1.0]), np.zeros(1), 1.0, 1.0, 0.0) is None
+        p = ProblemInstance([[1.0], [1.0]], [2.0, 0.0])  # at x = 1: r = (-1, 1), f = 1, g = 0
+        res = solve(p, SolveConfig(Method.md_polyak(), [1.0]))
+        assert res.status is Status.NUMERICAL_BREAKDOWN
+        assert res.iters_run == 0 and len(res.trace) == 0
 
 
 class TestSteps:
@@ -129,14 +128,15 @@ class TestSteps:
         with pytest.raises(BreakdownError):
             md_step([1.0], [-1.0], 1e4)
 
-    @pytest.mark.parametrize("step", [md_step, hd_plus_step, hd_step])
+    # parametrized over md_step alone so the test ids name the step function
+    @pytest.mark.parametrize("step", [md_step])
     @pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.inf, math.nan])
     def test_stepsize_must_be_finite_and_nonnegative(self, step, alpha):
         # a negative stepsize would step uphill: md_step([1], [1], -1) would return e
         with pytest.raises(DomainError):
             step([1.0], [1.0], alpha)
 
-    @pytest.mark.parametrize("step", [md_step, hd_plus_step, hd_step])
+    @pytest.mark.parametrize("step", [md_step])  # as above, for the test ids
     def test_negative_iterate_rejected(self, step):
         # md_step([-1, 1], [1, 1], 0.5) would return a point off the orthant
         with pytest.raises(DomainError):
@@ -188,39 +188,36 @@ class TestSteps:
 
     def test_hd_plus_zero_step(self):
         x = np.array([1.0, 3.0])
-        assert np.array_equal(hd_plus_step(x, [1.0, -2.0], 0.0), x)
+        assert np.array_equal(_hd_plus_update(x, np.array([1.0, -2.0]), 0.0), x)
 
     def test_hd_plus_hand_value(self):
-        assert hd_plus_step([2.0], [1.0], 0.25) == pytest.approx([1.625])
+        assert _hd_plus_update(np.array([2.0]), np.array([1.0]), 0.25) == pytest.approx([1.625])
 
     def test_hd_plus_stationary(self):
         x = np.array([1.0, 2.0])
-        assert np.array_equal(hd_plus_step(x, [0.0, 0.0], 0.7), x)
-
-    def test_hd_plus_cap_precondition(self):
-        with pytest.raises(DomainError):
-            hd_plus_step([1.0], [1.0], 2.0)
+        assert np.array_equal(_hd_plus_update(x, np.zeros(2), 0.7), x)
 
     def test_hd_zero_step(self):
         x = np.array([1.0])
-        assert np.array_equal(hd_step(x, [3.0], 0.0), x)
+        assert np.array_equal(_hd_update(x, np.array([3.0]), 0.0), x)
 
     def test_hd_hand_value(self):
-        assert hd_step([2.0], [1.0], 0.25) == pytest.approx([2 * 0.75**2])
+        assert _hd_update(np.array([2.0]), np.array([1.0]), 0.25) == pytest.approx([2 * 0.75**2])
 
     def test_hd_exact_zero_at_root(self):
-        assert hd_step([2.0], [1.0], 1.0) == pytest.approx([0.0])
+        assert _hd_update(np.array([2.0]), np.array([1.0]), 1.0) == pytest.approx([0.0])
 
+    # eg_pm takes the exponential update on w = (u, v) with gradient (g, -g)
     def test_egpm_zero_step(self):
-        u, v = egpm_step([1.0], [2.0], [3.0], 0.0)
-        assert u == pytest.approx([1.0]) and v == pytest.approx([2.0])
+        w = np.array([1.0, 2.0])
+        assert np.array_equal(_exp_update(w, np.array([3.0, -3.0]), 0.0), w)
 
     def test_egpm_stationary_at_zero_gradient(self):
-        u, v = egpm_step([0.5], [0.5], [0.0], 1.0)
-        assert u == pytest.approx([0.5]) and v == pytest.approx([0.5])
+        w = np.array([0.5, 0.5])
+        assert np.array_equal(_exp_update(w, np.zeros(2), 1.0), w)
 
     def test_egpm_matches_md_on_stacked_system(self):
-        # one split step must equal one exponential step on (A, -A)
+        # one split step, from the reference, must equal one exponential step on (A, -A)
         rng = seeded_rng(20)
         a = rng.standard_normal((3, 5))
         u = rng.uniform(0.1, 1.0, 5)
@@ -229,7 +226,7 @@ class TestSteps:
         g = a.T @ (a @ (u - v) - b)
         alpha = 0.3
         u2, v2 = egpm_step(u, v, g, alpha)
-        w2 = md_step(np.concatenate([u, v]), np.concatenate([g, -g]), alpha)
+        w2 = _exp_update(np.concatenate([u, v]), np.concatenate([g, -g]), alpha)
         assert np.max(np.abs(np.concatenate([u2, v2]) - w2)) < 1e-14
 
 
@@ -407,11 +404,6 @@ class TestSolve:
         res = solve(p, SolveConfig(Method.hd_plus_polyak(), np.full(20, 0.1)))
         assert res.status is Status.CONVERGED
 
-    def test_grid_placeholder_rejected(self):
-        p = one_dim_instance()
-        with pytest.raises(DomainError):
-            solve(p, SolveConfig(Method.md_constant_grid(), [1.0]))
-
     def test_reference_infinitely_far_from_x0_raises(self):
         p = ProblemInstance([[1.0]], [1e307])
         with pytest.raises(InfiniteDivergence):
@@ -424,12 +416,12 @@ class TestSolve:
 
 @pytest.mark.parametrize("method, step", [
     (Method.md_polyak(), md_step),
-    (Method.hd_plus_polyak(), hd_plus_step),
-    (Method.hd_polyak(), hd_step),
+    (Method.hd_plus_polyak(), _hd_plus_update),
+    (Method.hd_polyak(), _hd_update),
     (Method.md_backtracking(), md_step),
 ])
 def test_trace_stepsizes_replay_through_public_steps(method, step):
-    # the loop and the public step functions share one update definition:
+    # the loop, md_step and backtracking_stepsize share one update definition:
     # replaying the recorded stepsizes reproduces the final iterate bit for bit
     p = centered_gaussian_instance(6, 12, 3, seed=35)
     x0 = np.full(12, 0.1)
