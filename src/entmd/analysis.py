@@ -486,9 +486,9 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
     iterations started at (1 + rel_perturb) * planted.
 
     Stops early if the iterates overflow; the maximum observed distance is
-    returned either way, rescaled where its squared sum would overflow
-    (:func:`~entmd.linalg.vector_norm`).  Raises DomainError if ``iters`` is
-    below 1.
+    returned either way, rescaled where its squared sum would overflow or
+    underflow (:func:`~entmd.linalg.vector_norm`).  Raises DomainError if
+    ``iters`` is below 1.
     """
     if iters < 1:
         raise DomainError(f"iters must be at least 1, got {iters!r}")
@@ -507,10 +507,7 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
             if not np.all(np.isfinite(x_next)):
                 break
             x = x_next
-            dist = float(np.linalg.norm(x - target))
-            if dist == math.inf:  # the squared sum overflowed; every entry is finite
-                dist = vector_norm(x - target)
-            worst = max(worst, dist)
+            worst = max(worst, vector_norm(x - target))
     return worst
 
 

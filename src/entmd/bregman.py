@@ -114,8 +114,11 @@ def _dh_core(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     # where x_i = 0: those coordinates are not near
     ratio = y / x
     near = (ratio > 0.5) & (ratio < 2.0)
-    u = (y - x) / x
-    terms = x * (u - np.log1p(u))
+    u = y - x
+    u /= x
+    terms = np.log1p(u)
+    np.subtract(u, terms, out=terms)
+    terms *= x
     if not np.logical_and.reduce(near, axis=None):
         # inf where x_i > 0 = y_i (log 0 = -inf) and for astronomically distant pairs
         far = x * (np.log(x) - np.log(y)) - x + y

@@ -31,6 +31,7 @@ from .experiments import (
     MD_CONSTANT_GRID,
     ExperimentConfig,
     InstanceSpec,
+    _method_labels,
     _write_csv,
     run_experiment1,
     run_experiment2,
@@ -272,6 +273,10 @@ def _cmd_exp1(args) -> int:
             methods.append(Method.md_backtracking())
         else:
             raise _CliError(f"unknown method {name!r} for exp1")
+    try:
+        _method_labels(methods)
+    except DomainError as exc:
+        raise _CliError(f"--methods {args.methods}: {exc}") from None
     cfg = ExperimentConfig(
         _spec_from_flags(args),
         methods=methods,

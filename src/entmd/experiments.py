@@ -74,12 +74,27 @@ class ExperimentConfig:
             raise DomainError("iters must be at least 1")
         if int(self.limit_extra_iters) < 0:
             raise DomainError("limit_extra_iters must be nonnegative")
-        if not all(isinstance(m, Method) or m == MD_CONSTANT_GRID for m in self.methods):
-            raise DomainError("each method must be a Method or MD_CONSTANT_GRID")
+        _method_labels(self.methods)
         # NaN fails both comparisons
         if not self.inits or not all(0.0 < s < np.inf for s in self.inits):
             raise DomainError("initialization scales must be finite and positive")
         self.out_path = Path(self.out_path)
+
+
+def _method_labels(methods: list) -> list[str]:
+    """The CSV column label of each entry of ``ExperimentConfig.methods``.
+
+    Raises DomainError unless each entry is a Method or MD_CONSTANT_GRID and
+    each label occurs once: a label names one CSV column and one status
+    line of the sidecar.
+    """
+    if not all(isinstance(m, Method) or m == MD_CONSTANT_GRID for m in methods):
+        raise DomainError("each method must be a Method or MD_CONSTANT_GRID")
+    labels = ["md_constant_opt" if m == MD_CONSTANT_GRID else m.label for m in methods]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise DomainError(f"repeated method label {', '.join(repeated)}: each label is one CSV column")
+    return labels
 
 
 def gen_instance(spec: InstanceSpec) -> ProblemInstance:
@@ -217,12 +232,6 @@ def _cummin(values: np.ndarray, length: int) -> np.ndarray:
     return np.minimum.accumulate(_padded(values, length))
 
 
-# Method kinds whose exp1 runs advance in one lockstep batch.  md_backtracking
-# (its trial count differs per run) and eg_pm (its rows are 2n long) run
-# through solve.
-_LOCKSTEP_KINDS = ("md_polyak", "hd_plus_polyak", "hd_polyak", "md_constant")
-
-
 def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     """Method comparison on one instance; writes two CSVs and a sidecar.
 
@@ -233,12 +242,12 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``MD_CONSTANT_GRID`` is the stepsize :func:`grid_search_constant` picks;
     where no grid stepsize reaches a finite objective, it is the smallest
     one, and its breakdown is recorded as another method's is.
-    The grid's stepsizes and the Polyak and constant-stepsize methods
-    advance together in one lockstep batch, and the grid's winner is its own
-    run there; ``md_backtracking`` and ``eg_pm`` are solved alone.  Every run
+    The grid's stepsizes and every method but ``eg_pm`` advance together in
+    one lockstep batch, and the grid's winner is its own run there;
+    ``eg_pm``, whose rows are 2n long, is solved alone.  Every run
     equals its own ``solve`` bit for bit.  Panel two replays the first
-    ``iters`` stepsizes each run recorded, with no stepsize rule, in one
-    lockstep batch (``eg_pm`` in a second one), so it follows the runs'
+    ``iters`` stepsizes each run recorded, with no stepsize rule and no stop
+    test, in one batch (``eg_pm`` in a second one), so it follows the runs'
     iterates bit for bit without storing them.  A column ends at the first
     iterate whose divergence is infinite and holds its last value from
     there on; a run without records reads inf in both panels.
@@ -253,19 +262,19 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     p = gen_instance(cfg.spec)
     scale = cfg.inits[0]
     budget = cfg.iters + cfg.limit_extra_iters
-    # the grid's stepsizes and the Polyak and constant-stepsize methods run
-    # in one lockstep batch; the grid's winner is its own row there
+    # the grid's stepsizes and every method but eg_pm run in one lockstep
+    # batch; the grid's winner is its own row there
     grid = _constant_grid(p) if MD_CONSTANT_GRID in cfg.methods else []
-    batched = [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind in _LOCKSTEP_KINDS]
+    batched = [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind != "eg_pm"]
     runs, f_min = _lockstep(p, grid + batched, np.full((len(grid) + len(batched), p.n), scale), budget,
                             keep=cfg.iters)
     best = _grid_winner(runs, f_min, len(grid))[0] if grid else None
     batch = iter(runs[len(grid):])
     methods = [grid[best] if m == MD_CONSTANT_GRID else m for m in cfg.methods]
-    labels = ["md_constant_opt" if m == MD_CONSTANT_GRID else m.label for m in cfg.methods]
+    labels = _method_labels(cfg.methods)
     starts = [np.full(2 * p.n if m.kind == "eg_pm" else p.n, scale) for m in methods]
     results = [runs[best] if asked == MD_CONSTANT_GRID
-               else next(batch) if asked.kind in _LOCKSTEP_KINDS
+               else next(batch) if asked.kind != "eg_pm"
                else solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0))
                for asked, method, start in zip(cfg.methods, methods, starts)]
 

@@ -10,6 +10,7 @@ routines take an explicit generator and never touch global state.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -60,18 +61,23 @@ def max_col_norm_sq(a) -> float:
     return float(np.max(np.sum(a * a, axis=0)))
 
 
+# Below this norm numpy's squared sum is subnormal or zero and loses precision.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
 def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, also where its squared sum overflows.
+    """Euclidean norm of a vector, also where its squared sum overflows or underflows.
 
     numpy's ``norm`` squares the entries, so above ~1.3e154 it returns inf
-    with an overflow warning; there the norm is s ||v / s|| with
-    s = max |v_i|, which is finite while the norm is.
+    with an overflow warning, and below ~1.5e-154 the squares lose their
+    bits down to 0.  There the norm is s ||v / s|| with s = max |v_i|, which
+    is finite and accurate while the norm is.
     """
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(v))
-    if r == math.inf:
+    if r == math.inf or r < _SQRT_TINY:
         s = float(np.max(np.abs(v)))
-        if s < math.inf:
+        if 0.0 < s < math.inf:
             r = s * float(np.linalg.norm(v / s))
     return r
 

@@ -14,12 +14,13 @@ Schemes
 * ``md_backtracking``  exponential update, stepsize halved until the local
                        curvature test a * D_f < D_h accepts
 
-Two iteration loops run them.  ``_iterate`` runs one solve for
+Three iteration loops run them.  ``_iterate`` runs one solve for
 :func:`solve` and :func:`solve_convex`; the two differ only in the objective
 callback, and the schemes only in the update rule and the stepsize rule.
-``_lockstep`` advances several runs on one instance together on the same
-update rules, each ending where its own solve ends, bit for bit; the
-experiments' batches and the divergence replay use it.  Every solve records
+``_lockstep`` advances several runs of any kinds on one instance together on
+the same rules, each ending where its own solve ends, bit for bit; the
+experiments' batches use it.  ``_replay_divergence`` replays recorded
+stepsizes without a stop test to follow runs' iterates.  Every solve records
 a per-iteration trace (objective, stepsize, l1 norm and optionally the
 Bregman divergence to a reference point) and reports one of three terminal
 statuses.  When a reference solution is supplied, the Polyak schemes verify
@@ -241,48 +242,77 @@ def _polyak_stepsize(x: np.ndarray, g: np.ndarray, f: float, c: float, g_inf: fl
     if g_inf == 0.0:
         return None
     cap = EXP_QUAD_BOUND / g_inf
-    wn = float(np.add.reduce(x * g * g))
+    wn = x * g
+    wn *= g
+    wn = float(np.add.reduce(wn))
     return cap if wn == 0.0 else min(f / (c * wn), cap)
 
 
-# The exp and hd updates work in place on one fresh array.  A coordinate
+# The updates work in place on one array, ``out`` if given.  A coordinate
 # with x_i == 0 stays exactly 0.0 whenever its multiplier is finite, so the
-# explicit zero mask is needed only when the product is not all finite.
-# The product is nonnegative, so a finite sum shows that it is; a sum that
-# overflows merely masks entries that are 0.0 already.
+# exp and hd updates need their zero mask only where the product is not all
+# finite.  The product is nonnegative, so a finite sum shows that it is; a
+# sum that overflows merely masks entries that are 0.0 already.  The loops
+# take that sum as the new iterate's l1 norm and mask only when it is not
+# finite; hd_plus has no mask, and a non-finite entry ends its run.
+
+def _exp_mult(x: np.ndarray, g: np.ndarray, alpha, out=None) -> np.ndarray:
+    """x * exp(-alpha g) without the mask; for a (B, n) block ``alpha`` may be a (B, 1) column of stepsizes."""
+    out = np.multiply(g, -alpha, out=out)
+    np.exp(out, out=out)
+    out *= x
+    return out
+
+
+def _hd_mult(x: np.ndarray, g: np.ndarray, alpha, out=None) -> np.ndarray:
+    """x * (1 - alpha g)^2 without the mask."""
+    mult = 1.0 - alpha * g
+    out = np.multiply(x, mult, out=out)
+    out *= mult
+    return out
+
+
+def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha, out=None) -> np.ndarray:
+    t = alpha * g
+    mult = 1.0 - t
+    t *= t
+    mult += t
+    return np.multiply(x, mult, out=out)
+
+
+def _frozen_sum(x: np.ndarray, out: np.ndarray, masked: bool = True) -> float:
+    """The sum of ``out``, an update of ``x``; where it is not finite and the
+    update masks, the entries of ``out`` at x == 0 are set to 0.0 first."""
+    total = float(np.add.reduce(out, axis=None))
+    if masked and not math.isfinite(total):
+        out[x == 0.0] = 0.0
+        total = float(np.add.reduce(out, axis=None))
+    return total
+
 
 def _exp_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
     """x * exp(-alpha g); for a (B, n) block of rows ``alpha`` may be a (B, 1) column of stepsizes."""
-    out = np.multiply(g, -alpha)
-    np.exp(out, out=out)
-    out *= x
-    if not math.isfinite(np.add.reduce(out, axis=None)):
-        out[x == 0.0] = 0.0
+    out = _exp_mult(x, g, alpha)
+    _frozen_sum(x, out)
     return out
-
-
-def _hd_plus_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
-    t = alpha * g
-    return x * (1.0 - t + t * t)
 
 
 def _hd_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
-    mult = 1.0 - alpha * g
-    out = x * mult
-    out *= mult
-    if not math.isfinite(np.add.reduce(out, axis=None)):
-        out[x == 0.0] = 0.0
+    out = _hd_mult(x, g, alpha)
+    _frozen_sum(x, out)
     return out
 
 
+# Each kind's update without its mask, and the kinds' updates that mask
 _UPDATES = {
-    "md_polyak": _exp_update,
+    "md_polyak": _exp_mult,
     "hd_plus_polyak": _hd_plus_update,
-    "hd_polyak": _hd_update,
-    "eg_pm": _exp_update,
-    "md_constant": _exp_update,
-    "md_backtracking": _exp_update,
+    "hd_polyak": _hd_mult,
+    "eg_pm": _exp_mult,
+    "md_constant": _exp_mult,
+    "md_backtracking": _exp_mult,
 }
+_MASKED = (_exp_mult, _hd_mult)
 
 
 def _vector_pair(x, g, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -319,25 +349,29 @@ def md_step(x, g, alpha: float) -> np.ndarray:
 
 
 def _backtracking_stepsize(a: np.ndarray, x: np.ndarray, g: np.ndarray, alpha: float,
-                           shrink: float) -> tuple[float, np.ndarray] | None:
-    """:func:`backtracking_stepsize` on validated arrays: the accepted stepsize
-    and its trial point ``x+``, or None where it raises.
+                           shrink: float) -> tuple[float, np.ndarray, float] | None:
+    """:func:`backtracking_stepsize` on validated arrays: the accepted stepsize,
+    its trial point ``x+`` and the sum of ``x+``, or None where it raises.
 
     The caller suppresses numpy's floating-point warnings.
     """
-    # A zero gradient on the support leaves x+ == x for every trial: alpha0
-    # is accepted.  Elsewhere a trial whose x+ merely rounds to x is rejected.
-    if not np.count_nonzero(g[x > 0.0]):
-        return alpha, _exp_update(x, g, alpha)
-    for _ in range(201):
-        x_plus = _exp_update(x, g, alpha)
+    for trial in range(201):
+        x_plus = _exp_mult(x, g, alpha)
+        total = _frozen_sum(x, x_plus)
         # overflow, or a positive coordinate driven to zero (infinite D_h): not an admissible trial
-        d_h = _dh_core(x, x_plus) if np.logical_and.reduce(np.isfinite(x_plus)) else math.inf
-        if d_h < math.inf:
-            dvec = a @ (x - x_plus)
-            d_f = 0.5 * float(dvec @ dvec)
-            if alpha * d_f < d_h:
-                return alpha, x_plus
+        if math.isfinite(total) or np.logical_and.reduce(np.isfinite(x_plus)):
+            d_h = _dh_core(x, x_plus)
+            if d_h < math.inf:
+                dvec = a @ (x - x_plus)
+                d_f = 0.5 * float(dvec @ dvec)
+                if alpha * d_f < d_h:
+                    return alpha, x_plus, total
+        # A zero gradient on the support leaves x+ == x for every trial, so
+        # D_h = D_f = 0 rejects the first one: such a point is stationary, and
+        # alpha0 is accepted.  Elsewhere a trial whose x+ merely rounds to x
+        # is rejected.
+        if not trial and not np.count_nonzero(g if np.minimum.reduce(x) > 0.0 else g[x > 0.0]):
+            return alpha, x_plus, total
         alpha *= shrink
     return None
 
@@ -380,13 +414,14 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
     """The iteration loop behind :func:`solve` and :func:`solve_convex`.
 
     ``fg(x)`` returns the objective (or gap) f and its gradient g at x.
-    ``step(x, g)`` gives the stepsize and the next iterate, or None when no
-    stepsize is admissible; by default it is the Polyak rule with constant
-    ``c``, the same ``c`` that scales the descent certificate
+    ``step(x, g)`` gives the stepsize, the next iterate and its sum (see
+    :func:`_frozen_sum`), or None when no stepsize is admissible; by default it is the Polyak rule with
+    constant ``c``, the same ``c`` that scales the descent certificate
     D_h(z, x+) - D_h(z, x) <= -alpha f / c, followed by the scheme's update.
     """
     kind = cfg.method.kind
     update = _UPDATES[kind]
+    masked = update in _MASKED
     x = cfg.x0.copy()
     z = cfg.trace_reference
     if z is not None and z.shape != x.shape:
@@ -424,17 +459,21 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
                 break
             if step is None:
                 alpha = _polyak_stepsize(x, g, f, c, g_inf)
-                taken = None if alpha is None else (alpha, update(x, g, alpha))
+                if alpha is None:
+                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k
+                    break
+                x_next = update(x, g, alpha)
+                l1_next = _frozen_sum(x, x_next, masked)
             else:
                 taken = step(x, g)
-            if taken is None:
-                status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                break
-            alpha, x_next = taken
+                if taken is None:
+                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k
+                    break
+                alpha, x_next, l1_next = taken
 
             records += (f, alpha, l1) if z is None else (f, alpha, l1, d_prev)
 
-            l1 = float(np.add.reduce(x_next))
+            l1 = l1_next
             if not math.isfinite(l1) and not np.logical_and.reduce(np.isfinite(x_next)):
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
@@ -476,7 +515,8 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
         alpha = cfg.method.alpha
 
         def step(x, g):
-            return alpha, _exp_update(x, g, alpha)
+            x_next = _exp_mult(x, g, alpha)
+            return alpha, x_next, _frozen_sum(x, x_next)
     elif kind == "md_backtracking":
         alpha0, shrink = cfg.method.alpha0, cfg.method.shrink
 
@@ -484,14 +524,20 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
             # the first step is taken from x0, where the loop has checked g to be finite
             nonlocal alpha0
             if alpha0 is None:
-                g0_inf = float(np.maximum.reduce(np.abs(g)))
-                alpha0 = EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
+                alpha0 = _first_trial(g)
             return _backtracking_stepsize(p.a, x, g, alpha0, shrink)
 
     res = _iterate(fg, cfg, step=step)
     if split:
         res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
     return res
+
+
+def _first_trial(g0: np.ndarray) -> float:
+    """``md_backtracking``'s first trial stepsize where ``alpha0`` is None: 1.79 / ||g0||_inf
+    for the gradient g0 at x0, or 1 where it vanishes."""
+    g0_inf = float(np.maximum.reduce(np.abs(g0)))
+    return EXP_QUAD_BOUND / g0_inf if g0_inf > 0 else 1.0
 
 
 def _objective_gradient(p: ProblemInstance, kind: str):
@@ -501,156 +547,240 @@ def _objective_gradient(p: ProblemInstance, kind: str):
     if kind == "eg_pm":
         # eg_pm is md_polyak on w = (u, v) for the stacked matrix [A, -A]
         def fg(w):
-            r = a @ (w[:n] - w[n:]) - b
+            r = a @ (w[:n] - w[n:])
+            r -= b
             g = at @ r
             return 0.5 * float(r @ r), np.concatenate([g, -g])
     else:
         def fg(x):
-            r = a @ x - b
+            r = a @ x
+            r -= b
             return 0.5 * float(r @ r), at @ r
     return fg
 
 
-def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters, keep: int = 0,
-              given: list | None = None, visit=None) -> tuple[list[SolveResult], np.ndarray]:
+def _stacked_gradients(a: np.ndarray, at: np.ndarray, b: np.ndarray, x: np.ndarray,
+                       split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The residual r = A x - b, shape (B, m, 1), and the gradient of each row of ``x``.
+
+    ``np.matmul`` over the (B, n, 1) stack makes the same dgemv call per row
+    as ``a @ x``; a GEMM block ``a @ X.T`` would round differently, and
+    Polyak runs amplify that difference.
+    """
+    n = a.shape[1]
+    r = np.matmul(a, (x[:, :n] - x[:, n:] if split else x)[:, :, None])
+    r[:, :, 0] -= b
+    g = np.matmul(at, r)[:, :, 0]
+    return r, np.concatenate((g, -g), axis=1) if split else g
+
+
+def _update_groups(updates: list, start: int = 0) -> list[tuple]:
+    """(update, rows) for each stretch of adjacent rows from ``start`` on that share an update."""
+    cuts = [i for i in range(start + 1, len(updates)) if updates[i] is not updates[i - 1]]
+    bounds = [start, *cuts, len(updates)]
+    return [(updates[lo], slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _mask_frozen(groups: list, x: np.ndarray, x_next: np.ndarray) -> None:
+    """Set x_next to 0.0 where x is 0 in the rows of each group whose update masks."""
+    for update, rows, *_ in groups:
+        if update in _MASKED:
+            block = x_next[rows]
+            block[x[rows] == 0.0] = 0.0
+
+
+# Rows of a batch's log: the records of this many iterations go to the
+# traces and the minima at once
+_LOG_ROWS = 64
+
+# How each kind picks its stepsize in a batch; the rows sort by it
+_RULES = {"md_backtracking": 0, "md_constant": 1, "md_polyak": 2, "hd_plus_polyak": 2, "hd_polyak": 2, "eg_pm": 2}
+
+
+def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
+              keep: int = 0) -> tuple[list[SolveResult], np.ndarray]:
     """One solve of ``p`` per row of ``x0``, all advancing together.
 
     Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], max_iters,
     f_tol=0.0))`` ends, bit for bit in its iterates, trace, status and
     iteration count; ``iters`` is the ``max_iters`` of every run or a
-    sequence of one per run.  The stepsize is the Polyak rule with c = 1,
-    or ``alpha`` for ``md_constant``; with ``given``, run r takes the
-    stepsizes ``given[r]`` instead, which replays a recorded run of any kind.
-    A batch holds ``eg_pm`` runs only or none.  A run that stops leaves the
-    batch.
+    sequence of one per run.  Every kind batches: the Polyak kinds take the
+    Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
+    ``md_backtracking`` run its own trials, so that only a run whose trial
+    was rejected tries again.  A batch holds ``eg_pm`` runs only or none.
+    A run that stops leaves the batch.
 
-    An iteration costs one stacked GEMV pair: ``np.matmul`` over a
-    (B, n, 1) stack makes the same dgemv call per row as ``a @ x``, and f
-    is one ddot per row as ``r @ r`` is.  A GEMM block ``a @ X.T`` would
-    round differently, and Polyak runs amplify that difference.
+    An iteration costs one stacked GEMV pair (:func:`_stacked_gradients`),
+    and f is one ddot per row as ``r @ r`` is.
+
+    The f, stepsize and l1 norm of each iteration go to a log with one
+    column per run, and the stacked ddot writes f there.  The log fills the
+    traces and the minima of f every ``_LOG_ROWS`` iterations and whenever
+    runs leave, not once per iteration.  One scalar test on f and ||g||_inf
+    passes the iterations on which no run stops; the exact per-run tests
+    run only where it fails.
 
     Returns one :class:`SolveResult` per run, whose trace holds the first
     ``keep`` records of its solve's trace, and the smallest f of each whole
     run (inf for a run without records).
-    ``visit(k, live, x)``, if given, sees before the step of iteration k the
-    iterate ``x[i]`` of each run ``live[i]`` that steps.
     """
-    if given is None and any(m.kind == "md_backtracking" for m in methods):
-        raise DomainError("md_backtracking runs in lockstep only with given stepsizes")
-    a, b_col, n = p.a, p.b[:, None], p.n
+    a, b, n = p.a, p.b, p.n
     at = np.ascontiguousarray(a.T)
     rows = len(methods)
     split = any(m.kind == "eg_pm" for m in methods)
     updates = [_UPDATES[m.kind] for m in methods]
     budget = np.array(np.broadcast_to(iters, (rows,)), dtype=np.int64)
-    polyak = np.array([given is None and m.kind != "md_constant" for m in methods], dtype=bool)
-    constant = np.array([m.alpha if m.kind == "md_constant" else 0.0 for m in methods])
-    if given is not None:
-        replayed = np.zeros((rows, budget.max(initial=0)))
-        for r, steps in enumerate(given):
-            replayed[r, :budget[r]] = steps[:budget[r]]
+    shrink = np.array([m.shrink for m in methods])
+    x = np.array(x0, dtype=float)
 
     trace = np.recarray((rows, keep), _TRACE)
-    f_rec, step_rec, l1_rec = trace.f_value, trace.stepsize, trace.l1_norm
+    records = (trace.f_value, trace.stepsize, trace.l1_norm)
     x_final = np.empty(np.shape(x0))
     status = [Status.MAX_ITERS] * rows
     iters_run, length, f_min = budget.copy(), budget.copy(), np.full(rows, np.inf)
-    # the Polyak runs come last and runs that share an update stay adjacent
-    # (md_constant's update is the exponential one), so the Polyak rule and
-    # each update run on one slice
-    live = np.array(sorted(range(rows), key=lambda r: (polyak[r], updates[r].__name__)), dtype=np.intp)
-    x = np.array(x0, dtype=float)[live]
+    # backtracking runs first, then constant stepsizes, then the Polyak runs,
+    # those that share an update adjacent: md_constant's update is the
+    # exponential one, so the constant and md_polyak runs update in one call
+    live = np.array(sorted(range(rows), key=lambda r: (_RULES[methods[r].kind], updates[r].__name__)),
+                    dtype=np.intp)
+    # row i of the log holds the f, stepsize and l1 norm of record k0 + i of each run in live
+    log = np.empty((3, _LOG_ROWS + 1, rows))
     fmin = np.full(rows, np.inf)
-    l1 = np.add.reduce(x, axis=1)
+    k0 = 0
 
     def regroup():
-        """Per-run constants of the runs in ``live``."""
-        nonlocal first_pol, rest, groups, next_end
-        if live.size:
-            first_pol = live.size - np.count_nonzero(polyak[live])
-            rest = constant[live]
-            cuts = [i for i in range(1, live.size) if updates[live[i]] is not updates[live[i - 1]]]
-            bounds = [0, *cuts, live.size]
-            groups = [(updates[live[lo]], lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            next_end = budget[live].min()
+        """Per-run constants and log views of the runs in ``live``."""
+        nonlocal size, n_bt, pol, alpha, alpha_pol, groups, bt_alpha0, bt_shrink, next_end, f_log, f_out, s_log, \
+            l1_log
+        size = live.size
+        kinds = [_RULES[methods[r].kind] for r in live]
+        n_bt, first_pol = kinds.count(0), size - kinds.count(2)
+        pol = slice(first_pol, None)
+        # the stepsizes of an iteration, the fixed ones set here
+        alpha = np.empty(size)
+        alpha[n_bt:first_pol] = first[live[n_bt:first_pol]]
+        alpha_pol, col = alpha[pol], alpha[:, None]
+        groups = [(update, rows_, col[rows_]) for update, rows_ in _update_groups([updates[r] for r in live], n_bt)]
+        bt_alpha0, bt_shrink = first[live[:n_bt]].tolist(), shrink[live[:n_bt]].tolist()
+        next_end = budget[live].min() if size else None
+        f_log, s_log, l1_log = log[:, :, :size]
+        f_out = f_log[:, :, None, None]
 
-    def leave(stop, k, stepped, statuses):
-        """Runs ``live[stop]`` end at their current iterate after k iterations and ``k + stepped`` steps."""
-        nonlocal x, fmin, l1, live
+    def flush(k_end, go=None):
+        """Records k0 .. k_end - 1 of the runs in ``live`` go to their traces and minima,
+        and the log row of record k_end becomes row 0 for the runs that ``go`` keeps."""
+        nonlocal k0
+        count = k_end - k0
+        if count:
+            np.minimum(fmin, np.minimum.reduce(f_log[:count], axis=0), out=fmin)
+            kept = min(k_end, keep) - k0
+            if kept > 0:
+                for rec, part in zip(records, log[:, :kept, :size]):
+                    rec[live, k0:k0 + kept] = part.T
+        head = log[:, count, :size]
+        if go is not None:
+            head = head[:, go]
+        log[:, 0, :head.shape[1]] = head
+        k0 = k_end
+
+    def leave(stop, k, k_end, statuses):
+        """Runs ``live[stop]`` end at their current iterate after k iterations, with k_end records."""
+        nonlocal x, fmin, live
+        go = ~stop
+        flush(k_end, go)
         idx = live[stop]
         iters_run[idx] = k
-        length[idx] = k + stepped
+        length[idx] = k_end
         x_final[idx] = x[stop]
         f_min[idx] = fmin[stop]
         for r, s in zip(idx, statuses):
             status[r] = s
-        go = ~stop
-        x, fmin, l1, live = x[go], fmin[go], l1[go], live[go]
+        x, fmin, live = x[go], fmin[go], live[go]
         regroup()
         return go
 
-    first_pol = rest = groups = next_end = None
-    regroup()
+    size = n_bt = pol = alpha = alpha_pol = groups = bt_alpha0 = bt_shrink = next_end = None
+    f_log = f_out = s_log = l1_log = None
     err_state = np.seterr(all="ignore")
     try:
+        # md_constant's stepsize and md_backtracking's first trial, from x0 where alpha0 is None
+        first = np.zeros(rows)
+        for r, method in enumerate(methods):
+            if method.kind == "md_constant":
+                first[r] = method.alpha
+            elif method.kind == "md_backtracking":
+                r0 = a @ x[r]
+                r0 -= b
+                first[r] = _first_trial(at @ r0) if method.alpha0 is None else method.alpha0
+        x = x[live]
+        np.add.reduce(x, axis=1, out=log[2, 0])
+        regroup()
         for k in range(budget.max(initial=0)):
             if k == next_end:
                 ended = budget[live] == k
-                leave(ended, k, 0, [Status.MAX_ITERS] * np.count_nonzero(ended))
+                leave(ended, k, k, [Status.MAX_ITERS] * np.count_nonzero(ended))
                 if not live.size:
                     break
-            r = np.matmul(a, (x[:, :n] - x[:, n:] if split else x)[:, :, None])
-            r -= b_col
-            f = 0.5 * np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0]
-            g = np.matmul(at, r)[:, :, 0]
-            if split:
-                g = np.concatenate((g, -g), axis=1)
+            j = k - k0
+            r, g = _stacked_gradients(a, at, b, x, split)
+            np.matmul(r.transpose(0, 2, 1), r, out=f_out[j])
+            f = f_log[j]
+            f *= 0.5
             g_inf = np.maximum.reduce(np.abs(g), axis=1)
-            # NaN fails every comparison; a Polyak run stops at a zero gradient
-            moving = (f > 0.0) & (f < math.inf) & (g_inf < math.inf)
-            if first_pol < live.size:
-                moving[first_pol:] &= g_inf[first_pol:] > 0.0
-            if np.count_nonzero(moving) < live.size:
-                go = leave(~moving, k, 0, [Status.CONVERGED if c else Status.NUMERICAL_BREAKDOWN
-                                           for c in f[~moving] <= 0.0])
-                if not live.size:
-                    break
-                f, g, g_inf = f[go], g[go], g_inf[go]
-
-            if given is not None:
-                alpha = replayed[live, k]
-            elif first_pol == 0:
-                alpha = np.minimum(f / np.add.reduce(x * g * g, axis=1), EXP_QUAD_BOUND / g_inf)
-            elif first_pol < live.size:
-                pol = slice(first_pol, None)
-                wn = np.add.reduce(x[pol] * g[pol] * g[pol], axis=1)
-                alpha = np.concatenate((rest[:first_pol], np.minimum(f[pol] / wn, EXP_QUAD_BOUND / g_inf[pol])))
-            else:
-                alpha = rest
-            if k < keep:
-                f_rec[live, k] = f
-                step_rec[live, k] = alpha
-                l1_rec[live, k] = l1
-            np.minimum(fmin, f, out=fmin)
-            if visit is not None:
-                visit(k, live, x)
-
-            col = alpha[:, None]
-            if len(groups) == 1:
-                x_next = groups[0][0](x, g, col)
-            else:
-                x_next = np.concatenate([update(x[lo:hi], g[lo:hi], col[lo:hi]) for update, lo, hi in groups])
-            # solve stops a run whose new iterate has a non-finite entry; the
-            # entries are nonnegative, so finite l1 norms show none has
-            l1_next = np.add.reduce(x_next, axis=1)
-            if not math.isfinite(np.add.reduce(l1_next)):
-                stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
-                if stop.any():
-                    go = leave(stop, k, 1, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))
+            # every run steps where each f and ||g||_inf is positive and finite
+            q = f * g_inf
+            if not (np.minimum.reduce(q) > 0.0 and np.add.reduce(q) < math.inf):
+                # NaN fails every comparison; a Polyak run stops at a zero gradient
+                moving = (f > 0.0) & (f < math.inf) & (g_inf < math.inf)
+                moving[pol] &= g_inf[pol] > 0.0
+                if not moving.all():
+                    go = leave(~moving, k, k, [Status.CONVERGED if c else Status.NUMERICAL_BREAKDOWN
+                                               for c in f[~moving] <= 0.0])
                     if not live.size:
                         break
-                    x_next, l1_next = x_next[go], l1_next[go]
-            x, l1 = x_next, l1_next
+                    j, f, g, g_inf = 0, f_log[0], g[go], g_inf[go]
+
+            # each backtracking run's trials, which only it re-runs when rejected
+            taken = [_backtracking_stepsize(a, x[i], g[i], bt_alpha0[i], bt_shrink[i]) for i in range(n_bt)]
+            if None in taken:
+                stop = np.zeros(size, dtype=bool)
+                stop[:n_bt] = [step is None for step in taken]
+                go = leave(stop, k, k, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))
+                if not live.size:
+                    break
+                j, f, g, g_inf = 0, f_log[0], g[go], g_inf[go]
+                taken = [step for step in taken if step is not None]
+            x_next = np.empty_like(x)
+            for i, (step, x_plus, _) in enumerate(taken):
+                alpha[i] = step
+                x_next[i] = x_plus
+            if pol.start < size:
+                xp, gp = x[pol], g[pol]
+                wn = xp * gp
+                wn *= gp
+                wn = np.add.reduce(wn, axis=1)
+                np.divide(f[pol], wn, out=wn)
+                np.minimum(wn, EXP_QUAD_BOUND / g_inf[pol], out=alpha_pol)
+            s_log[j] = alpha
+            for update, rows_, col in groups:
+                update(x[rows_], g[rows_], col, out=x_next[rows_])
+            # solve stops a run whose new iterate has a non-finite entry; the
+            # entries are nonnegative, so finite l1 norms show none has
+            l1 = np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
+            if not math.isfinite(np.add.reduce(l1)):
+                _mask_frozen(groups, x, x_next)
+                np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
+                stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
+                if stop.any():
+                    go = leave(stop, k, k + 1, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))
+                    if not live.size:
+                        break
+                    x_next = x_next[go]
+            x = x_next
+            if k + 1 - k0 == _LOG_ROWS:
+                flush(k + 1)
+        if live.size:
+            flush(budget.max(initial=0))
     finally:
         np.seterr(**err_state)
     x_final[live] = x
@@ -675,24 +805,36 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
     """D_h(refs[r], x_k) at each iterate x_k from which run r takes its step ``steps[r][k]``.
 
     ``steps[r]`` are stepsizes a :func:`solve` of ``methods[r]`` from
-    ``x0[r]`` recorded.  All runs replay them in one :func:`_lockstep` batch,
-    with no stepsize rule, and so pass through their solves' iterates bit
-    for bit.  Entry r of the result is what solve r's trace records with
-    ``trace_reference=refs[r]`` and ``check_descent=False``: it ends before
-    the first later iterate at infinite divergence.  One block of iterates
-    per run is held at a time.
+    ``x0[r]`` recorded.  All runs replay them together, with no stepsize
+    rule, and so pass through their solves' iterates bit for bit: one
+    stacked GEMV pair per iteration (:func:`_stacked_gradients`), the runs'
+    updates and a copy of the iterates into a block.  The loop has no stop
+    test: a replayed run takes each step its solve took and leaves only
+    when its steps run out.  Entry r of the result is what solve r's trace
+    records with ``trace_reference=refs[r]`` and ``check_descent=False``: it
+    ends before the first later iterate at infinite divergence.  One block
+    of iterates per run is held at a time.
 
     Raises
     ------
     InfiniteDivergence
         If D_h(refs[r], x0[r]) is infinite for some run.
     """
-    block = np.empty((len(methods), _REPLAY_BLOCK, x0.shape[1]))
+    a, b = p.a, p.b
+    at = np.ascontiguousarray(a.T)
+    rows = len(methods)
+    split = any(m.kind == "eg_pm" for m in methods)
+    updates = [_UPDATES[m.kind] for m in methods]
+    lengths = np.array([len(s) for s in steps], dtype=np.int64)
+    stepsizes = np.zeros((rows, lengths.max(initial=0)))
+    for r, recorded in enumerate(steps):
+        stepsizes[r, :lengths[r]] = recorded
+    live = np.array(sorted(range(rows), key=lambda r: updates[r].__name__), dtype=np.intp)
+    x = np.array(x0, dtype=float)[live]
+    block = np.empty((rows, _REPLAY_BLOCK, x0.shape[1]))
     block[:, 0] = x0  # a run without steps still checks x0
     found = [[] for _ in methods]
-    ended = [False] * len(methods)
-    # a run visited at iteration k records its trace up to k
-    lengths = np.zeros(len(methods), dtype=np.int64)
+    ended = [False] * rows
 
     def evaluate(r, start, count):
         if ended[r]:
@@ -705,16 +847,31 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
             d, ended[r] = d[:infinite[0]], True
         found[r].append(d)
 
-    def visit(k, live, x):
-        lengths[live] = k + 1
-        j = k % _REPLAY_BLOCK
-        block[live, j] = x
-        if j == _REPLAY_BLOCK - 1:
-            for r in live:
-                evaluate(r, k - j, _REPLAY_BLOCK)
+    def regroup():
+        """The update groups, stepsizes and next end of the runs in ``live``."""
+        return (_update_groups([updates[r] for r in live]), stepsizes[live],
+                lengths[live].min() if live.size else None)
 
+    groups, taken, next_end = regroup()
     with np.errstate(all="ignore"):
-        _lockstep(p, methods, x0, [len(s) for s in steps], given=steps, visit=visit)
+        for k in range(lengths.max(initial=0)):
+            if k == next_end:
+                go = lengths[live] > k
+                x, live = x[go], live[go]
+                groups, taken, next_end = regroup()
+            j = k % _REPLAY_BLOCK
+            block[live, j] = x
+            if j == _REPLAY_BLOCK - 1:
+                for r in live:
+                    evaluate(r, k - j, _REPLAY_BLOCK)
+            g = _stacked_gradients(a, at, b, x, split)[1]
+            col = taken[:, k, None]
+            x_next = np.empty_like(x)
+            for update, rows_ in groups:
+                update(x[rows_], g[rows_], col[rows_], out=x_next[rows_])
+            if not math.isfinite(np.add.reduce(x_next, axis=None)):
+                _mask_frozen(groups, x, x_next)
+            x = x_next
         for r, length in enumerate(lengths):
             tail = max(length, 1) % _REPLAY_BLOCK
             if tail:

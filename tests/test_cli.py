@@ -265,6 +265,19 @@ class TestCertificateCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: alpha 1e-320 is too small")
 
+    def test_instability_escape_scales_with_alpha(self, tmp_path, capsys):
+        # at alpha = 1e200 the escape differences are ~1e-199, whose squares
+        # underflow: numpy's norm read them as 0 and the command printed
+        # max_escape_distance=0.  The escape scales as 1 / alpha; the unstable
+        # iteration amplifies last-bit differences of the construction, which
+        # spread it by 1.6e-4 relative between alpha = 1 and 1e100 already.
+        path = write_instance(tmp_path, entmd.gen_instance(entmd.InstanceSpec(4, 8, 3, seed=1)))
+        escapes = {}
+        for alpha in ("1e100", "1e200"):
+            assert main(["instability", path, "--alpha", alpha]) == 0
+            escapes[alpha] = float(parse_keyvalue(capsys.readouterr().out)["max_escape_distance"])
+        assert escapes["1e200"] == pytest.approx(1e-100 * escapes["1e100"], rel=1e-3)
+
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_instability_without_iterations_exit_one(self, tmp_path, capsys, iters):
         # no iteration used to print max_escape_distance=0, which reads as "no escape"
@@ -331,6 +344,14 @@ class TestExperimentCommands:
     def test_non_finite_start_scale_exit_one(self, tmp_path, capsys, argv):
         assert main(argv + ["--m", "5", "--n", "8", "--iters", "5", "--out", str(tmp_path)]) == 1
         assert "finite and positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_method_exit_one(self, tmp_path, capsys):
+        # used to write the header iter,md_polyak,md_polyak and one status line
+        assert main(["exp1", "--m", "3", "--n", "5", "--sparsity", "2", "--methods", "md-polyak,md-polyak",
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --methods") and "md_polyak" in captured.err
         assert not list(tmp_path.iterdir())
 
     def test_module_entry_point(self, tmp_path):

@@ -148,6 +148,15 @@ class TestExperiment1:
             ExperimentConfig(InstanceSpec(4, 6, sparsity=2, seed=16), methods=[Method.md_polyak(), method])
 
 
+    @pytest.mark.parametrize("methods", [[Method.md_polyak(), Method.md_polyak()],
+                                         [Method.md_backtracking(), Method.md_backtracking(0.5)],
+                                         [MD_CONSTANT_GRID, Method.hd_polyak(), MD_CONSTANT_GRID]])
+    def test_repeated_label_rejected(self, methods):
+        # each label names one CSV column and one status line of the sidecar
+        with pytest.raises(DomainError, match="repeated"):
+            ExperimentConfig(InstanceSpec(3, 5, sparsity=2, seed=16), methods=methods)
+
+
 class TestExperiment2:
     def test_columns_and_monotonicity(self, tmp_path):
         cfg = ExperimentConfig(InstanceSpec(6, 10, sparsity=None, seed=17),

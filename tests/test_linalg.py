@@ -148,6 +148,13 @@ class TestVectorNorm:
             warnings.simplefilter("error")
             assert vector_norm(v) == pytest.approx(5e300, rel=1e-15)
 
+    def test_squared_sum_underflows(self):
+        # numpy's norm squares these to 0; below ~1.5e-154 the squares lose bits
+        assert vector_norm(np.array([3e-200, -4e-200])) == pytest.approx(5e-200, rel=1e-15)
+        assert vector_norm(np.array([3e-160, 4e-160])) == pytest.approx(5e-160, rel=1e-15)
+        assert vector_norm(np.array([5e-324, 0.0])) == 5e-324
+        assert vector_norm(np.zeros(3)) == 0.0
+
     def test_overflowing_norm_is_inf(self):
         assert vector_norm(np.array([1.5e308, 1.5e308])) == np.inf
         assert vector_norm(np.array([1.0, np.inf])) == np.inf

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmd import (
     EXP_QUAD_BOUND,
@@ -235,6 +237,12 @@ class TestBacktracking:
         p = one_dim_instance()
         assert backtracking_stepsize(p, [1.0], [0.0], 3.0) == 3.0
 
+    def test_gradient_zero_on_the_support_accepts_alpha0(self):
+        # off the support x+ stays 0 for every trial, so each trial leaves x
+        # unchanged: a point that only the support test finds stationary
+        p = ProblemInstance(np.eye(2), [1.0, -1.0])
+        assert backtracking_stepsize(p, [1.0, 0.0], [0.0, 5.0], 3.0) == 3.0
+
     def test_large_alpha0_terminates(self):
         p = one_dim_instance()
         x = np.array([2.0])
@@ -282,11 +290,13 @@ class TestBacktracking:
         x = np.full(9, 0.3)
         g = gradient(p, x)
         with np.errstate(all="ignore"):
-            alpha, x_plus = _backtracking_stepsize(p.a, x, g, 50.0, 0.5)
-            zero_g_alpha, stay = _backtracking_stepsize(p.a, x, np.zeros(9), 2.0, 0.5)
+            alpha, x_plus, total = _backtracking_stepsize(p.a, x, g, 50.0, 0.5)
+            zero_g_alpha, stay, stay_total = _backtracking_stepsize(p.a, x, np.zeros(9), 2.0, 0.5)
         assert alpha == backtracking_stepsize(p, x, g, 50.0) < 50.0
         assert np.array_equal(x_plus, _exp_update(x, g, alpha))
         assert zero_g_alpha == 2.0 and np.array_equal(stay, x)
+        # the sum of the trial point is the l1 norm the next record carries
+        assert total == float(np.add.reduce(x_plus)) and stay_total == float(np.add.reduce(x))
 
     def test_no_admissible_stepsize(self):
         # every trial drives the coordinate to zero: D_h(x, x+) is infinite
@@ -507,10 +517,9 @@ class TestReplayDivergence:
                                np.array([[1.0], [1e307]]))
 
 
-def assert_rows_match_solves(p, methods, x0, iters, given=None):
-    """Each row of one lockstep batch equals its own solve bit for bit; with
-    ``given``, the solves are those whose stepsizes the rows replay."""
-    runs, f_min = _lockstep(p, methods, x0, iters, keep=int(np.max(iters)), given=given)
+def assert_rows_match_solves(p, methods, x0, iters):
+    """Each row of one lockstep batch equals its own solve bit for bit."""
+    runs, f_min = _lockstep(p, methods, x0, iters, keep=int(np.max(iters)))
     for r, (method, start, budget) in enumerate(zip(methods, x0, np.broadcast_to(iters, (len(methods),)))):
         res = solve(p, SolveConfig(method, start, max_iters=max(budget, 1), f_tol=0.0))
         row = runs[r]
@@ -519,9 +528,8 @@ def assert_rows_match_solves(p, methods, x0, iters, given=None):
         assert row.x_final.tobytes() == res.x_final.tobytes()
         if method.kind == "eg_pm":
             assert row.w_final.tobytes() == res.w_final.tobytes()
-        if given is None:
-            assert row.status is res.status and row.iters_run == res.iters_run
-            assert row.heuristic is res.heuristic
+        assert row.status is res.status and row.iters_run == res.iters_run
+        assert row.heuristic is res.heuristic
     return runs
 
 
@@ -545,12 +553,13 @@ class TestLockstep:
         runs = assert_rows_match_solves(p, methods, x0, iters)
         # rows leave the batch at different iterations
         assert len({res.iters_run for res in runs}) > 1
-        # replayed with the solves' stepsizes, together with md_backtracking
+        # the solves' stepsizes replayed, together with md_backtracking's, give
+        # their traced divergences to each run's final iterate
         methods += [Method.md_backtracking()] * 3
         x0 = np.concatenate([x0, x0[:3]])
-        given = [solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0)).trace.stepsize
-                 for method, start in zip(methods, x0)]
-        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], given)
+        refs = [np.clip(solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0)).x_final, 0.0, None)
+                for method, start in zip(methods, x0)]
+        assert_replays_match(p, list(zip(methods, x0, [iters] * len(methods), refs)))
 
     @pytest.mark.parametrize("a, b", [(np.eye(2), [1.0, 0.5]), ([[1.0, 1.0]], [1.0]),
                                       ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 0.5])])
@@ -569,9 +578,10 @@ class TestLockstep:
         methods = [Method.eg_pm()] * 3
         x0 = np.array([np.full(18, scale) for scale in (1e-8, 1e-4, 1.0)])
         assert_rows_match_solves(p, methods, x0, 200)
-        given = [solve(p, SolveConfig(method, start, max_iters=200 - 50 * r, f_tol=0.0)).trace.stepsize
-                 for r, (method, start) in enumerate(zip(methods, x0))]
-        assert_rows_match_solves(p, methods, x0, [len(steps) for steps in given], given)
+        refs = [np.clip(solve(p, SolveConfig(method, start, max_iters=200, f_tol=0.0)).w_final, 0.0, None)
+                for method, start in zip(methods, x0)]
+        assert_replays_match(p, [(method, start, 200 - 50 * r, ref)
+                                 for r, (method, start, ref) in enumerate(zip(methods, x0, refs))])
 
     def test_breakdowns(self):
         # zero gradient at x0 = 0.5, f overflowing at x0 = 1e300, an update
@@ -606,10 +616,72 @@ class TestLockstep:
         assert runs[1].x_final.tobytes() == full[1].x_final.tobytes()
         assert runs[2].x_final.tobytes() == x0[2].tobytes() and f_min[2] == np.inf
 
-    def test_backtracking_needs_given_stepsizes(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_backtracking_rows(self, seed):
+        # md_backtracking rows, each with its own first trial and shrink factor,
+        # batched with the other kinds; their trials are rejected at different
+        # iterations, and on the one-dimensional system every trial of the
+        # largest first stepsize drives x to 0, so that row breaks down
+        p = gen_instance(InstanceSpec(11, 12, sparsity=3, seed=seed))
+        methods = [Method.md_backtracking(), Method.md_backtracking(50.0, 0.3), Method.md_backtracking(1e3, 0.9),
+                   Method.md_polyak(), Method.md_constant(0.5 / max_col_norm_sq(p.a))]
+        x0 = np.array([np.full(12, scale) for scale in (1e-4, 1e-4, 1e-2, 1e-4, 1.0)])
+        runs = assert_rows_match_solves(p, methods, x0, [300, 250, 300, 120, 300])
+        assert len({len(res.trace) for res in runs}) > 2
         p = one_dim_instance()
-        with pytest.raises(DomainError):
-            _lockstep(p, [Method.md_backtracking()], np.ones((1, 1)), 5)
+        methods = [Method.md_backtracking(), Method.md_backtracking(1e6, 0.999), Method.md_backtracking(1e6)]
+        runs = assert_rows_match_solves(p, methods, np.array([[2.0], [2.0], [2.0]]), 40)
+        assert runs[1].status is Status.NUMERICAL_BREAKDOWN and runs[1].iters_run == 0
+
+
+@st.composite
+def lockstep_cases(draw):
+    """One small system with a batch on it: per row a method, a start, a budget and a reference.
+
+    The systems have zero columns, more rows than columns, right-hand sides
+    that runs reach exactly (f = 0) and ones they cannot, and scales at
+    which f or the gradient overflows at x0.  The batch holds eg_pm rows
+    only or none.
+    """
+    if draw(st.integers(0, 2)) == 0:
+        # systems on which runs reach f = 0 exactly, each at its own iteration
+        a, b = draw(st.sampled_from([(np.eye(2), [1.0, 0.5]), ([[1.0, 1.0]], [1.0]),
+                                     ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 0.5])]))
+        p = ProblemInstance(a, b)
+    else:
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        a = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
+                                   min_size=m * n, max_size=m * n))).reshape(m, n)
+        a[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+        a *= draw(st.sampled_from([1.0] * 6 + [1e150, 1e300]))
+        z = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
+        p = ProblemInstance(a, a @ z if draw(st.booleans()) else z[:1].repeat(m) - a[:, 0])
+    n = p.n
+    split = draw(st.integers(0, 4)) == 0
+    width = 2 * n if split else n
+    rows = draw(st.integers(1, 5))
+    kinds = st.sampled_from([Method.eg_pm()] if split else [
+        Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_constant(1e-3),
+        Method.md_constant(0.3), Method.md_constant(30.0), Method.md_constant(800.0), Method.md_backtracking(),
+        Method.md_backtracking(1e3, 0.1), Method.md_backtracking(0.5, 0.9)])
+    methods = [draw(kinds) for _ in range(rows)]
+    scales = st.sampled_from([5e-324, 1e-300, 1e-8, 1e-4, 1e-4, 0.5, 1.0, 1.0, 3.0, 1e300])
+    pattern = st.sampled_from([1.0, 1.0, 2.0, 4.0])
+    x0 = np.array([draw(scales) * np.array(draw(st.lists(pattern, min_size=width, max_size=width)))
+                   for _ in range(rows)])
+    budgets = draw(st.lists(st.integers(1, 400), min_size=rows, max_size=rows))
+    refs = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 2.0]), min_size=rows * width,
+                                  max_size=rows * width))).reshape(rows, width)
+    return p, methods, x0, budgets, refs
+
+
+class TestLockstepProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(lockstep_cases())
+    def test_rows_and_replays_equal_solves(self, case):
+        p, methods, x0, budgets, refs = case
+        assert_rows_match_solves(p, methods, x0, budgets)
+        assert_replays_match(p, list(zip(methods, x0, budgets, refs)))
 
 
 class TestEgpmSolve:
