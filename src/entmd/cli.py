@@ -22,6 +22,7 @@ from .analysis import (
     bregman_projection,
     instability_construction,
     instability_escape_distance,
+    orthogonality_residual,
     rate_certificate,
     worst_case_construction,
 )
@@ -48,6 +49,9 @@ _METHOD_NAMES = {
 }
 
 _STATUS_EXIT = {Status.CONVERGED: 0, Status.MAX_ITERS: 2, Status.NUMERICAL_BREAKDOWN: 3}
+
+# the entries of the start, x0 = _DEFAULT_X0 * ones, without --eta or --x0-scale
+_DEFAULT_X0 = 1e-4
 
 
 class _CliError(Exception):
@@ -121,7 +125,7 @@ def _x0_from_flags(args, n: int) -> np.ndarray:
         return np.full(n, _eta_start(args.eta))
     scale = getattr(args, "x0_scale", None)
     if scale is None:
-        scale = 1e-4
+        scale = _DEFAULT_X0
     if not 0.0 < scale < math.inf:
         raise _CliError("--x0-scale must be finite and positive")
     return np.full(n, scale)
@@ -223,8 +227,14 @@ def _cmd_rate_cert(args) -> int:
     if not args.dh >= 0.0:
         raise _CliError(f"--dh must be nonnegative, got {args.dh!r}")
     cert = rate_certificate(p, p.planted)
+    # the rate holds toward the limit of the run from the default start, which z must be
+    residual = orthogonality_residual(p, np.full(p.n, _DEFAULT_X0), p.planted).residual
+    if residual > 1e-9:
+        raise _CliError(f"z is not the limit of a run from x0_scale={_DEFAULT_X0:g}: its orthogonality residual "
+                        f"{residual:.3g} exceeds 1e-9; certify the limit that `entmd project` writes instead")
     _emit(
         {
+            "x0_scale": _DEFAULT_X0,
             "lambda_min_plus": cert.lambda_min_plus,
             "z_min": cert.z_min,
             "max_col_sq": cert.max_col_sq,
@@ -342,7 +352,8 @@ def _build_parser() -> _Parser:
                     help="build the near-worst-case instance instead of reading a file")
     pb.set_defaults(func=_cmd_bias)
 
-    pr = sub.add_parser("rate-cert", parents=[common], help="linear-rate certificate at the planted solution")
+    pr = sub.add_parser("rate-cert", parents=[common],
+                        help="linear-rate certificate toward the planted z, which must be the limit from 1e-4 * ones")
     pr.add_argument("instance")
     pr.add_argument("--dh", type=float, default=1.0, help="divergence level for the global factor")
     pr.set_defaults(func=_cmd_rate_cert)

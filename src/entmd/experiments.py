@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
-from .solvers import (Method, ProblemInstance, SolveConfig, SolveResult, Status, _lockstep, _replay_divergence,
-                      solve)
+from .solvers import (_MARK_EVERY, Method, ProblemInstance, SolveConfig, SolveResult, Status, _lockstep,
+                      _replay_divergence, solve)
 
 __all__ = [
     "MD_CONSTANT_GRID",
@@ -247,10 +247,11 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``eg_pm``, whose rows are 2n long, is solved alone.  Every run
     equals its own ``solve`` bit for bit.  Panel two replays the first
     ``iters`` stepsizes each run recorded, with no stepsize rule and no stop
-    test, in one batch (``eg_pm`` in a second one), so it follows the runs'
-    iterates bit for bit without storing them.  A column ends at the first
-    iterate whose divergence is infinite and holds its last value from
-    there on; a run without records reads inf in both panels.
+    test, in 256-step stretches from the marks the batch takes of its runs
+    (``eg_pm`` from x0), so it follows the runs' iterates bit for bit
+    without storing them all.  A column ends at the first iterate whose
+    divergence is infinite and holds its last value from there on; a run
+    without records reads inf in both panels.
 
     Raises
     ------
@@ -266,24 +267,24 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     # batch; the grid's winner is its own row there
     grid = _constant_grid(p) if MD_CONSTANT_GRID in cfg.methods else []
     batched = [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind != "eg_pm"]
-    runs, f_min = _lockstep(p, grid + batched, np.full((len(grid) + len(batched), p.n), scale), budget,
-                            keep=cfg.iters)
+    marks = np.zeros((len(grid) + len(batched), -(-cfg.iters // _MARK_EVERY), p.n))
+    runs, f_min = _lockstep(p, grid + batched, np.full(marks[:, 0].shape, scale), budget, keep=cfg.iters,
+                            marks=marks)
     best = _grid_winner(runs, f_min, len(grid))[0] if grid else None
-    batch = iter(runs[len(grid):])
+    rows = iter(range(len(grid), len(runs)))
+    row_of = [best if m == MD_CONSTANT_GRID else None if m.kind == "eg_pm" else next(rows) for m in cfg.methods]
     methods = [grid[best] if m == MD_CONSTANT_GRID else m for m in cfg.methods]
     labels = _method_labels(cfg.methods)
-    starts = [np.full(2 * p.n if m.kind == "eg_pm" else p.n, scale) for m in methods]
-    results = [runs[best] if asked == MD_CONSTANT_GRID
-               else next(batch) if asked.kind != "eg_pm"
-               else solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0))
-               for asked, method, start in zip(cfg.methods, methods, starts)]
+    results = [solve(p, SolveConfig(method, np.full(2 * p.n, scale), max_iters=budget, f_tol=0.0)) if row is None
+               else runs[row] for method, row in zip(methods, row_of)]
 
     div_cols = [None] * len(methods)
     for split in (False, True):
-        group = [i for i, method in enumerate(methods) if (method.kind == "eg_pm") is split]
+        group = [i for i, row in enumerate(row_of) if (row is None) is split]
         if group:
             replayed = _replay_divergence(
-                p, [methods[i] for i in group], np.array([starts[i] for i in group]),
+                p, [methods[i] for i in group],
+                np.full((len(group), 2 * p.n), scale) if split else marks[[row_of[i] for i in group]],
                 [results[i].trace.stepsize[:cfg.iters] for i in group],
                 np.array([np.clip(results[i].w_final if split else results[i].x_final, 0.0, None) for i in group]))
             for i, divergence in zip(group, replayed):

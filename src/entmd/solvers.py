@@ -20,7 +20,8 @@ callback, and the schemes only in the update rule and the stepsize rule.
 ``_lockstep`` advances several runs of any kinds on one instance together on
 the same rules, each ending where its own solve ends, bit for bit; the
 experiments' batches use it.  ``_replay_divergence`` replays recorded
-stepsizes without a stop test to follow runs' iterates.  Every solve records
+stepsizes without a stop test to follow runs' iterates, from x0 or in
+stretches from the *marks* that ``_lockstep`` takes of them.  Every solve records
 a per-iteration trace (objective, stepsize, l1 norm and optionally the
 Bregman divergence to a reference point) and reports one of three terminal
 statuses.  When a reference solution is supplied, the Polyak schemes verify
@@ -593,12 +594,15 @@ def _mask_frozen(groups: list, x: np.ndarray, x_next: np.ndarray) -> None:
 # traces and the minima at once
 _LOG_ROWS = 64
 
+# Iterations between a batch's marks, and the steps of a replayed stretch
+_MARK_EVERY = 256
+
 # How each kind picks its stepsize in a batch; the rows sort by it
 _RULES = {"md_backtracking": 0, "md_constant": 1, "md_polyak": 2, "hd_plus_polyak": 2, "hd_polyak": 2, "eg_pm": 2}
 
 
 def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
-              keep: int = 0) -> tuple[list[SolveResult], np.ndarray]:
+              keep: int = 0, marks: np.ndarray | None = None) -> tuple[list[SolveResult], np.ndarray]:
     """One solve of ``p`` per row of ``x0``, all advancing together.
 
     Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], max_iters,
@@ -619,6 +623,10 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
     runs leave, not once per iteration.  One scalar test on f and ||g||_inf
     passes the iterations on which no run stops; the exact per-run tests
     run only where it fails.
+
+    Given ``marks``, (runs, ceil(keep / _MARK_EVERY), width), the batch
+    copies each live run's x_k into ``marks[run, k // _MARK_EVERY]`` at
+    every multiple k of ``_MARK_EVERY`` below ``keep``.
 
     Returns one :class:`SolveResult` per run, whose trace holds the first
     ``keep`` records of its solve's trace, and the smallest f of each whole
@@ -715,7 +723,10 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
         x = x[live]
         np.add.reduce(x, axis=1, out=log[2, 0])
         regroup()
+        mark_below = 0 if marks is None else keep
         for k in range(budget.max(initial=0)):
+            if k < mark_below and not k % _MARK_EVERY:
+                marks[live, k // _MARK_EVERY] = x
             if k == next_end:
                 ended = budget[live] == k
                 leave(ended, k, k, [Status.MAX_ITERS] * np.count_nonzero(ended))
@@ -796,74 +807,51 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
     return results, f_min
 
 
-# Iterates per divergence evaluation of the replay: one (64, len(x0)) block per run
-_REPLAY_BLOCK = 64
-
-
-def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray, steps: list,
+def _replay_divergence(p: ProblemInstance, methods: list[Method], starts: np.ndarray, steps: list,
                        refs: np.ndarray) -> list[np.ndarray]:
     """D_h(refs[r], x_k) at each iterate x_k from which run r takes its step ``steps[r][k]``.
 
-    ``steps[r]`` are stepsizes a :func:`solve` of ``methods[r]`` from
-    ``x0[r]`` recorded.  All runs replay them together, with no stepsize
-    rule, and so pass through their solves' iterates bit for bit: one
-    stacked GEMV pair per iteration (:func:`_stacked_gradients`), the runs'
-    updates and a copy of the iterates into a block.  The loop has no stop
-    test: a replayed run takes each step its solve took and leaves only
-    when its steps run out.  Entry r of the result is what solve r's trace
-    records with ``trace_reference=refs[r]`` and ``check_descent=False``: it
-    ends before the first later iterate at infinite divergence.  One block
-    of iterates per run is held at a time.
+    ``steps[r]`` are stepsizes a :func:`solve` of ``methods[r]`` recorded, and
+    ``starts`` holds each run's x0, (runs, width), or its marks from
+    :func:`_lockstep`, (runs, stretches, width).  A run replays one stretch
+    of all its steps from x0, or one of ``_MARK_EVERY`` steps from each mark
+    below its length.  Every (run, stretch) pair is a row of one block that
+    one loop advances, with no stepsize rule and no stop test, through its
+    solve's iterates bit for bit: per step one divergence evaluation of the
+    block, one stacked GEMV pair (:func:`_stacked_gradients`) and the rows'
+    updates.  Steps past a run's end are 0, so no row leaves.  Entry r of
+    the result is what solve r's trace records with
+    ``trace_reference=refs[r]`` and ``check_descent=False``: it ends before
+    the first later iterate at infinite divergence.
 
     Raises
     ------
     InfiniteDivergence
-        If D_h(refs[r], x0[r]) is infinite for some run.
+        If D_h(refs[r], x0) is infinite for some run.
     """
     a, b = p.a, p.b
     at = np.ascontiguousarray(a.T)
-    rows = len(methods)
-    split = any(m.kind == "eg_pm" for m in methods)
-    updates = [_UPDATES[m.kind] for m in methods]
-    lengths = np.array([len(s) for s in steps], dtype=np.int64)
-    stepsizes = np.zeros((rows, lengths.max(initial=0)))
+    lengths = [len(recorded) for recorded in steps]
+    stride = max([1, *lengths])
+    if starts.ndim == 2:
+        starts = starts[:, None]
+    else:
+        stride = min(stride, _MARK_EVERY)
+    stretches = [-(-max(length, 1) // stride) for length in lengths]
+    table = np.zeros((len(steps), max(stretches) * stride))
     for r, recorded in enumerate(steps):
-        stepsizes[r, :lengths[r]] = recorded
-    live = np.array(sorted(range(rows), key=lambda r: updates[r].__name__), dtype=np.intp)
-    x = np.array(x0, dtype=float)[live]
-    block = np.empty((rows, _REPLAY_BLOCK, x0.shape[1]))
-    block[:, 0] = x0  # a run without steps still checks x0
-    found = [[] for _ in methods]
-    ended = [False] * rows
-
-    def evaluate(r, start, count):
-        if ended[r]:
-            return
-        d = _dh_core(refs[r], block[r, :count])
-        infinite = np.flatnonzero(d == math.inf)
-        if infinite.size:
-            if start + infinite[0] == 0:
-                raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
-            d, ended[r] = d[:infinite[0]], True
-        found[r].append(d)
-
-    def regroup():
-        """The update groups, stepsizes and next end of the runs in ``live``."""
-        return (_update_groups([updates[r] for r in live]), stepsizes[live],
-                lengths[live].min() if live.size else None)
-
-    groups, taken, next_end = regroup()
+        table[r, :lengths[r]] = recorded
+    updates = [_UPDATES[m.kind] for m in methods]
+    # runs that share an update adjacent, each run's stretches in order
+    order = sorted(range(len(methods)), key=lambda r: updates[r].__name__)
+    run, part = np.array([(r, s) for r in order for s in range(stretches[r])], dtype=np.intp).T
+    groups = _update_groups([updates[r] for r in run])
+    split = any(m.kind == "eg_pm" for m in methods)
+    x, taken, ref = starts[run, part], table.reshape(len(steps), -1, stride)[run, part], refs[run]
+    found = np.empty((run.size, stride))
     with np.errstate(all="ignore"):
-        for k in range(lengths.max(initial=0)):
-            if k == next_end:
-                go = lengths[live] > k
-                x, live = x[go], live[go]
-                groups, taken, next_end = regroup()
-            j = k % _REPLAY_BLOCK
-            block[live, j] = x
-            if j == _REPLAY_BLOCK - 1:
-                for r in live:
-                    evaluate(r, k - j, _REPLAY_BLOCK)
+        for k in range(stride):
+            found[:, k] = _dh_core(ref, x)
             g = _stacked_gradients(a, at, b, x, split)[1]
             col = taken[:, k, None]
             x_next = np.empty_like(x)
@@ -872,11 +860,14 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], x0: np.ndarray
             if not math.isfinite(np.add.reduce(x_next, axis=None)):
                 _mask_frozen(groups, x, x_next)
             x = x_next
-        for r, length in enumerate(lengths):
-            tail = max(length, 1) % _REPLAY_BLOCK
-            if tail:
-                evaluate(r, max(length, 1) - tail, tail)
-    return [np.concatenate(d)[:length] for d, length in zip(found, lengths)]
+    series = []
+    for r, length in enumerate(lengths):
+        d = found[run == r].ravel()
+        if d[0] == math.inf:
+            raise InfiniteDivergence("D_h(trace_reference, x0) overflowed to infinity")
+        infinite = np.flatnonzero(d[:length] == math.inf)
+        series.append(d[:infinite[0] if infinite.size else length])
+    return series
 
 
 def solve_convex(obj: ConvexObjective, cfg: SolveConfig) -> SolveResult:

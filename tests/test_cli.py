@@ -288,6 +288,43 @@ class TestCertificateCommands:
         assert captured.err.startswith("error: iters must be at least 1")
 
 
+class TestRateCertLimit:
+    """rate-cert certifies toward the limit of a run from 1e-4 * ones; on an
+    underdetermined system the planted z is in general another solution."""
+
+    @staticmethod
+    def underdetermined():
+        return entmd.gen_instance(entmd.InstanceSpec(6, 10, None, seed=1))
+
+    def test_planted_z_that_is_not_the_limit_exit_one(self, tmp_path, capsys):
+        # D_h(z, x_k) stalls at D_h(z, x*) > 0 here, so no factor below 1
+        # holds; this used to print local_factor=0.99999526214070955
+        path = write_instance(tmp_path, self.underdetermined())
+        assert main(["rate-cert", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: z is not the limit of a run from x0_scale=0.0001")
+        assert "orthogonality residual" in captured.err and "entmd project" in captured.err
+
+    def test_limit_certificate_holds_along_the_run(self, tmp_path, capsys):
+        p = self.underdetermined()
+        x0 = np.full(p.n, 1e-4)
+        z = entmd.bregman_projection(p, x0)
+        path = write_instance(tmp_path, entmd.ProblemInstance(p.a, p.b, planted=z))
+        assert main(["rate-cert", path]) == 0
+        pairs = parse_keyvalue(capsys.readouterr().out)
+        cert = entmd.rate_certificate(p, z)
+        assert pairs["x0_scale"] == "0.0001"
+        assert float(pairs["local_factor"]) == cert.local_factor < 1.0
+        # criterion 10's per-step check along md_polyak from the same start
+        res = entmd.solve(p, entmd.SolveConfig(entmd.Method.md_polyak(), x0, max_iters=20_000, f_tol=1e-24,
+                                               trace_reference=z))
+        assert res.status is entmd.Status.CONVERGED
+        ds = [*res.trace.d_h_to_ref.tolist(), entmd.bregman_divergence(z, res.x_final)]
+        for d_prev, d_next in zip(ds, ds[1:]):
+            assert d_next - cert.global_factor_fn(d_prev) * d_prev <= 1e-10 * max(1.0, d_prev)
+
+
 class TestExperimentCommands:
     def test_exp1(self, tmp_path, capsys):
         code = main(["exp1", "--m", "5", "--n", "8", "--sparsity", "2", "--iters", "20",

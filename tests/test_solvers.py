@@ -684,6 +684,66 @@ class TestLockstepProperties:
         assert_replays_match(p, list(zip(methods, x0, budgets, refs)))
 
 
+# budgets and kept records on both sides of the first and second mark
+MARK_SIZES = st.sampled_from([255, 256, 257, 512, 513])
+
+
+@st.composite
+def marked_cases(draw):
+    """A batch of :func:`lockstep_cases` (or of runs on a system on which a
+    coordinate underflows to 0 mid-run) with budgets and ``keep`` around the
+    marks' stride, and references some of which are infinitely far from x0."""
+    if draw(st.integers(0, 3)) == 0:
+        # x_1 shrinks by exp(-1.79) or exp(-2) per step and underflows to 0
+        # after 370-420 steps: from there the divergence to z with z_1 > 0 is infinite
+        p = ProblemInstance(np.eye(2), [-1.0, 0.25])
+        methods = draw(st.lists(st.sampled_from([Method.md_constant(2.0), Method.md_polyak(),
+                                                 Method.md_backtracking(), Method.hd_polyak()]),
+                                min_size=1, max_size=4))
+        x0 = np.full((len(methods), 2), 1e-4)
+        refs = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2 * len(methods),
+                                      max_size=2 * len(methods)))).reshape(-1, 2)
+    else:
+        p, methods, x0, _, refs = draw(lockstep_cases())
+    rows = len(methods)
+    if draw(st.integers(0, 7)) == 0:
+        # D_h(z, x0) overflows for every start of these cases
+        refs[draw(st.integers(0, rows - 1)), draw(st.integers(0, refs.shape[1] - 1))] = 1e307
+    budgets = draw(st.lists(MARK_SIZES, min_size=rows, max_size=rows))
+    return p, methods, x0, budgets, draw(MARK_SIZES), refs
+
+
+class TestMarkedReplayProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(marked_cases())
+    def test_marks_and_replays_equal_solves(self, case):
+        p, methods, x0, budgets, keep, refs = case
+        marks = np.zeros((len(methods), -(-keep // 256), x0.shape[1]))
+        runs, _ = _lockstep(p, methods, x0, budgets, keep=keep, marks=marks)
+        for r, (method, start, res) in enumerate(zip(methods, x0, runs)):
+            # mark s is the iterate from which a run that takes step 256 s takes it
+            assert marks[r, 0].tobytes() == start.tobytes()
+            for s in range(1, marks.shape[1]):
+                if len(res.trace) > 256 * s:
+                    solved = solve(p, SolveConfig(method, start, max_iters=256 * s, f_tol=0.0))
+                    at_mark = solved.w_final if method.kind == "eg_pm" else solved.x_final
+                    assert marks[r, s].tobytes() == at_mark.tobytes()
+        steps = [res.trace.stepsize for res in runs]
+        try:
+            traced = [solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0, trace_reference=ref,
+                                           check_descent=False)).trace.d_h_to_ref[:keep]
+                      for method, start, budget, ref in zip(methods, x0, budgets, refs)]
+        except InfiniteDivergence:
+            for starts in (marks, x0):
+                with pytest.raises(InfiniteDivergence):
+                    _replay_divergence(p, methods, starts, steps, refs)
+            return
+        from_marks = _replay_divergence(p, methods, marks, steps, refs)
+        from_x0 = _replay_divergence(p, methods, x0, steps, refs)
+        for expected, marked, started in zip(traced, from_marks, from_x0):
+            assert marked.tobytes() == started.tobytes() == expected.tobytes()
+
+
 class TestEgpmSolve:
     def test_converges_on_signed_system(self):
         a, b, z = signed_system(4, 8, seed=30)

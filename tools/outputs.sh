@@ -1,7 +1,9 @@
 #!/bin/sh
 # Write the outputs whose bytes a kernel change must keep into DIR:
 # exp1 and exp2 at their defaults for seeds 0-2, an eg-pm/hd-polyak/grid
-# exp1, and a traced CLI solve of the seed-0 exp1 instance.
+# exp1, a short 300x500 exp1 of all six methods (600 kept iterations: two
+# whole replay stretches of 256 and a partial one), and a traced CLI solve
+# of the seed-0 exp1 instance.
 #
 #   tools/outputs.sh DIR
 #
@@ -23,6 +25,9 @@ for seed in 0 1 2; do
     entmd exp2 --seed "$seed" --out "$out/exp2_seed$seed" > /dev/null
 done
 entmd exp1 --methods eg-pm,hd-polyak,md-constant-grid --out "$out/exp1_mix" > /dev/null
+entmd exp1 --m 300 --n 500 --sparsity 30 --iters 600 --extra-iters 100 \
+    --methods md-constant-grid,md-backtracking,md-polyak,hd-polyak,hd-plus-polyak,eg-pm \
+    --out "$out/exp1_300x500" > /dev/null
 PYTHONPATH="$root/src" python3 -c "
 import sys
 from entmd import InstanceSpec, gen_instance

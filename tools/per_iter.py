@@ -14,7 +14,9 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
   ``md_polyak`` run, of ``md_polyak`` from five start scales (exp2's), and
   of exp1's 25 grid stepsizes with ``md_polyak``, ``hd_polyak`` and
   ``hd_plus_polyak``; the time is per batch iteration, not per row;
-* ``replay 5``: the divergence replay of exp1's five methods;
+* ``replay 5``: the divergence replay of exp1's five methods from the
+  marks of their lockstep batch, as exp1 replays them;
+* ``replay 5 (x0)``: the same replay from x0, one stretch per run;
 * ``matvec pair``: a bare ``at @ (a @ x - b)``, the floor of one iteration.
 
 The numbers measure the checkout this script is run from, through the
@@ -39,7 +41,7 @@ import numpy as np  # noqa: E402
 
 from entmd import InstanceSpec, Method, SolveConfig, gen_instance, solve  # noqa: E402
 from entmd.experiments import _constant_grid  # noqa: E402
-from entmd.solvers import _lockstep, _replay_divergence  # noqa: E402
+from entmd.solvers import _MARK_EVERY, _lockstep, _replay_divergence  # noqa: E402
 
 SHAPES = {"60x100": (60, 100, 10, 2000), "300x500": (300, 500, 30, 400)}
 X0 = 1e-4
@@ -58,8 +60,9 @@ def cases(m: int, n: int, sparsity: int, iters: int):
     x0 = np.full(n, X0)
     grid = _constant_grid(p)
     exp1_methods = [grid[len(grid) // 2], Method.md_backtracking(), *POLYAK]
-    steps = [solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)).trace.stepsize
-             for method in exp1_methods]
+    marks = np.zeros((len(exp1_methods), -(-iters // _MARK_EVERY), n))
+    runs = _lockstep(p, exp1_methods, np.tile(x0, (len(exp1_methods), 1)), iters, keep=iters, marks=marks)[0]
+    steps = [res.trace.stepsize for res in runs]
     refs = np.array([np.clip(solve(p, SolveConfig(method, x0, max_iters=2 * iters, f_tol=0.0)).x_final, 0.0, None)
                      for method in exp1_methods])
     at = np.ascontiguousarray(p.a.T)
@@ -74,7 +77,8 @@ def cases(m: int, n: int, sparsity: int, iters: int):
         ("batch 1", batch([Method.md_polyak()], x0[None])),
         ("batch 5", batch([Method.md_polyak()] * 5, np.array([np.full(n, s) for s in EXP2_SCALES]))),
         ("batch 28", batch(grid + POLYAK, np.tile(x0, (len(grid) + len(POLYAK), 1)))),
-        ("replay 5", lambda: _replay_divergence(p, exp1_methods, np.tile(x0, (5, 1)), steps, refs)),
+        ("replay 5", lambda: _replay_divergence(p, exp1_methods, marks, steps, refs)),
+        ("replay 5 (x0)", lambda: _replay_divergence(p, exp1_methods, np.tile(x0, (5, 1)), steps, refs)),
         ("matvec pair", lambda: [at @ (p.a @ x0 - p.b) for _ in range(iters)]),
     ]
 
