@@ -239,8 +239,8 @@ def bregman_projection(p: ProblemInstance, x0, tol: float | None = None,
     res = solve(p, SolveConfig(Method.md_polyak(), x, max_iters=cfg.max_iters - steps, f_tol=f_tol))
     if res.status is not Status.CONVERGED:
         raise ConvergenceError(
-            f"projection did not reach f <= {f_tol:g} in {max_iters} iterations "
-            f"(status {res.status.value})"
+            f"projection did not reach f <= {f_tol:g} in {steps + res.iters_run} iterations, {steps} Newton "
+            f"steps and {res.iters_run} of the exponential scheme (status {res.status.value})"
         )
     return res.x_final
 

@@ -150,7 +150,9 @@ def _cmd_solve(args) -> int:
     n = p.n * 2 if method.kind == "eg_pm" else p.n
     cfg = SolveConfig(method, _x0_from_flags(args, n), max_iters=args.iters, f_tol=args.f_tol)
     res = solve(p, cfg)
-    final_f = 0.5 * float(np.sum((p.a @ res.x_final - p.b) ** 2))
+    # a start far out of range overflows f; it reads inf as it does in the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        final_f = 0.5 * float(np.sum((p.a @ res.x_final - p.b) ** 2))
     _emit(
         {
             "status": res.status.value,

@@ -70,15 +70,24 @@ class ExperimentConfig:
     out_path: str | Path = "."
 
     def __post_init__(self):
-        if int(self.iters) < 1:
-            raise DomainError("iters must be at least 1")
-        if int(self.limit_extra_iters) < 0:
-            raise DomainError("limit_extra_iters must be nonnegative")
+        self.iters = _whole(self.iters, "iters", 1)
+        self.limit_extra_iters = _whole(self.limit_extra_iters, "limit_extra_iters", 0)
         _method_labels(self.methods)
         # NaN fails both comparisons
         if not self.inits or not all(0.0 < s < np.inf for s in self.inits):
             raise DomainError("initialization scales must be finite and positive")
         self.out_path = Path(self.out_path)
+
+
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int; DomainError unless it is a whole number of at least ``least``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise DomainError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return whole
 
 
 def _method_labels(methods: list) -> list[str]:
@@ -243,13 +252,15 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     where no grid stepsize reaches a finite objective, it is the smallest
     one, and its breakdown is recorded as another method's is.
     The grid's stepsizes and every method but ``eg_pm`` advance together in
-    one lockstep batch, and the grid's winner is its own run there;
-    ``eg_pm``, whose rows are 2n long, is solved alone.  Every run
-    equals its own ``solve`` bit for bit.  Panel two replays the first
-    ``iters`` stepsizes each run recorded, with no stepsize rule and no stop
-    test, in 256-step stretches from the marks the batch takes of its runs
-    (``eg_pm`` from x0), so it follows the runs' iterates bit for bit
-    without storing them all.  A column ends at the first iterate whose
+    one lockstep batch of n-wide runs with one budget, and the grid's
+    winner is its own run there; ``eg_pm``, whose runs are 2n wide, is
+    solved alone.  Every run equals its own ``solve`` bit for bit.  For the
+    batch, panel two replays the first ``iters`` stepsizes each run
+    recorded, with no stepsize rule and no stop test, in 256-step stretches
+    from the marks the batch takes of its runs, so it follows the runs'
+    iterates bit for bit without storing them all.  ``eg_pm``'s column is a
+    second solve of its first ``iters`` iterations traced against its
+    clipped limit estimate.  A column ends at the first iterate whose
     divergence is infinite and holds its last value from there on; a run
     without records reads inf in both panels.
 
@@ -279,16 +290,19 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
                else runs[row] for method, row in zip(methods, row_of)]
 
     div_cols = [None] * len(methods)
-    for split in (False, True):
-        group = [i for i, row in enumerate(row_of) if (row is None) is split]
-        if group:
-            replayed = _replay_divergence(
-                p, [methods[i] for i in group],
-                np.full((len(group), 2 * p.n), scale) if split else marks[[row_of[i] for i in group]],
-                [results[i].trace.stepsize[:cfg.iters] for i in group],
-                np.array([np.clip(results[i].w_final if split else results[i].x_final, 0.0, None) for i in group]))
-            for i, divergence in zip(group, replayed):
-                div_cols[i] = _padded(divergence, cfg.iters)
+    group = [i for i, row in enumerate(row_of) if row is not None]
+    if group:
+        replayed = _replay_divergence(p, [methods[i] for i in group], marks[[row_of[i] for i in group]],
+                                      [results[i].trace.stepsize[:cfg.iters] for i in group],
+                                      np.array([np.clip(results[i].x_final, 0.0, None) for i in group]))
+        for i, divergence in zip(group, replayed):
+            div_cols[i] = _padded(divergence, cfg.iters)
+    for i, row in enumerate(row_of):
+        if row is None:
+            traced = solve(p, SolveConfig(methods[i], np.full(2 * p.n, scale), max_iters=cfg.iters, f_tol=0.0,
+                                          trace_reference=np.clip(results[i].w_final, 0.0, None),
+                                          check_descent=False))
+            div_cols[i] = _padded(traced.trace.d_h_to_ref, cfg.iters)
 
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)

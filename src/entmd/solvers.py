@@ -17,16 +17,17 @@ Schemes
 Three iteration loops run them.  ``_iterate`` runs one solve for
 :func:`solve` and :func:`solve_convex`; the two differ only in the objective
 callback, and the schemes only in the update rule and the stepsize rule.
-``_lockstep`` advances several runs of any kinds on one instance together on
-the same rules, each ending where its own solve ends, bit for bit; the
-experiments' batches use it.  ``_replay_divergence`` replays recorded
-stepsizes without a stop test to follow runs' iterates, from x0 or in
-stretches from the *marks* that ``_lockstep`` takes of them.  Every solve records
-a per-iteration trace (objective, stepsize, l1 norm and optionally the
-Bregman divergence to a reference point) and reports one of three terminal
-statuses.  When a reference solution is supplied, the Polyak schemes verify
-the per-iteration divergence descent inequality and flag any numerical
-violation as a breakdown instead of silently continuing.
+``_lockstep`` advances several n-wide runs (any kind but ``eg_pm``) on one
+instance together on the same rules for one budget, each ending where its
+own solve ends, bit for bit; the experiments' batches use it.
+``_replay_divergence`` replays recorded stepsizes without a stop test to
+follow runs' iterates in stretches from the *marks* that ``_lockstep``
+takes of them.  Every solve records a per-iteration trace (objective,
+stepsize, l1 norm and optionally the Bregman divergence to a reference
+point) and reports one of three terminal statuses.  When a reference
+solution is supplied, the Polyak schemes verify the per-iteration
+divergence descent inequality and flag any numerical violation as a
+breakdown instead of silently continuing.
 
 The public single-step functions are :func:`md_step`, one exponential
 update, and :func:`backtracking_stepsize`, the stepsize ``md_backtracking``
@@ -560,19 +561,17 @@ def _objective_gradient(p: ProblemInstance, kind: str):
     return fg
 
 
-def _stacked_gradients(a: np.ndarray, at: np.ndarray, b: np.ndarray, x: np.ndarray,
-                       split: bool) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_gradients(a: np.ndarray, at: np.ndarray, b: np.ndarray,
+                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The residual r = A x - b, shape (B, m, 1), and the gradient of each row of ``x``.
 
     ``np.matmul`` over the (B, n, 1) stack makes the same dgemv call per row
     as ``a @ x``; a GEMM block ``a @ X.T`` would round differently, and
     Polyak runs amplify that difference.
     """
-    n = a.shape[1]
-    r = np.matmul(a, (x[:, :n] - x[:, n:] if split else x)[:, :, None])
+    r = np.matmul(a, x[:, :, None])
     r[:, :, 0] -= b
-    g = np.matmul(at, r)[:, :, 0]
-    return r, np.concatenate((g, -g), axis=1) if split else g
+    return r, np.matmul(at, r)[:, :, 0]
 
 
 def _update_groups(updates: list, start: int = 0) -> list[tuple]:
@@ -598,21 +597,19 @@ _LOG_ROWS = 64
 _MARK_EVERY = 256
 
 # How each kind picks its stepsize in a batch; the rows sort by it
-_RULES = {"md_backtracking": 0, "md_constant": 1, "md_polyak": 2, "hd_plus_polyak": 2, "hd_polyak": 2, "eg_pm": 2}
+_RULES = {"md_backtracking": 0, "md_constant": 1, "md_polyak": 2, "hd_plus_polyak": 2, "hd_polyak": 2}
 
 
-def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
+def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: int,
               keep: int = 0, marks: np.ndarray | None = None) -> tuple[list[SolveResult], np.ndarray]:
-    """One solve of ``p`` per row of ``x0``, all advancing together.
+    """One solve of ``p`` per row of ``x0``, (runs, n), all advancing together.
 
-    Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], max_iters,
+    Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], iters,
     f_tol=0.0))`` ends, bit for bit in its iterates, trace, status and
-    iteration count; ``iters`` is the ``max_iters`` of every run or a
-    sequence of one per run.  Every kind batches: the Polyak kinds take the
-    Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
+    iteration count.  Every kind but ``eg_pm`` batches: the Polyak kinds
+    take the Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
     ``md_backtracking`` run its own trials, so that only a run whose trial
-    was rejected tries again.  A batch holds ``eg_pm`` runs only or none.
-    A run that stops leaves the batch.
+    was rejected tries again.  A run that stops leaves the batch.
 
     An iteration costs one stacked GEMV pair (:func:`_stacked_gradients`),
     and f is one ddot per row as ``r @ r`` is.
@@ -624,7 +621,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
     passes the iterations on which no run stops; the exact per-run tests
     run only where it fails.
 
-    Given ``marks``, (runs, ceil(keep / _MARK_EVERY), width), the batch
+    Given ``marks``, (runs, ceil(keep / _MARK_EVERY), n), the batch
     copies each live run's x_k into ``marks[run, k // _MARK_EVERY]`` at
     every multiple k of ``_MARK_EVERY`` below ``keep``.
 
@@ -632,12 +629,10 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
     ``keep`` records of its solve's trace, and the smallest f of each whole
     run (inf for a run without records).
     """
-    a, b, n = p.a, p.b, p.n
+    a, b = p.a, p.b
     at = np.ascontiguousarray(a.T)
     rows = len(methods)
-    split = any(m.kind == "eg_pm" for m in methods)
     updates = [_UPDATES[m.kind] for m in methods]
-    budget = np.array(np.broadcast_to(iters, (rows,)), dtype=np.int64)
     shrink = np.array([m.shrink for m in methods])
     x = np.array(x0, dtype=float)
 
@@ -645,7 +640,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
     records = (trace.f_value, trace.stepsize, trace.l1_norm)
     x_final = np.empty(np.shape(x0))
     status = [Status.MAX_ITERS] * rows
-    iters_run, length, f_min = budget.copy(), budget.copy(), np.full(rows, np.inf)
+    iters_run, length, f_min = np.full(rows, iters), np.full(rows, iters), np.full(rows, np.inf)
     # backtracking runs first, then constant stepsizes, then the Polyak runs,
     # those that share an update adjacent: md_constant's update is the
     # exponential one, so the constant and md_polyak runs update in one call
@@ -658,8 +653,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
 
     def regroup():
         """Per-run constants and log views of the runs in ``live``."""
-        nonlocal size, n_bt, pol, alpha, alpha_pol, groups, bt_alpha0, bt_shrink, next_end, f_log, f_out, s_log, \
-            l1_log
+        nonlocal size, n_bt, pol, alpha, alpha_pol, groups, bt_alpha0, bt_shrink, f_log, f_out, s_log, l1_log
         size = live.size
         kinds = [_RULES[methods[r].kind] for r in live]
         n_bt, first_pol = kinds.count(0), size - kinds.count(2)
@@ -670,7 +664,6 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
         alpha_pol, col = alpha[pol], alpha[:, None]
         groups = [(update, rows_, col[rows_]) for update, rows_ in _update_groups([updates[r] for r in live], n_bt)]
         bt_alpha0, bt_shrink = first[live[:n_bt]].tolist(), shrink[live[:n_bt]].tolist()
-        next_end = budget[live].min() if size else None
         f_log, s_log, l1_log = log[:, :, :size]
         f_out = f_log[:, :, None, None]
 
@@ -707,7 +700,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
         regroup()
         return go
 
-    size = n_bt = pol = alpha = alpha_pol = groups = bt_alpha0 = bt_shrink = next_end = None
+    size = n_bt = pol = alpha = alpha_pol = groups = bt_alpha0 = bt_shrink = None
     f_log = f_out = s_log = l1_log = None
     err_state = np.seterr(all="ignore")
     try:
@@ -724,16 +717,12 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
         np.add.reduce(x, axis=1, out=log[2, 0])
         regroup()
         mark_below = 0 if marks is None else keep
-        for k in range(budget.max(initial=0)):
+        # exp1 of eg_pm alone sends a batch without runs
+        for k in range(iters if rows else 0):
             if k < mark_below and not k % _MARK_EVERY:
                 marks[live, k // _MARK_EVERY] = x
-            if k == next_end:
-                ended = budget[live] == k
-                leave(ended, k, k, [Status.MAX_ITERS] * np.count_nonzero(ended))
-                if not live.size:
-                    break
             j = k - k0
-            r, g = _stacked_gradients(a, at, b, x, split)
+            r, g = _stacked_gradients(a, at, b, x)
             np.matmul(r.transpose(0, 2, 1), r, out=f_out[j])
             f = f_log[j]
             f *= 0.5
@@ -791,32 +780,27 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters,
             if k + 1 - k0 == _LOG_ROWS:
                 flush(k + 1)
         if live.size:
-            flush(budget.max(initial=0))
+            flush(iters)
     finally:
         np.seterr(**err_state)
     x_final[live] = x
     f_min[live] = fmin
 
-    results = []
-    for r, method in enumerate(methods):
-        res = SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :min(length[r], keep)],
-                          heuristic=(method.kind == "hd_polyak"))
-        if split:
-            res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
-        results.append(res)
+    results = [SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :min(length[r], keep)],
+                           heuristic=(method.kind == "hd_polyak")) for r, method in enumerate(methods)]
     return results, f_min
 
 
-def _replay_divergence(p: ProblemInstance, methods: list[Method], starts: np.ndarray, steps: list,
+def _replay_divergence(p: ProblemInstance, methods: list[Method], marks: np.ndarray, steps: list,
                        refs: np.ndarray) -> list[np.ndarray]:
     """D_h(refs[r], x_k) at each iterate x_k from which run r takes its step ``steps[r][k]``.
 
-    ``steps[r]`` are stepsizes a :func:`solve` of ``methods[r]`` recorded, and
-    ``starts`` holds each run's x0, (runs, width), or its marks from
-    :func:`_lockstep`, (runs, stretches, width).  A run replays one stretch
-    of all its steps from x0, or one of ``_MARK_EVERY`` steps from each mark
-    below its length.  Every (run, stretch) pair is a row of one block that
-    one loop advances, with no stepsize rule and no stop test, through its
+    ``steps[r]`` are stepsizes a :func:`solve` of ``methods[r]`` recorded,
+    and ``marks`` holds the marks :func:`_lockstep` takes of each run,
+    (runs, stretches, n).  A run replays one stretch of ``_MARK_EVERY``
+    steps from each mark below its length, or of all steps where every run
+    is shorter.  Every (run, stretch) pair is a row of one block that one
+    loop advances, with no stepsize rule and no stop test, through its
     solve's iterates bit for bit: per step one divergence evaluation of the
     block, one stacked GEMV pair (:func:`_stacked_gradients`) and the rows'
     updates.  Steps past a run's end are 0, so no row leaves.  Entry r of
@@ -832,11 +816,7 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], starts: np.nda
     a, b = p.a, p.b
     at = np.ascontiguousarray(a.T)
     lengths = [len(recorded) for recorded in steps]
-    stride = max([1, *lengths])
-    if starts.ndim == 2:
-        starts = starts[:, None]
-    else:
-        stride = min(stride, _MARK_EVERY)
+    stride = min(max([1, *lengths]), _MARK_EVERY)
     stretches = [-(-max(length, 1) // stride) for length in lengths]
     table = np.zeros((len(steps), max(stretches) * stride))
     for r, recorded in enumerate(steps):
@@ -846,13 +826,12 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], starts: np.nda
     order = sorted(range(len(methods)), key=lambda r: updates[r].__name__)
     run, part = np.array([(r, s) for r in order for s in range(stretches[r])], dtype=np.intp).T
     groups = _update_groups([updates[r] for r in run])
-    split = any(m.kind == "eg_pm" for m in methods)
-    x, taken, ref = starts[run, part], table.reshape(len(steps), -1, stride)[run, part], refs[run]
+    x, taken, ref = marks[run, part], table.reshape(len(steps), -1, stride)[run, part], refs[run]
     found = np.empty((run.size, stride))
     with np.errstate(all="ignore"):
         for k in range(stride):
             found[:, k] = _dh_core(ref, x)
-            g = _stacked_gradients(a, at, b, x, split)[1]
+            g = _stacked_gradients(a, at, b, x)[1]
             col = taken[:, k, None]
             x_next = np.empty_like(x)
             for update, rows_ in groups:

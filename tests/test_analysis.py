@@ -112,6 +112,16 @@ class TestBregmanProjection:
             with pytest.raises(ConvergenceError, match="NumericalBreakdown"):
                 bregman_projection(p, np.full(8, 1e200))
 
+    @pytest.mark.parametrize("scale, max_iters, counts", [
+        (1e160, 200_000, "in 0 iterations, 0 Newton steps and 0 of"),
+        (1e-4, 3, "in 3 iterations, 2 Newton steps and 1 of"),
+    ])
+    def test_budget_error_names_the_iterations_run(self, scale, max_iters, counts):
+        # from 1e160 the finisher breaks down at once; the message used to claim the whole budget
+        p = gen_instance(InstanceSpec(4, 8, None, seed=1))
+        with pytest.raises(ConvergenceError, match=counts):
+            bregman_projection(p, np.full(8, scale), max_iters=max_iters)
+
     def test_overflowing_hessian_raises_a_typed_error(self):
         # f(x0) = 1 but A diag(x0) A^T is inf and singular; least squares on it fails inside LAPACK
         p = ProblemInstance([[1.0, -1.0], [1.0, -1.0]], [1.0, 1.0])

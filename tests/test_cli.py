@@ -83,6 +83,13 @@ class TestSolveCommand:
         assert code == 3
         assert parse_keyvalue(capsys.readouterr().out)["status"] == "NumericalBreakdown"
 
+    def test_overflowing_final_f_reads_inf_without_warning(self, tmp_path, capsys):
+        p = entmd.gen_instance(entmd.InstanceSpec(4, 8, None, seed=1))
+        code = main(["solve", write_instance(tmp_path, p), "--x0-scale", "1e160", "--iters", "3"])
+        out, err = capsys.readouterr()
+        assert code == 3 and err == ""
+        assert parse_keyvalue(out)["final_f"] == "inf"
+
     def test_malformed_file_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("not json at all")

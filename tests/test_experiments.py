@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,8 @@ class TestExperiment1:
         assert len(values) == 50
         assert all(np.isfinite(v) for v in values)
 
-    @pytest.mark.parametrize("iters, extra, scale", [(1, 30, 1e-4), (64, 40, 1e-4), (150, 60, 1e-4), (97, 0, 1.0)])
+    @pytest.mark.parametrize("iters, extra, scale", [(1, 30, 1e-4), (64, 40, 1e-4), (150, 60, 1e-4), (97, 0, 1.0),
+                                                     (256, 40, 1e-4), (257, 40, 1e-4), (600, 100, 1e-4)])
     def test_divergence_panel_equals_a_traced_rerun(self, tmp_path, iters, extra, scale):
         methods = [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.eg_pm(),
                    Method.md_constant(0.02), Method.md_backtracking(), MD_CONSTANT_GRID]
@@ -135,6 +138,13 @@ class TestExperiment1:
         expected = reference_divergence(gen_instance(spec), method, 1e-4, 50, 0)
         assert div_path.read_text() == csv_text("iter," + method.label, [expected])
 
+    def test_eg_pm_alone_leaves_the_batch_empty(self, tmp_path):
+        spec = InstanceSpec(10, 16, sparsity=4, seed=19)
+        cfg = ExperimentConfig(spec, methods=[Method.eg_pm()], iters=300, limit_extra_iters=20, out_path=tmp_path)
+        _, div_path, _ = run_experiment1(cfg)
+        expected = reference_divergence(gen_instance(spec), Method.eg_pm(), 1e-4, 300, 20)
+        assert div_path.read_text() == csv_text("iter,eg_pm", [expected])
+
     def test_requires_methods(self, tmp_path):
         cfg = ExperimentConfig(InstanceSpec(4, 6, sparsity=2, seed=16),
                                methods=[], iters=10, out_path=tmp_path)
@@ -147,6 +157,19 @@ class TestExperiment1:
         with pytest.raises(DomainError, match="MD_CONSTANT_GRID"):
             ExperimentConfig(InstanceSpec(4, 6, sparsity=2, seed=16), methods=[Method.md_polyak(), method])
 
+
+    @pytest.mark.parametrize("field, value", [("iters", 2.5), ("iters", 0), ("iters", "40"), ("iters", math.nan),
+                                              ("limit_extra_iters", 0.5), ("limit_extra_iters", -1),
+                                              ("limit_extra_iters", math.inf)])
+    def test_budgets_must_be_whole_numbers(self, field, value):
+        # iters=2.5 used to fail inside the experiment with a TypeError, and
+        # limit_extra_iters=0.5 ran 3 iterations for iters=3 while the sidecar recorded 0.5
+        with pytest.raises(DomainError, match=f"{field} must be a whole number"):
+            ExperimentConfig(InstanceSpec(3, 5, sparsity=2, seed=16), **{field: value})
+
+    def test_whole_float_budgets_are_stored_as_ints(self):
+        cfg = ExperimentConfig(InstanceSpec(3, 5, sparsity=2, seed=16), iters=3.0, limit_extra_iters=np.int64(2))
+        assert [(type(v), v) for v in (cfg.iters, cfg.limit_extra_iters)] == [(int, 3), (int, 2)]
 
     @pytest.mark.parametrize("methods", [[Method.md_polyak(), Method.md_polyak()],
                                          [Method.md_backtracking(), Method.md_backtracking(0.5)],

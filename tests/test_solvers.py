@@ -455,12 +455,15 @@ def reference_divergence(p, method, x0, iters, z):
 
 
 def replayed_divergence(p, runs):
-    """The same for each run ``(method, x0, iters, z)``, from the stepsizes of
-    untraced solves, replayed in one batch."""
-    steps = [solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0)).trace.stepsize
-             for method, x0, iters, _ in runs]
-    return _replay_divergence(p, [run[0] for run in runs], np.array([run[1] for run in runs]), steps,
-                              np.array([run[3] for run in runs]))
+    """The same for each run ``(method, x0, iters, z)``, replayed in one batch
+    from the marks and stepsizes of one lockstep batch run to the longest
+    budget, each run's steps cut at its own budget."""
+    methods, x0, budgets, refs = (list(column) for column in zip(*runs))
+    longest = max(budgets)
+    marks = np.zeros((len(runs), -(-longest // 256), len(x0[0])))
+    batch = _lockstep(p, methods, np.array(x0), longest, keep=longest, marks=marks)[0]
+    steps = [res.trace.stepsize[:budget] for res, budget in zip(batch, budgets)]
+    return _replay_divergence(p, methods, marks, steps, np.array(refs))
 
 
 def assert_replays_match(p, runs):
@@ -471,21 +474,20 @@ def assert_replays_match(p, runs):
 
 
 class TestReplayDivergence:
+    # method3 was eg_pm, which a batch no longer takes; the other ids stay as they were
     @pytest.mark.parametrize("method", [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(),
-                                        Method.eg_pm(), Method.md_constant(0.05), Method.md_backtracking()])
+                                        Method.md_constant(0.05), Method.md_backtracking()],
+                             ids=["method0", "method1", "method2", "method4", "method5"])
     @pytest.mark.parametrize("iters", [1, 63, 64, 65, 200])
     def test_matches_traced_solve_across_blocks(self, method, iters):
-        # one batch: the method from two starts, and for all but eg_pm the other
-        # kinds, each replaying a different number of steps
+        # one batch: the method from two starts and the other kinds, each
+        # replaying a different number of steps
         p = centered_gaussian_instance(6, 12, 3, seed=37)
-        kinds = [method] if method.kind == "eg_pm" else [
-            method, Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_backtracking()]
-        width = 24 if method.kind == "eg_pm" else 12
+        kinds = [method, Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_backtracking()]
         runs = []
-        for j, (kind, scale) in enumerate([(kinds[0], 0.1), (method, 0.03)] + [(kind, 0.1) for kind in kinds[1:]]):
-            x0 = np.full(width, scale)
-            long_res = solve(p, SolveConfig(kind, x0, max_iters=300, f_tol=0.0))
-            z = np.clip(long_res.w_final if kind.kind == "eg_pm" else long_res.x_final, 0.0, None)
+        for j, (kind, scale) in enumerate([(method, 0.1), (method, 0.03)] + [(kind, 0.1) for kind in kinds[1:]]):
+            x0 = np.full(12, scale)
+            z = np.clip(solve(p, SolveConfig(kind, x0, max_iters=300, f_tol=0.0)).x_final, 0.0, None)
             runs.append((kind, x0, max(iters - 7 * j, 1), z))
         replayed = assert_replays_match(p, runs)
         assert len(replayed[0]) == iters
@@ -513,21 +515,19 @@ class TestReplayDivergence:
     def test_reference_infinitely_far_from_x0_raises(self, steps):
         p = ProblemInstance([[1.0]], [1e307])
         with pytest.raises(InfiniteDivergence):
-            _replay_divergence(p, [Method.md_polyak()] * 2, np.array([[1.0], [1e-307]]), [[1.0] * 3, [1.0] * steps],
+            _replay_divergence(p, [Method.md_polyak()] * 2, np.array([[[1.0]], [[1e-307]]]), [[1.0] * 3, [1.0] * steps],
                                np.array([[1.0], [1e307]]))
 
 
 def assert_rows_match_solves(p, methods, x0, iters):
     """Each row of one lockstep batch equals its own solve bit for bit."""
-    runs, f_min = _lockstep(p, methods, x0, iters, keep=int(np.max(iters)))
-    for r, (method, start, budget) in enumerate(zip(methods, x0, np.broadcast_to(iters, (len(methods),)))):
-        res = solve(p, SolveConfig(method, start, max_iters=max(budget, 1), f_tol=0.0))
+    runs, f_min = _lockstep(p, methods, x0, iters, keep=iters)
+    for r, (method, start) in enumerate(zip(methods, x0)):
+        res = solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0))
         row = runs[r]
         assert row.trace.dtype == res.trace.dtype and row.trace.tobytes() == res.trace.tobytes()
         assert f_min[r] == res.trace.f_value.min(initial=np.inf)
         assert row.x_final.tobytes() == res.x_final.tobytes()
-        if method.kind == "eg_pm":
-            assert row.w_final.tobytes() == res.w_final.tobytes()
         assert row.status is res.status and row.iters_run == res.iters_run
         assert row.heuristic is res.heuristic
     return runs
@@ -571,18 +571,6 @@ class TestLockstep:
         converged = [res.iters_run for res in runs if res.status is Status.CONVERGED]
         assert len(set(converged)) >= 4
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_eg_pm_rows(self, seed):
-        a, b, _ = signed_system(5, 9, seed=seed)
-        p = ProblemInstance(a, b)
-        methods = [Method.eg_pm()] * 3
-        x0 = np.array([np.full(18, scale) for scale in (1e-8, 1e-4, 1.0)])
-        assert_rows_match_solves(p, methods, x0, 200)
-        refs = [np.clip(solve(p, SolveConfig(method, start, max_iters=200, f_tol=0.0)).w_final, 0.0, None)
-                for method, start in zip(methods, x0)]
-        assert_replays_match(p, [(method, start, 200 - 50 * r, ref)
-                                 for r, (method, start, ref) in enumerate(zip(methods, x0, refs))])
-
     def test_breakdowns(self):
         # zero gradient at x0 = 0.5, f overflowing at x0 = 1e300, an update
         # overflowing on the first step, and rows that run on
@@ -606,15 +594,16 @@ class TestLockstep:
         p = gen_instance(InstanceSpec(11, 12, sparsity=3, seed=5))
         methods = [Method.md_polyak(), Method.hd_polyak(), Method.md_constant(0.01)]
         x0 = np.full((3, 12), 1e-4)
-        runs, f_min = _lockstep(p, methods, x0, [50, 80, 0], keep=20)
-        assert [len(res.trace) for res in runs] == [20, 20, 0] and [res.iters_run for res in runs] == [50, 80, 0]
+        runs, f_min = _lockstep(p, methods, x0, 80, keep=20)
+        assert [len(res.trace) for res in runs] == [20] * 3 and [res.iters_run for res in runs] == [80] * 3
+        short, _ = _lockstep(p, methods, x0, 50, keep=50)
         full, full_min = _lockstep(p, methods, x0, 80, keep=80)
-        for r in (0, 1):
-            assert runs[r].trace.tobytes() == full[r].trace[:20].tobytes()
+        assert [res.iters_run for res in short] == [50] * 3
+        for r in range(3):
+            assert runs[r].trace.tobytes() == short[r].trace[:20].tobytes() == full[r].trace[:20].tobytes()
+            assert runs[r].x_final.tobytes() == full[r].x_final.tobytes()
         # the minima cover the whole runs, not only their kept records
         assert f_min[1] == full_min[1] == full[1].trace.f_value.min() < runs[1].trace.f_value.min()
-        assert runs[1].x_final.tobytes() == full[1].x_final.tobytes()
-        assert runs[2].x_final.tobytes() == x0[2].tobytes() and f_min[2] == np.inf
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_backtracking_rows(self, seed):
@@ -626,8 +615,9 @@ class TestLockstep:
         methods = [Method.md_backtracking(), Method.md_backtracking(50.0, 0.3), Method.md_backtracking(1e3, 0.9),
                    Method.md_polyak(), Method.md_constant(0.5 / max_col_norm_sq(p.a))]
         x0 = np.array([np.full(12, scale) for scale in (1e-4, 1e-4, 1e-2, 1e-4, 1.0)])
-        runs = assert_rows_match_solves(p, methods, x0, [300, 250, 300, 120, 300])
-        assert len({len(res.trace) for res in runs}) > 2
+        runs = assert_rows_match_solves(p, methods, x0, 300)
+        # the iteration at which each backtracking row first shrinks below its first stepsize
+        assert len({int(np.argmax(res.trace.stepsize < res.trace.stepsize[0])) for res in runs[:3]}) == 3
         p = one_dim_instance()
         methods = [Method.md_backtracking(), Method.md_backtracking(1e6, 0.999), Method.md_backtracking(1e6)]
         runs = assert_rows_match_solves(p, methods, np.array([[2.0], [2.0], [2.0]]), 40)
@@ -636,12 +626,12 @@ class TestLockstep:
 
 @st.composite
 def lockstep_cases(draw):
-    """One small system with a batch on it: per row a method, a start, a budget and a reference.
+    """One small system with a batch on it: per row a method, a start and a
+    reference, and one budget.
 
     The systems have zero columns, more rows than columns, right-hand sides
     that runs reach exactly (f = 0) and ones they cannot, and scales at
-    which f or the gradient overflows at x0.  The batch holds eg_pm rows
-    only or none.
+    which f or the gradient overflows at x0.
     """
     if draw(st.integers(0, 2)) == 0:
         # systems on which runs reach f = 0 exactly, each at its own iteration
@@ -657,31 +647,28 @@ def lockstep_cases(draw):
         z = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
         p = ProblemInstance(a, a @ z if draw(st.booleans()) else z[:1].repeat(m) - a[:, 0])
     n = p.n
-    split = draw(st.integers(0, 4)) == 0
-    width = 2 * n if split else n
     rows = draw(st.integers(1, 5))
-    kinds = st.sampled_from([Method.eg_pm()] if split else [
+    kinds = st.sampled_from([
         Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_constant(1e-3),
         Method.md_constant(0.3), Method.md_constant(30.0), Method.md_constant(800.0), Method.md_backtracking(),
         Method.md_backtracking(1e3, 0.1), Method.md_backtracking(0.5, 0.9)])
     methods = [draw(kinds) for _ in range(rows)]
     scales = st.sampled_from([5e-324, 1e-300, 1e-8, 1e-4, 1e-4, 0.5, 1.0, 1.0, 3.0, 1e300])
     pattern = st.sampled_from([1.0, 1.0, 2.0, 4.0])
-    x0 = np.array([draw(scales) * np.array(draw(st.lists(pattern, min_size=width, max_size=width)))
-                   for _ in range(rows)])
-    budgets = draw(st.lists(st.integers(1, 400), min_size=rows, max_size=rows))
-    refs = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 2.0]), min_size=rows * width,
-                                  max_size=rows * width))).reshape(rows, width)
-    return p, methods, x0, budgets, refs
+    x0 = np.array([draw(scales) * np.array(draw(st.lists(pattern, min_size=n, max_size=n))) for _ in range(rows)])
+    budget = draw(st.integers(1, 400))
+    refs = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 2.0]), min_size=rows * n,
+                                  max_size=rows * n))).reshape(rows, n)
+    return p, methods, x0, budget, refs
 
 
 class TestLockstepProperties:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(lockstep_cases())
     def test_rows_and_replays_equal_solves(self, case):
-        p, methods, x0, budgets, refs = case
-        assert_rows_match_solves(p, methods, x0, budgets)
-        assert_replays_match(p, list(zip(methods, x0, budgets, refs)))
+        p, methods, x0, budget, refs = case
+        assert_rows_match_solves(p, methods, x0, budget)
+        assert_replays_match(p, [(method, start, budget, ref) for method, start, ref in zip(methods, x0, refs)])
 
 
 # budgets and kept records on both sides of the first and second mark
@@ -691,7 +678,7 @@ MARK_SIZES = st.sampled_from([255, 256, 257, 512, 513])
 @st.composite
 def marked_cases(draw):
     """A batch of :func:`lockstep_cases` (or of runs on a system on which a
-    coordinate underflows to 0 mid-run) with budgets and ``keep`` around the
+    coordinate underflows to 0 mid-run) with a budget and ``keep`` around the
     marks' stride, and references some of which are infinitely far from x0."""
     if draw(st.integers(0, 3)) == 0:
         # x_1 shrinks by exp(-1.79) or exp(-2) per step and underflows to 0
@@ -709,39 +696,34 @@ def marked_cases(draw):
     if draw(st.integers(0, 7)) == 0:
         # D_h(z, x0) overflows for every start of these cases
         refs[draw(st.integers(0, rows - 1)), draw(st.integers(0, refs.shape[1] - 1))] = 1e307
-    budgets = draw(st.lists(MARK_SIZES, min_size=rows, max_size=rows))
-    return p, methods, x0, budgets, draw(MARK_SIZES), refs
+    return p, methods, x0, draw(MARK_SIZES), draw(MARK_SIZES), refs
 
 
 class TestMarkedReplayProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(marked_cases())
     def test_marks_and_replays_equal_solves(self, case):
-        p, methods, x0, budgets, keep, refs = case
+        p, methods, x0, budget, keep, refs = case
         marks = np.zeros((len(methods), -(-keep // 256), x0.shape[1]))
-        runs, _ = _lockstep(p, methods, x0, budgets, keep=keep, marks=marks)
+        runs, _ = _lockstep(p, methods, x0, budget, keep=keep, marks=marks)
         for r, (method, start, res) in enumerate(zip(methods, x0, runs)):
             # mark s is the iterate from which a run that takes step 256 s takes it
             assert marks[r, 0].tobytes() == start.tobytes()
             for s in range(1, marks.shape[1]):
                 if len(res.trace) > 256 * s:
                     solved = solve(p, SolveConfig(method, start, max_iters=256 * s, f_tol=0.0))
-                    at_mark = solved.w_final if method.kind == "eg_pm" else solved.x_final
-                    assert marks[r, s].tobytes() == at_mark.tobytes()
+                    assert marks[r, s].tobytes() == solved.x_final.tobytes()
         steps = [res.trace.stepsize for res in runs]
         try:
             traced = [solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0, trace_reference=ref,
                                            check_descent=False)).trace.d_h_to_ref[:keep]
-                      for method, start, budget, ref in zip(methods, x0, budgets, refs)]
+                      for method, start, ref in zip(methods, x0, refs)]
         except InfiniteDivergence:
-            for starts in (marks, x0):
-                with pytest.raises(InfiniteDivergence):
-                    _replay_divergence(p, methods, starts, steps, refs)
+            with pytest.raises(InfiniteDivergence):
+                _replay_divergence(p, methods, marks, steps, refs)
             return
-        from_marks = _replay_divergence(p, methods, marks, steps, refs)
-        from_x0 = _replay_divergence(p, methods, x0, steps, refs)
-        for expected, marked, started in zip(traced, from_marks, from_x0):
-            assert marked.tobytes() == started.tobytes() == expected.tobytes()
+        for expected, replayed in zip(traced, _replay_divergence(p, methods, marks, steps, refs)):
+            assert replayed.tobytes() == expected.tobytes()
 
 
 class TestEgpmSolve:

@@ -16,7 +16,6 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
   ``hd_plus_polyak``; the time is per batch iteration, not per row;
 * ``replay 5``: the divergence replay of exp1's five methods from the
   marks of their lockstep batch, as exp1 replays them;
-* ``replay 5 (x0)``: the same replay from x0, one stretch per run;
 * ``matvec pair``: a bare ``at @ (a @ x - b)``, the floor of one iteration.
 
 The numbers measure the checkout this script is run from, through the
@@ -78,7 +77,6 @@ def cases(m: int, n: int, sparsity: int, iters: int):
         ("batch 5", batch([Method.md_polyak()] * 5, np.array([np.full(n, s) for s in EXP2_SCALES]))),
         ("batch 28", batch(grid + POLYAK, np.tile(x0, (len(grid) + len(POLYAK), 1)))),
         ("replay 5", lambda: _replay_divergence(p, exp1_methods, marks, steps, refs)),
-        ("replay 5 (x0)", lambda: _replay_divergence(p, exp1_methods, np.tile(x0, (5, 1)), steps, refs)),
         ("matvec pair", lambda: [at @ (p.a @ x0 - p.b) for _ in range(iters)]),
     ]
 
