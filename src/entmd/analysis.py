@@ -35,6 +35,7 @@ from .solvers import (
     SolveConfig,
     Status,
     _exp_update,
+    _whole,
     solve,
 )
 
@@ -487,11 +488,10 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
 
     Stops early if the iterates overflow; the maximum observed distance is
     returned either way, rescaled where its squared sum would overflow or
-    underflow (:func:`~entmd.linalg.vector_norm`).  Raises DomainError if
-    ``iters`` is below 1.
+    underflow (:func:`~entmd.linalg.vector_norm`).  Raises DomainError
+    unless ``iters`` is a whole number of at least 1.
     """
-    if iters < 1:
-        raise DomainError(f"iters must be at least 1, got {iters!r}")
+    iters = _whole(iters, "iters", 1)
     target = inst.scaled.planted
     a = inst.scaled.a
     at = np.ascontiguousarray(a.T)

@@ -20,7 +20,7 @@ from . import __version__
 from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
 from .solvers import (_MARK_EVERY, Method, ProblemInstance, SolveConfig, SolveResult, Status, _lockstep,
-                      _replay_divergence, solve)
+                      _replay_divergence, _whole, solve)
 
 __all__ = [
     "MD_CONSTANT_GRID",
@@ -77,17 +77,6 @@ class ExperimentConfig:
         if not self.inits or not all(0.0 < s < np.inf for s in self.inits):
             raise DomainError("initialization scales must be finite and positive")
         self.out_path = Path(self.out_path)
-
-
-def _whole(value, name: str, least: int) -> int:
-    """``value`` as an int; DomainError unless it is a whole number of at least ``least``."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value or whole < least:
-        raise DomainError(f"{name} must be a whole number of at least {least}, got {value!r}")
-    return whole
 
 
 def _method_labels(methods: list) -> list[str]:
@@ -182,7 +171,7 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     """
     grid = _constant_grid(p, num, span)
     # validates x0 and iters as a solve of each stepsize does
-    cfg = SolveConfig(grid[0], x0, max_iters=iters, f_tol=0.0)
+    cfg = SolveConfig(grid[0], x0, max_iters=_whole(iters, "iters", 1), f_tol=0.0)
     if cfg.x0.shape[0] != p.n:
         raise DimensionMismatch("x0 length must equal the number of columns")
     runs, f_min = _lockstep(p, grid, np.tile(cfg.x0, (num, 1)), cfg.max_iters, keep=cfg.max_iters)

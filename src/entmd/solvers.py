@@ -19,7 +19,9 @@ Three iteration loops run them.  ``_iterate`` runs one solve for
 callback, and the schemes only in the update rule and the stepsize rule.
 ``_lockstep`` advances several n-wide runs (any kind but ``eg_pm``) on one
 instance together on the same rules for one budget, each ending where its
-own solve ends, bit for bit; the experiments' batches use it.
+own solve ends, bit for bit; the experiments' batches use it.  It runs in
+windows of 64 iterations, and a run that stops keeps its iterate to the end
+of its window and leaves the batch there.
 ``_replay_divergence`` replays recorded stepsizes without a stop test to
 follow runs' iterates in stretches from the *marks* that ``_lockstep``
 takes of them.  Every solve records a per-iteration trace (objective,
@@ -172,6 +174,17 @@ class ProblemInstance:
         return self.a.shape[1]
 
 
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int; DomainError unless it is a whole number of at least ``least``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise DomainError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return whole
+
+
 @dataclass(eq=False)
 class SolveConfig:
     """Everything a solve needs besides the problem itself.
@@ -195,9 +208,7 @@ class SolveConfig:
         self.x0 = as_vector(self.x0)
         if np.any(self.x0 <= 0):
             raise DomainError("x0 must be strictly positive componentwise")
-        self.max_iters = int(self.max_iters)
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
+        self.max_iters = _whole(self.max_iters, "max_iters", 1)
         self.f_tol = float(self.f_tol)
         if not (self.f_tol >= 0.0):
             raise DomainError("f_tol must be nonnegative")
@@ -609,17 +620,19 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     iteration count.  Every kind but ``eg_pm`` batches: the Polyak kinds
     take the Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
     ``md_backtracking`` run its own trials, so that only a run whose trial
-    was rejected tries again.  A run that stops leaves the batch.
+    was rejected tries again.
 
     An iteration costs one stacked GEMV pair (:func:`_stacked_gradients`),
     and f is one ddot per row as ``r @ r`` is.
 
-    The f, stepsize and l1 norm of each iteration go to a log with one
-    column per run, and the stacked ddot writes f there.  The log fills the
-    traces and the minima of f every ``_LOG_ROWS`` iterations and whenever
-    runs leave, not once per iteration.  One scalar test on f and ||g||_inf
-    passes the iterations on which no run stops; the exact per-run tests
-    run only where it fails.
+    The batch runs in windows of ``_LOG_ROWS`` iterations.  The f, stepsize
+    and l1 norm of each iteration go to a log with one column per run, and
+    the stacked ddot writes f there; the end of a window writes the log to
+    the traces and the minima of f.  A run that stops records its end and
+    its minimum at once, then keeps its iterate, runs no trials and passes
+    every stop test until its window ends, where it leaves the batch.  One
+    scalar test on f and ||g||_inf passes the iterations on which no run
+    stops; the exact per-run tests run only where it fails.
 
     Given ``marks``, (runs, ceil(keep / _MARK_EVERY), n), the batch
     copies each live run's x_k into ``marks[run, k // _MARK_EVERY]`` at
@@ -648,60 +661,25 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                     dtype=np.intp)
     # row i of the log holds the f, stepsize and l1 norm of record k0 + i of each run in live
     log = np.empty((3, _LOG_ROWS + 1, rows))
-    fmin = np.full(rows, np.inf)
-    k0 = 0
+    # the runs in live that stopped in this window, None while none has
+    ended = None
 
-    def regroup():
-        """Per-run constants and log views of the runs in ``live``."""
-        nonlocal size, n_bt, pol, alpha, alpha_pol, groups, bt_alpha0, bt_shrink, f_log, f_out, s_log, l1_log
-        size = live.size
-        kinds = [_RULES[methods[r].kind] for r in live]
-        n_bt, first_pol = kinds.count(0), size - kinds.count(2)
-        pol = slice(first_pol, None)
-        # the stepsizes of an iteration, the fixed ones set here
-        alpha = np.empty(size)
-        alpha[n_bt:first_pol] = first[live[n_bt:first_pol]]
-        alpha_pol, col = alpha[pol], alpha[:, None]
-        groups = [(update, rows_, col[rows_]) for update, rows_ in _update_groups([updates[r] for r in live], n_bt)]
-        bt_alpha0, bt_shrink = first[live[:n_bt]].tolist(), shrink[live[:n_bt]].tolist()
-        f_log, s_log, l1_log = log[:, :, :size]
-        f_out = f_log[:, :, None, None]
+    def end(stop, k, k_end):
+        """Runs ``live[stop]`` end at their current iterate after k iterations, with k_end records;
+        they stay in the batch, frozen, to the end of the window.
 
-    def flush(k_end, go=None):
-        """Records k0 .. k_end - 1 of the runs in ``live`` go to their traces and minima,
-        and the log row of record k_end becomes row 0 for the runs that ``go`` keeps."""
-        nonlocal k0
-        count = k_end - k0
-        if count:
-            np.minimum(fmin, np.minimum.reduce(f_log[:count], axis=0), out=fmin)
-            kept = min(k_end, keep) - k0
-            if kept > 0:
-                for rec, part in zip(records, log[:, :kept, :size]):
-                    rec[live, k0:k0 + kept] = part.T
-        head = log[:, count, :size]
-        if go is not None:
-            head = head[:, go]
-        log[:, 0, :head.shape[1]] = head
-        k0 = k_end
-
-    def leave(stop, k, k_end, statuses):
-        """Runs ``live[stop]`` end at their current iterate after k iterations, with k_end records."""
-        nonlocal x, fmin, live
-        go = ~stop
-        flush(k_end, go)
+        With f_tol = 0 a run converges where f = 0; every other stop is a breakdown.
+        """
+        nonlocal ended
         idx = live[stop]
-        iters_run[idx] = k
-        length[idx] = k_end
-        x_final[idx] = x[stop]
-        f_min[idx] = fmin[stop]
-        for r, s in zip(idx, statuses):
-            status[r] = s
-        x, fmin, live = x[go], fmin[go], live[go]
-        regroup()
-        return go
+        iters_run[idx], length[idx], x_final[idx] = k, k_end, x[stop]
+        f_min[idx] = np.minimum(f_min[idx], np.minimum.reduce(f_log[:k_end - k0, stop], axis=0, initial=np.inf))
+        for r, converged in zip(idx, f_log[k - k0, stop] <= 0.0):
+            status[r] = Status.CONVERGED if converged else Status.NUMERICAL_BREAKDOWN
+        if ended is None:
+            ended = np.zeros(live.size, dtype=bool)
+        ended[stop] = True
 
-    size = n_bt = pol = alpha = alpha_pol = groups = bt_alpha0 = bt_shrink = None
-    f_log = f_out = s_log = l1_log = None
     err_state = np.seterr(all="ignore")
     try:
         # md_constant's stepsize and md_backtracking's first trial, from x0 where alpha0 is None
@@ -715,76 +693,92 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                 first[r] = _first_trial(at @ r0) if method.alpha0 is None else method.alpha0
         x = x[live]
         np.add.reduce(x, axis=1, out=log[2, 0])
-        regroup()
-        mark_below = 0 if marks is None else keep
-        # exp1 of eg_pm alone sends a batch without runs
-        for k in range(iters if rows else 0):
-            if k < mark_below and not k % _MARK_EVERY:
-                marks[live, k // _MARK_EVERY] = x
-            j = k - k0
-            r, g = _stacked_gradients(a, at, b, x)
-            np.matmul(r.transpose(0, 2, 1), r, out=f_out[j])
-            f = f_log[j]
-            f *= 0.5
-            g_inf = np.maximum.reduce(np.abs(g), axis=1)
-            # every run steps where each f and ||g||_inf is positive and finite
-            q = f * g_inf
-            if not (np.minimum.reduce(q) > 0.0 and np.add.reduce(q) < math.inf):
-                # NaN fails every comparison; a Polyak run stops at a zero gradient
-                moving = (f > 0.0) & (f < math.inf) & (g_inf < math.inf)
-                moving[pol] &= g_inf[pol] > 0.0
-                if not moving.all():
-                    go = leave(~moving, k, k, [Status.CONVERGED if c else Status.NUMERICAL_BREAKDOWN
-                                               for c in f[~moving] <= 0.0])
-                    if not live.size:
-                        break
-                    j, f, g, g_inf = 0, f_log[0], g[go], g_inf[go]
-
-            # each backtracking run's trials, which only it re-runs when rejected
-            taken = [_backtracking_stepsize(a, x[i], g[i], bt_alpha0[i], bt_shrink[i]) for i in range(n_bt)]
-            if None in taken:
-                stop = np.zeros(size, dtype=bool)
-                stop[:n_bt] = [step is None for step in taken]
-                go = leave(stop, k, k, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))
-                if not live.size:
-                    break
-                j, f, g, g_inf = 0, f_log[0], g[go], g_inf[go]
-                taken = [step for step in taken if step is not None]
-            x_next = np.empty_like(x)
-            for i, (step, x_plus, _) in enumerate(taken):
-                alpha[i] = step
-                x_next[i] = x_plus
-            if pol.start < size:
-                xp, gp = x[pol], g[pol]
-                wn = xp * gp
-                wn *= gp
-                wn = np.add.reduce(wn, axis=1)
-                np.divide(f[pol], wn, out=wn)
-                np.minimum(wn, EXP_QUAD_BOUND / g_inf[pol], out=alpha_pol)
-            s_log[j] = alpha
-            for update, rows_, col in groups:
-                update(x[rows_], g[rows_], col, out=x_next[rows_])
-            # solve stops a run whose new iterate has a non-finite entry; the
-            # entries are nonnegative, so finite l1 norms show none has
-            l1 = np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
-            if not math.isfinite(np.add.reduce(l1)):
-                _mask_frozen(groups, x, x_next)
-                np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
-                stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
-                if stop.any():
-                    go = leave(stop, k, k + 1, [Status.NUMERICAL_BREAKDOWN] * np.count_nonzero(stop))
-                    if not live.size:
-                        break
-                    x_next = x_next[go]
-            x = x_next
-            if k + 1 - k0 == _LOG_ROWS:
-                flush(k + 1)
-        if live.size:
-            flush(iters)
+        for k0 in range(0, iters, _LOG_ROWS):
+            if not live.size:
+                break
+            # per-run constants and log views of the runs in live
+            size = live.size
+            kinds = [_RULES[methods[r].kind] for r in live]
+            n_bt, first_pol = kinds.count(0), size - kinds.count(2)
+            pol = slice(first_pol, None)
+            # the stepsizes of an iteration, the fixed ones set here
+            alpha = np.empty(size)
+            alpha[n_bt:first_pol] = first[live[n_bt:first_pol]]
+            alpha_pol, col = alpha[pol], alpha[:, None]
+            groups = [(update, rows_, col[rows_]) for update, rows_ in _update_groups([updates[r] for r in live], n_bt)]
+            bt_alpha0, bt_shrink = first[live[:n_bt]].tolist(), shrink[live[:n_bt]].tolist()
+            f_log, s_log, l1_log = log[:, :, :size]
+            f_out = f_log[:, :, None, None]
+            # _MARK_EVERY is a multiple of _LOG_ROWS, so every mark falls on a window's start
+            if marks is not None and k0 < keep and not k0 % _MARK_EVERY:
+                marks[live, k0 // _MARK_EVERY] = x
+            k_end = min(k0 + _LOG_ROWS, iters)
+            for k in range(k0, k_end):
+                j = k - k0
+                r, g = _stacked_gradients(a, at, b, x)
+                np.matmul(r.transpose(0, 2, 1), r, out=f_out[j])
+                f = f_log[j]
+                f *= 0.5
+                g_inf = np.maximum.reduce(np.abs(g), axis=1)
+                # every run steps where each f and ||g||_inf is positive and finite
+                q = f * g_inf
+                if ended is not None:
+                    q[ended] = 1.0
+                if not (np.minimum.reduce(q) > 0.0 and np.add.reduce(q) < math.inf):
+                    # NaN fails every comparison; a Polyak run stops at a zero gradient
+                    moving = (f > 0.0) & (f < math.inf) & (g_inf < math.inf)
+                    moving[pol] &= g_inf[pol] > 0.0
+                    if ended is not None:
+                        moving |= ended
+                    if not moving.all():
+                        end(~moving, k, k)
+                x_next = np.empty_like(x)
+                # each backtracking run's trials, which only it re-runs when rejected
+                for i in range(n_bt):
+                    if ended is None or not ended[i]:
+                        taken = _backtracking_stepsize(a, x[i], g[i], bt_alpha0[i], bt_shrink[i])
+                        if taken is None:
+                            end([i], k, k)
+                        else:
+                            alpha[i], x_next[i] = taken[:2]
+                if pol.start < size:
+                    xp, gp = x[pol], g[pol]
+                    wn = xp * gp
+                    wn *= gp
+                    wn = np.add.reduce(wn, axis=1)
+                    np.divide(f[pol], wn, out=wn)
+                    np.minimum(wn, EXP_QUAD_BOUND / g_inf[pol], out=alpha_pol)
+                s_log[j] = alpha
+                for update, rows_, col in groups:
+                    update(x[rows_], g[rows_], col, out=x_next[rows_])
+                if ended is not None:
+                    x_next[ended] = x[ended]
+                # solve stops a run whose new iterate has a non-finite entry; the
+                # entries are nonnegative, so finite l1 norms show none has
+                l1 = np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
+                if not math.isfinite(np.add.reduce(l1)):
+                    _mask_frozen(groups, x, x_next)
+                    np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
+                    # an ended run keeps its iterate, whose entries are finite
+                    stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
+                    if stop.any():
+                        end(stop, k, k + 1)
+                        x_next[stop] = x[stop]
+                x = x_next
+            # the window's records go to the traces, the runs that ended leave,
+            # and the records of the others go to their minima
+            kept = min(k_end, keep) - k0
+            if kept > 0:
+                for rec, part in zip(records, log[:, :kept, :size]):
+                    rec[live, k0:k0 + kept] = part.T
+            go = slice(None) if ended is None else ~ended
+            x, live, ended = x[go], live[go], None
+            count = k_end - k0
+            f_min[live] = np.minimum(f_min[live], np.minimum.reduce(f_log[:count, go], axis=0))
+            log[2, 0, :live.size] = l1_log[count, go]
     finally:
         np.seterr(**err_state)
     x_final[live] = x
-    f_min[live] = fmin
 
     results = [SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :min(length[r], keep)],
                            heuristic=(method.kind == "hd_polyak")) for r, method in enumerate(methods)]

@@ -62,6 +62,13 @@ class TestBregmanProjection:
         with pytest.raises(ConvergenceError):
             bregman_projection(p, np.full(8, 0.1), max_iters=3)
 
+    @pytest.mark.parametrize("max_iters", [2.5, "40"])
+    def test_budget_must_be_a_whole_number(self, max_iters):
+        # 2.5 used to run the Newton steps and the solve on a budget of 2
+        p = ProblemInstance([[1.0]], [1.0])
+        with pytest.raises(DomainError, match="max_iters must be a whole number"):
+            bregman_projection(p, [0.01], max_iters=max_iters)
+
     @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
     def test_bad_tol_rejected(self, tol):
         # squared into f_tol, a negative or infinite tol used to accept x0 as the projection
@@ -438,7 +445,8 @@ class TestInstability:
         with pytest.raises(DomainError, match="alpha .* too small"):
             instability_construction(p, alpha)
 
-    @pytest.mark.parametrize("iters", [0, -5])
+    # 2.5, "40", nan and inf used to fail with a bare TypeError
+    @pytest.mark.parametrize("iters", [0, -5, 2.5, "40", math.nan, math.inf])
     def test_escape_needs_an_iteration(self, iters):
         inst = instability_construction(positive_solution_instance(8, 5, seed=47), 0.7)
         with pytest.raises(DomainError, match="iters"):

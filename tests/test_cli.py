@@ -292,7 +292,7 @@ class TestCertificateCommands:
         assert main(["instability", path, "--alpha", "1", "--iters", iters]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: iters must be at least 1")
+        assert captured.err.startswith("error: iters must be a whole number of at least 1")
 
 
 class TestRateCertLimit:

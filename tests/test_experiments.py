@@ -127,7 +127,7 @@ class TestExperiment1:
         _, div_path, _ = run_experiment1(cfg)
         p = gen_instance(spec)
         expected = [reference_divergence(p, method, scale, iters, extra) for method in methods]
-        assert div_path.read_text() == csv_text(div_path.read_text().splitlines()[0], expected)
+        assert_same_text(div_path.read_text(), csv_text(div_path.read_text().splitlines()[0], expected))
 
     def test_divergence_panel_of_a_breakdown_equals_a_traced_rerun(self, tmp_path):
         spec = InstanceSpec(5, 8, sparsity=2, seed=15)
@@ -136,14 +136,14 @@ class TestExperiment1:
         _, div_path, meta_path = run_experiment1(cfg)
         assert "NumericalBreakdown" in meta_path.read_text()
         expected = reference_divergence(gen_instance(spec), method, 1e-4, 50, 0)
-        assert div_path.read_text() == csv_text("iter," + method.label, [expected])
+        assert_same_text(div_path.read_text(), csv_text("iter," + method.label, [expected]))
 
     def test_eg_pm_alone_leaves_the_batch_empty(self, tmp_path):
         spec = InstanceSpec(10, 16, sparsity=4, seed=19)
         cfg = ExperimentConfig(spec, methods=[Method.eg_pm()], iters=300, limit_extra_iters=20, out_path=tmp_path)
         _, div_path, _ = run_experiment1(cfg)
         expected = reference_divergence(gen_instance(spec), Method.eg_pm(), 1e-4, 300, 20)
-        assert div_path.read_text() == csv_text("iter,eg_pm", [expected])
+        assert_same_text(div_path.read_text(), csv_text("iter,eg_pm", [expected]))
 
     def test_requires_methods(self, tmp_path):
         cfg = ExperimentConfig(InstanceSpec(4, 6, sparsity=2, seed=16),
@@ -221,6 +221,15 @@ def reference_divergence(p, method, scale, iters, extra):
 def csv_text(header, columns):
     rows = [",".join([str(i)] + [format(col[i], ".17g") for col in columns]) for i in range(len(columns[0]))]
     return "\n".join([header] + rows) + "\n"
+
+
+def assert_same_text(found, expected):
+    """``found == expected``, reported by the line count or the first differing
+    line: pytest's own diff of two 600-row texts ran for minutes."""
+    found, expected = found.split("\n"), expected.split("\n")
+    assert len(found) == len(expected), f"{len(found)} lines, expected {len(expected)}"
+    first = next((i for i, (a, b) in enumerate(zip(found, expected)) if a != b), None)
+    assert first is None, f"line {first} is {found[first]!r}, expected {expected[first]!r}"
 
 
 def reference_grid_search(p, x0, iters, num=25, span=(1e-2, 1e2)):
@@ -320,6 +329,13 @@ class TestGridSearchConstant:
             grid_search_constant(p, np.full(5, 1e-2), iters=10)
         with pytest.raises(DomainError):
             grid_search_constant(p, np.full(6, 1e-2), iters=0)
+
+    @pytest.mark.parametrize("iters", [2.5, "40", math.inf])
+    def test_budget_must_be_a_whole_number(self, iters):
+        # 2.5 used to run a grid of 2 iterations
+        p = gen_instance(InstanceSpec(4, 6, sparsity=2, seed=23))
+        with pytest.raises(DomainError, match="iters must be a whole number"):
+            grid_search_constant(p, np.full(6, 1e-2), iters=iters)
 
     def test_no_finite_objective_rejected(self):
         # f overflows at x0 for every grid stepsize

@@ -343,6 +343,17 @@ class TestSolve:
         assert res.iters_run == 2
         assert len(res.trace) == 2
 
+    @pytest.mark.parametrize("max_iters", [2.5, 0, "40", math.nan, math.inf])
+    def test_budget_must_be_a_whole_number(self, max_iters):
+        # 2.5 used to be stored as 2 and run 2 iterations without a word
+        with pytest.raises(DomainError, match="max_iters must be a whole number"):
+            SolveConfig(Method.md_polyak(), np.ones(2), max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [3.0, np.int64(3)])
+    def test_whole_budgets_are_stored_as_ints(self, max_iters):
+        cfg = SolveConfig(Method.md_polyak(), np.ones(2), max_iters=max_iters)
+        assert type(cfg.max_iters) is int and cfg.max_iters == 3
+
     def test_trace_is_a_record_array(self):
         # record k and row k of each column are one value; the divergence
         # column exists exactly when a reference was traced
@@ -622,6 +633,28 @@ class TestLockstep:
         methods = [Method.md_backtracking(), Method.md_backtracking(1e6, 0.999), Method.md_backtracking(1e6)]
         runs = assert_rows_match_solves(p, methods, np.array([[2.0], [2.0], [2.0]]), 40)
         assert runs[1].status is Status.NUMERICAL_BREAKDOWN and runs[1].iters_run == 0
+
+    # md_constant stepsizes, in units of 1 / max_col_norm_sq, whose runs from
+    # 1e-4 break down with 63 or 64 records at the end of the first log window
+    # of 64 iterations, or with 64 or 65 at the start of the second; each
+    # maps to (records, iterations), found by scanning stepsizes in steps of 0.002
+    @pytest.mark.parametrize("seed, edges", [(0, {6.295: (63, 62), 6.28: (64, 63), 6.498: (64, 64)}),
+                                             (1, {11.464: (65, 64)})])
+    def test_runs_ending_at_window_edges(self, seed, edges):
+        p = gen_instance(InstanceSpec(11, 12, 3, seed=seed))
+        mc = max_col_norm_sq(p.a)
+        # beside them a run overflowing at its first update, one whose f
+        # overflows at x0, and runs that go on to the budget
+        methods = [Method.md_constant(c / mc) for c in edges] + [
+            Method.md_constant(1e5 / mc), Method.md_polyak(), Method.md_polyak(), Method.hd_polyak(),
+            Method.md_constant(1.0 / mc)]
+        x0 = np.full((len(methods), 12), 1e-4)
+        x0[len(edges) + 1] = 1e300
+        runs = assert_rows_match_solves(p, methods, x0, 200)
+        assert [(len(res.trace), res.iters_run) for res in runs] == [*edges.values(), (1, 0), (0, 0), *[(200, 200)] * 3]
+        refs = [np.clip(res.x_final, 0.0, None) for res in runs]
+        # the run without records replays nothing, and its reference is x0
+        assert_replays_match(p, [(method, start, 200, ref) for method, start, ref in zip(methods, x0, refs)])
 
 
 @st.composite

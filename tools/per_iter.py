@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/per_iter.py [--repeat 5] [--shapes 60x100,300x500]
+    python3 tools/per_iter.py [--repeat 5] [--shapes 60x100,300x500] [--json PATH]
 
 Each shape is ``gen_instance(InstanceSpec(m, n, sparsity, seed=1))`` with
 sparsity 10 at 60x100 and 30 at 300x500, started at 1e-4 * ones as exp1
@@ -20,7 +20,9 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
 
 The numbers measure the checkout this script is run from, through the
 package's private loops, so a before/after table comes from running it in
-two checkouts on the same machine.
+two checkouts on the same machine.  ``--json PATH`` also writes the commit,
+the machine (``perfbench/envinfo.py``), the repeat count and, per row and
+shape, the min and the median of the calls.
 """
 
 import os
@@ -30,17 +32,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
 from entmd import InstanceSpec, Method, SolveConfig, gen_instance, solve  # noqa: E402
 from entmd.experiments import _constant_grid  # noqa: E402
 from entmd.solvers import _MARK_EVERY, _lockstep, _replay_divergence  # noqa: E402
+from envinfo import environment  # noqa: E402
 
 SHAPES = {"60x100": (60, 100, 10, 2000), "300x500": (300, 500, 30, 400)}
 X0 = 1e-4
@@ -85,6 +91,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="calls per row; the best is printed")
     parser.add_argument("--shapes", default=",".join(SHAPES), help="comma-separated, from " + ", ".join(SHAPES))
+    parser.add_argument("--json", metavar="PATH", help="also write the machine and each row's min and median here")
     args = parser.parse_args(argv)
     shapes = args.shapes.split(",")
     table = {}
@@ -96,12 +103,22 @@ def main(argv=None) -> int:
             # does not fall on every call of one row
             for _ in range(args.repeat):
                 for name, fn in rows:
-                    best = table.setdefault(name, {}).get(shape, float("inf"))
-                    table[name][shape] = min(best, 1e6 * seconds(fn) / iters)
+                    table.setdefault(name, {}).setdefault(shape, []).append(1e6 * seconds(fn) / iters)
     print("| us per iteration | " + " | ".join(shapes) + " |")
     print("| --- |" + " --- |" * len(shapes))
     for name, row in table.items():
-        print(f"| {name} | " + " | ".join(f"{row[shape]:.1f}" for shape in shapes) + " |")
+        print(f"| {name} | " + " | ".join(f"{min(row[shape]):.1f}" for shape in shapes) + " |")
+    if args.json:
+        env = environment(ROOT, os.environ["OPENBLAS_NUM_THREADS"])
+        report = {
+            "commit": env["git_commit"],
+            "environment": env,
+            "repeat": args.repeat,
+            "iters": {shape: SHAPES[shape][3] for shape in shapes},
+            "us_per_iter": {name: {shape: {"min": min(times), "median": statistics.median(times)}
+                                   for shape, times in row.items()} for name, row in table.items()},
+        }
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 
