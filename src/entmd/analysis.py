@@ -481,10 +481,9 @@ def instability_construction(p: ProblemInstance, alpha: float) -> InstabilityIns
     return InstabilityInstance(p, alpha, t, scaled, rho)
 
 
-def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
-                                rel_perturb: float = 1e-6) -> float:
+def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000) -> float:
     """Largest distance from the planted solution reached by constant-stepsize
-    iterations started at (1 + rel_perturb) * planted.
+    iterations started at (1 + 1e-6) * planted.
 
     Stops early if the iterates overflow; the maximum observed distance is
     returned either way, rescaled where its squared sum would overflow or
@@ -496,7 +495,7 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000,
     a = inst.scaled.a
     at = np.ascontiguousarray(a.T)
     b = inst.scaled.b
-    x = (1.0 + rel_perturb) * target
+    x = (1.0 + 1e-6) * target
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for _ in range(iters):
@@ -575,7 +574,7 @@ def _simplex(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
         budget -= 1
 
 
-def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.ndarray:
+def l1_minimal_solution(p: ProblemInstance) -> np.ndarray:
     """Exact l1-minimal nonnegative solution: min 1^T x subject to A x = b, x >= 0.
 
     A dense two-phase tableau simplex (:func:`_simplex`: Dantzig pricing,
@@ -586,9 +585,9 @@ def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.nda
     Phase two minimizes 1^T x, and x re-solves the scaled system on the
     final basis's columns by least squares.  Both phases together take at
     most ``_LP_PIVOTS_PER_DIM * (m + n)`` pivots; at the paper's 300x500
-    shape they take 3-5 (m + n), 1-2 s.  ``atol`` bounds phase
-    one's optimum, min over x >= 0 of sum_i |A_i x - b_i| / max_j |a_ij|,
-    for b to count as feasible; its default is 1e-9 (1 + that sum at x = 0).
+    shape they take 3-5 (m + n), 1-2 s.  b counts as feasible where phase
+    one's optimum, min over x >= 0 of sum_i |A_i x - b_i| / max_j |a_ij|, is
+    at most 1e-9 (1 + that sum at x = 0).
 
     Raises
     ------
@@ -602,12 +601,10 @@ def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.nda
     a, b = p.a / scale[:, None], p.b / scale
     t = np.zeros((m + 1, n + 1))
     t[:m, :n], t[:m, n] = a, b
-    if atol is None:
-        atol = 1e-9 * (1.0 + float(np.sum(b)))
     basis = np.arange(n, n + m)  # artificials, whose columns never re-enter and are not stored
     t[m] = -np.sum(t[:m], axis=0)
     budget = _simplex(t, basis, _LP_PIVOTS_PER_DIM * (m + n))
-    if -t[m, n] > atol:
+    if -t[m, n] > 1e-9 * (1.0 + float(np.sum(b))):
         raise ConvergenceError("the system has no nonnegative solution")
     keep = np.ones(m + 1, dtype=bool)
     for r in np.flatnonzero(basis >= n):
@@ -626,7 +623,7 @@ def l1_minimal_solution(p: ProblemInstance, atol: float | None = None) -> np.nda
     return x
 
 
-def bias_report(p: ProblemInstance, eta: float, max_iters: int = 200_000, rng=None) -> BiasReport:
+def bias_report(p: ProblemInstance, eta: float, rng=None) -> BiasReport:
     """Project exp(-eta) * ones onto the solution set and report the bias.
 
     The exact gap and the l1-minimal solution come from
@@ -638,7 +635,7 @@ def bias_report(p: ProblemInstance, eta: float, max_iters: int = 200_000, rng=No
     sampled directions.
     """
     x0 = np.full(p.n, _start_scale(eta))
-    limit = bregman_projection(p, x0, max_iters=max_iters)
+    limit = bregman_projection(p, x0)
     orth = orthogonality_residual(p, x0, limit)
     x_l1 = float(np.sum(limit))
 

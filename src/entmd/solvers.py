@@ -20,8 +20,8 @@ callback, and the schemes only in the update rule and the stepsize rule.
 ``_lockstep`` advances several n-wide runs (any kind but ``eg_pm``) on one
 instance together on the same rules for one budget, each ending where its
 own solve ends, bit for bit; the experiments' batches use it.  It runs in
-windows of 64 iterations, and a run that stops keeps its iterate to the end
-of its window and leaves the batch there.
+windows of up to 64 iterations; an iteration on which a run stops ends its
+window, and the run leaves the batch there.
 ``_replay_divergence`` replays recorded stepsizes without a stop test to
 follow runs' iterates in stretches from the *marks* that ``_lockstep``
 takes of them.  Every solve records a per-iteration trace (objective,
@@ -625,14 +625,15 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     An iteration costs one stacked GEMV pair (:func:`_stacked_gradients`),
     and f is one ddot per row as ``r @ r`` is.
 
-    The batch runs in windows of ``_LOG_ROWS`` iterations.  The f, stepsize
-    and l1 norm of each iteration go to a log with one column per run, and
-    the stacked ddot writes f there; the end of a window writes the log to
-    the traces and the minima of f.  A run that stops records its end and
-    its minimum at once, then keeps its iterate, runs no trials and passes
-    every stop test until its window ends, where it leaves the batch.  One
-    scalar test on f and ||g||_inf passes the iterations on which no run
-    stops; the exact per-run tests run only where it fails.
+    The batch runs in windows of at most ``_LOG_ROWS`` iterations, none of
+    which crosses a multiple of ``_LOG_ROWS``.  The f, stepsize and l1 norm
+    of each iteration go to a log with one column per run, and the stacked
+    ddot writes f there.  An iteration on which a run stops ends its window.
+    The end of a window is the one place where runs end: it writes the log
+    to the traces and the minima of f, records the end of each run that
+    stopped, and drops those runs from the batch.  One scalar test on f and
+    ||g||_inf passes the iterations on which no run stops; the exact per-run
+    tests run only where it fails.
 
     Given ``marks``, (runs, ceil(keep / _MARK_EVERY), n), the batch
     copies each live run's x_k into ``marks[run, k // _MARK_EVERY]`` at
@@ -653,6 +654,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     records = (trace.f_value, trace.stepsize, trace.l1_norm)
     x_final = np.empty(np.shape(x0))
     status = [Status.MAX_ITERS] * rows
+    # length is each run's record count, iters until it stops
     iters_run, length, f_min = np.full(rows, iters), np.full(rows, iters), np.full(rows, np.inf)
     # backtracking runs first, then constant stepsizes, then the Polyak runs,
     # those that share an update adjacent: md_constant's update is the
@@ -661,41 +663,18 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                     dtype=np.intp)
     # row i of the log holds the f, stepsize and l1 norm of record k0 + i of each run in live
     log = np.empty((3, _LOG_ROWS + 1, rows))
-    # the runs in live that stopped in this window, None while none has
-    ended = None
-
-    def end(stop, k, k_end):
-        """Runs ``live[stop]`` end at their current iterate after k iterations, with k_end records;
-        they stay in the batch, frozen, to the end of the window.
-
-        With f_tol = 0 a run converges where f = 0; every other stop is a breakdown.
-        """
-        nonlocal ended
-        idx = live[stop]
-        iters_run[idx], length[idx], x_final[idx] = k, k_end, x[stop]
-        f_min[idx] = np.minimum(f_min[idx], np.minimum.reduce(f_log[:k_end - k0, stop], axis=0, initial=np.inf))
-        for r, converged in zip(idx, f_log[k - k0, stop] <= 0.0):
-            status[r] = Status.CONVERGED if converged else Status.NUMERICAL_BREAKDOWN
-        if ended is None:
-            ended = np.zeros(live.size, dtype=bool)
-        ended[stop] = True
 
     err_state = np.seterr(all="ignore")
     try:
         # md_constant's stepsize and md_backtracking's first trial, from x0 where alpha0 is None
-        first = np.zeros(rows)
-        for r, method in enumerate(methods):
-            if method.kind == "md_constant":
-                first[r] = method.alpha
-            elif method.kind == "md_backtracking":
-                r0 = a @ x[r]
-                r0 -= b
-                first[r] = _first_trial(at @ r0) if method.alpha0 is None else method.alpha0
+        first = np.array([m.alpha or m.alpha0 or 0.0 for m in methods])
+        pick = [r for r, m in enumerate(methods) if m.kind == "md_backtracking" and m.alpha0 is None]
+        for r, g0 in zip(pick, _stacked_gradients(a, at, b, x[pick])[1]):
+            first[r] = _first_trial(g0)
         x = x[live]
         np.add.reduce(x, axis=1, out=log[2, 0])
-        for k0 in range(0, iters, _LOG_ROWS):
-            if not live.size:
-                break
+        k0 = 0
+        while k0 < iters and live.size:
             # per-run constants and log views of the runs in live
             size = live.size
             kinds = [_RULES[methods[r].kind] for r in live]
@@ -709,11 +688,12 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
             bt_alpha0, bt_shrink = first[live[:n_bt]].tolist(), shrink[live[:n_bt]].tolist()
             f_log, s_log, l1_log = log[:, :, :size]
             f_out = f_log[:, :, None, None]
-            # _MARK_EVERY is a multiple of _LOG_ROWS, so every mark falls on a window's start
+            # no window crosses a multiple of _LOG_ROWS, so every mark falls on a window's start
             if marks is not None and k0 < keep and not k0 % _MARK_EVERY:
                 marks[live, k0 // _MARK_EVERY] = x
-            k_end = min(k0 + _LOG_ROWS, iters)
-            for k in range(k0, k_end):
+            # the runs that stop in this iteration, and whether any does
+            stop, stopping = np.zeros(size, dtype=bool), False
+            for k in range(k0, min(k0 - k0 % _LOG_ROWS + _LOG_ROWS, iters)):
                 j = k - k0
                 r, g = _stacked_gradients(a, at, b, x)
                 np.matmul(r.transpose(0, 2, 1), r, out=f_out[j])
@@ -722,25 +702,21 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                 g_inf = np.maximum.reduce(np.abs(g), axis=1)
                 # every run steps where each f and ||g||_inf is positive and finite
                 q = f * g_inf
-                if ended is not None:
-                    q[ended] = 1.0
                 if not (np.minimum.reduce(q) > 0.0 and np.add.reduce(q) < math.inf):
                     # NaN fails every comparison; a Polyak run stops at a zero gradient
                     moving = (f > 0.0) & (f < math.inf) & (g_inf < math.inf)
                     moving[pol] &= g_inf[pol] > 0.0
-                    if ended is not None:
-                        moving |= ended
-                    if not moving.all():
-                        end(~moving, k, k)
+                    stop = ~moving
+                    length[live[stop]] = k
+                    stopping = stop.any()
                 x_next = np.empty_like(x)
                 # each backtracking run's trials, which only it re-runs when rejected
                 for i in range(n_bt):
-                    if ended is None or not ended[i]:
-                        taken = _backtracking_stepsize(a, x[i], g[i], bt_alpha0[i], bt_shrink[i])
-                        if taken is None:
-                            end([i], k, k)
-                        else:
-                            alpha[i], x_next[i] = taken[:2]
+                    taken = _backtracking_stepsize(a, x[i], g[i], bt_alpha0[i], bt_shrink[i])
+                    if taken is None:
+                        stop[i], length[live[i]], stopping = True, k, True
+                    else:
+                        alpha[i], x_next[i] = taken[:2]
                 if pol.start < size:
                     xp, gp = x[pol], g[pol]
                     wn = xp * gp
@@ -751,34 +727,42 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                 s_log[j] = alpha
                 for update, rows_, col in groups:
                     update(x[rows_], g[rows_], col, out=x_next[rows_])
-                if ended is not None:
-                    x_next[ended] = x[ended]
+                # a run that stops keeps its iterate, whose entries are finite
+                if stopping:
+                    x_next[stop] = x[stop]
                 # solve stops a run whose new iterate has a non-finite entry; the
                 # entries are nonnegative, so finite l1 norms show none has
                 l1 = np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
                 if not math.isfinite(np.add.reduce(l1)):
                     _mask_frozen(groups, x, x_next)
                     np.add.reduce(x_next, axis=1, out=l1_log[j + 1])
-                    # an ended run keeps its iterate, whose entries are finite
-                    stop = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
-                    if stop.any():
-                        end(stop, k, k + 1)
-                        x_next[stop] = x[stop]
+                    bad = ~np.logical_and.reduce(np.isfinite(x_next), axis=1)
+                    length[live[bad]] = k + 1
+                    x_next[bad] = x[bad]
+                    stop |= bad
+                    stopping = stop.any()
                 x = x_next
-            # the window's records go to the traces, the runs that ended leave,
-            # and the records of the others go to their minima
-            kept = min(k_end, keep) - k0
+                if stopping:
+                    break
+            # the window's end: its records go to the traces and the minima,
+            # and the runs that stopped end at their iterate and leave
+            count = k + 1 - k0
+            kept = min(k + 1, keep) - k0
             if kept > 0:
                 for rec, part in zip(records, log[:, :kept, :size]):
                     rec[live, k0:k0 + kept] = part.T
-            go = slice(None) if ended is None else ~ended
-            x, live, ended = x[go], live[go], None
-            count = k_end - k0
-            f_min[live] = np.minimum(f_min[live], np.minimum.reduce(f_log[:count, go], axis=0))
+            f_min[live] = np.minimum(f_min[live], np.minimum.reduce(
+                f_log[:count], axis=0, initial=np.inf, where=np.arange(count)[:, None] < length[live] - k0))
+            x_final[live] = x
+            # with f_tol = 0 a run converges where f = 0; every other stop is a breakdown
+            for r, converged in zip(live[stop], f_log[count - 1, stop] <= 0.0):
+                iters_run[r], status[r] = k, Status.CONVERGED if converged else Status.NUMERICAL_BREAKDOWN
+            go = ~stop
+            x, live = x[go], live[go]
             log[2, 0, :live.size] = l1_log[count, go]
+            k0 = k + 1
     finally:
         np.seterr(**err_state)
-    x_final[live] = x
 
     results = [SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :min(length[r], keep)],
                            heuristic=(method.kind == "hd_polyak")) for r, method in enumerate(methods)]

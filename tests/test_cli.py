@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entmd
+from entmd import EntmdError, Method, ProblemInstance, SolveConfig, Status, seeded_rng, solve
 from entmd.cli import load_instance, main, save_instance
 from conftest import centered_gaussian_instance, positive_solution_instance
 
@@ -142,6 +148,64 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["status"] == "Converged"
+
+
+@st.composite
+def adverse_solves(draw):
+    """A method on a small system that is degenerate or has no solution, with
+    b scaled toward the ends of the double range; a start whose entries go
+    down to the smallest subnormal, and one start scale for the CLI."""
+    rng = seeded_rng(draw(st.integers(0, 2**16)))
+    system = draw(st.sampled_from(["random", "zero column", "duplicate column", "rank one", "inconsistent"]))
+    if system == "inconsistent":
+        a = rng.standard_normal((10, 4))
+        b = rng.standard_normal(10)
+    else:
+        a = rng.standard_normal((5, 8))
+        if system == "zero column":
+            a[:, 3] = 0.0
+        elif system == "duplicate column":
+            a[:, 5] = a[:, 2]
+        elif system == "rank one":
+            a = np.outer(rng.standard_normal(5), rng.standard_normal(8))
+        b = a @ rng.uniform(0.0, 1.0, 8)
+    p = ProblemInstance(a, b * draw(st.sampled_from([1e300, 1e150, 1.0, 1e-150, 1e-300])))
+    method = draw(st.sampled_from([Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.eg_pm(),
+                                   Method.md_constant(0.01), Method.md_constant(1.0), Method.md_backtracking()]))
+    n = 2 * p.n if method.kind == "eg_pm" else p.n
+    scales = st.sampled_from([5e-324, 1e-300, 1e-4, 1.0])
+    x0 = np.array(draw(st.lists(scales, min_size=n, max_size=n)))
+    return p, method, x0, draw(scales)
+
+
+class TestAdverseSolveProperties:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(adverse_solves())
+    def test_typed_errors_finite_iterates_and_exit_codes(self, case):
+        p, method, x0, scale = case
+        exits = []
+        for start in (x0, np.full(len(x0), scale)):
+            try:
+                res = solve(p, SolveConfig(method, start, max_iters=300))
+            except EntmdError:
+                exits.append(1)
+                continue
+            exits.append({Status.CONVERGED: 0, Status.MAX_ITERS: 2, Status.NUMERICAL_BREAKDOWN: 3}[res.status])
+            assert np.isfinite(res.x_final).all()
+            # the iterate the scheme runs on: x, or eg_pm's pair w = (u, v)
+            w = res.x_final if res.w_final is None else res.w_final
+            assert np.isfinite(w).all() and (w >= 0.0).all()
+            assert np.isfinite(res.trace.f_value).all()
+        argv = ["--method", method.kind.replace("_", "-"), "--x0-scale", repr(scale), "--iters", "300"]
+        if method.alpha is not None:
+            argv += ["--alpha", repr(method.alpha)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "instance.json")
+            save_instance(p, path)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["solve", path, *argv])
+        # the CLI solves from scale * ones and exits by the status
+        assert code == exits[1]
 
 
 class TestProjectCommand:

@@ -27,6 +27,8 @@ from entmd import (
     solve,
     solve_convex,
 )
+import entmd.solvers
+from entmd.experiments import _constant_grid
 from entmd.solvers import (_backtracking_stepsize, _exp_update, _hd_plus_update, _hd_update, _lockstep,
                            _objective_gradient, _polyak_stepsize, _replay_divergence)
 from conftest import centered_gaussian_instance, egpm_step, gradient, objective, signed_system
@@ -655,6 +657,31 @@ class TestLockstep:
         refs = [np.clip(res.x_final, 0.0, None) for res in runs]
         # the run without records replays nothing, and its reference is x0
         assert_replays_match(p, [(method, start, 200, ref) for method, start, ref in zip(methods, x0, refs)])
+
+    def test_stopped_rows_leave_at_once(self, monkeypatch):
+        # exp1's grid, its Polyak runs and a backtracking run: nine grid rows
+        # break down within the first window, and none of them takes another
+        # row of the stacked GEMV after the iteration on which it stops
+        p = gen_instance(InstanceSpec(60, 100, 10, seed=1))
+        methods = _constant_grid(p) + [Method.md_polyak(), Method.hd_polyak(), Method.hd_plus_polyak(),
+                                       Method.md_backtracking(alpha0=1.0)]
+        advanced = []
+        stacked = entmd.solvers._stacked_gradients
+
+        def counted(a, at, b, x):
+            advanced.append(len(x))
+            return stacked(a, at, b, x)
+
+        monkeypatch.setattr(entmd.solvers, "_stacked_gradients", counted)
+        x0 = np.full(p.n, 1e-4)
+        runs, _ = _lockstep(p, methods, np.tile(x0, (len(methods), 1)), 2000)
+        stopped = [res.status is not Status.MAX_ITERS for res in runs]
+        assert sum(stopped) >= 9
+        # a run evaluates its gradient at each iteration it steps from and at the one on which it stops
+        assert sum(advanced) == sum(res.iters_run + s for res, s in zip(runs, stopped))
+        for method, res, s in zip(methods, runs, stopped):
+            if s:
+                assert res.iters_run == solve(p, SolveConfig(method, x0, max_iters=2000, f_tol=0.0)).iters_run
 
 
 @st.composite

@@ -24,6 +24,13 @@ def test_uncalled_step_wrappers_are_gone(name):
     assert name not in entmd.solvers.__all__
 
 
+@pytest.mark.parametrize("function, knob", [("instability_escape_distance", "rel_perturb"),
+                                            ("l1_minimal_solution", "atol"), ("bias_report", "max_iters")])
+def test_uncalled_knobs_are_gone(function, knob):
+    # no caller set them: each is now a fixed value in the function or its callee's default
+    assert knob not in inspect.signature(getattr(entmd, function)).parameters
+
+
 def test_solve_accepts_every_method_kind():
     p = ProblemInstance([[1.0]], [1.0])
     makers = [name for name, attr in vars(Method).items() if isinstance(attr, classmethod)]
