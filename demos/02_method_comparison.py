@@ -13,7 +13,10 @@ from entmd import MD_CONSTANT_GRID, ExperimentConfig, InstanceSpec, Method, run_
 cfg = ExperimentConfig(
     InstanceSpec(m=30, n=50, sparsity=6, seed=7),
     methods=[
-        MD_CONSTANT_GRID,  # the best constant stepsize of a 25-point grid
+        # the constant stepsize of a 25-point grid that is best over the first
+        # `iters` iterations; only it and the other methods' live runs
+        # continue for `limit_extra_iters` to estimate their limits
+        MD_CONSTANT_GRID,
         Method.md_backtracking(),
         Method.md_polyak(),
         Method.hd_polyak(),

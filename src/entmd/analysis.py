@@ -68,7 +68,10 @@ DEFAULT_PROJECTION_TOL = 1.4142135623730951e-12
 # limit is on the boundary each step shrinks the vanishing entries about e-fold.
 _NEWTON_STEPS = 50
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the Newton line search
-_HALVINGS = 60  # line-search halvings before the Newton phase gives up
+# Line-search halvings before the Newton phase gives up: t runs from 1 down
+# past 2^-1074, the smallest positive double, so a tiny start, whose
+# direction can have max |A^T d| ~ 1e32, still finds its step
+_HALVINGS = 1100
 # smallest normal double: below it an entry of x loses relative precision
 _TINY = float(np.finfo(float).tiny)
 

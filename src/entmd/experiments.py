@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
-from .solvers import (_MARK_EVERY, Method, ProblemInstance, SolveConfig, SolveResult, Status, _lockstep,
+from .solvers import (_MARK_EVERY, Method, ProblemInstance, SolveConfig, SolveResult, Status, _continue, _lockstep,
                       _replay_divergence, _whole, solve)
 
 __all__ = [
@@ -142,6 +142,10 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     """Best fixed stepsize from a log grid, judged by the smallest objective
     reached within the budget.
 
+    Experiment 1's ``MD_CONSTANT_GRID`` is this function's stepsize with
+    ``iters`` its plotted iterations: the grid is judged over those, and
+    only the winner's run continues past them, for its limit estimate.
+
     The grid spans ``span`` relative to 1 / max_col_norm_sq(A), which puts
     the stable regime inside the sweep for any matrix scaling.  The winner
     is the first grid point, in ascending order, whose ``md_constant`` solve
@@ -237,19 +241,23 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     ``inits[0] * ones``; the final iterate estimates the limit.  Panel one is
     the cumulative-minimum objective over the first ``iters`` iterations per
     method, panel two the divergence from the limit estimate to each iterate.
-    ``MD_CONSTANT_GRID`` is the stepsize :func:`grid_search_constant` picks;
-    where no grid stepsize reaches a finite objective, it is the smallest
-    one, and its breakdown is recorded as another method's is.
+    ``MD_CONSTANT_GRID`` is the stepsize ``grid_search_constant(p, x0, iters)``
+    picks, the best over the plotted iterations; where no grid stepsize
+    reaches a finite objective, it is the smallest one, and its breakdown is
+    recorded as another method's is.
     The grid's stepsizes and every method but ``eg_pm`` advance together in
-    one lockstep batch of n-wide runs with one budget, and the grid's
-    winner is its own run there; ``eg_pm``, whose runs are 2n wide, is
-    solved alone.  Every run equals its own ``solve`` bit for bit.  For the
-    batch, panel two replays the first ``iters`` stepsizes each run
-    recorded, with no stepsize rule and no stop test, in 256-step stretches
-    from the marks the batch takes of its runs, so it follows the runs'
-    iterates bit for bit without storing them all.  ``eg_pm``'s column is a
-    second solve of its first ``iters`` iterations traced against its
-    clipped limit estimate.  A column ends at the first iterate whose
+    one lockstep batch of n-wide runs for ``iters`` iterations, and the
+    grid's winner is its own run there.  Only the winner and the other
+    batched methods' runs still at MaxIters go on, in a second batch of
+    ``limit_extra_iters`` iterations from their iterates (:func:`_continue`);
+    ``eg_pm``, whose runs are 2n wide, is solved alone.  Each method's run
+    ends where its own ``solve`` of ``iters + limit_extra_iters`` iterations
+    ends, bit for bit.  For the batch, panel two replays the first ``iters``
+    stepsizes each run recorded, with no stepsize rule and no stop test, in
+    256-step stretches from the marks the batch takes of its runs, so it
+    follows the runs' iterates bit for bit without storing them all.
+    ``eg_pm``'s column is a second solve of its first ``iters`` iterations
+    traced against its clipped limit estimate.  A column ends at the first iterate whose
     divergence is infinite and holds its last value from there on; a run
     without records reads inf in both panels.
 
@@ -264,13 +272,16 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     scale = cfg.inits[0]
     budget = cfg.iters + cfg.limit_extra_iters
     # the grid's stepsizes and every method but eg_pm run in one lockstep
-    # batch; the grid's winner is its own row there
+    # batch of iters iterations; the grid's winner is its own row there
     grid = _constant_grid(p) if MD_CONSTANT_GRID in cfg.methods else []
-    batched = [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind != "eg_pm"]
-    marks = np.zeros((len(grid) + len(batched), -(-cfg.iters // _MARK_EVERY), p.n))
-    runs, f_min = _lockstep(p, grid + batched, np.full(marks[:, 0].shape, scale), budget, keep=cfg.iters,
-                            marks=marks)
+    batch = grid + [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind != "eg_pm"]
+    marks = np.zeros((len(batch), -(-cfg.iters // _MARK_EVERY), p.n))
+    runs, f_min = _lockstep(p, batch, np.full(marks[:, 0].shape, scale), cfg.iters, keep=cfg.iters, marks=marks)
     best = _grid_winner(runs, f_min, len(grid))[0] if grid else None
+    # past iters only the limit estimates are needed: the winner and the
+    # other rows go on from their iterates, those still at MaxIters
+    go = [r for r in range(len(runs)) if r == best or r >= len(grid)]
+    _continue(p, [batch[r] for r in go], np.full((len(go), p.n), scale), [runs[r] for r in go], cfg.limit_extra_iters)
     rows = iter(range(len(grid), len(runs)))
     row_of = [best if m == MD_CONSTANT_GRID else None if m.kind == "eg_pm" else next(rows) for m in cfg.methods]
     methods = [grid[best] if m == MD_CONSTANT_GRID else m for m in cfg.methods]

@@ -769,6 +769,32 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     return results, f_min
 
 
+def _continue(p: ProblemInstance, methods: list[Method], x0: np.ndarray, runs: list[SolveResult],
+              iters: int) -> None:
+    """Run each of ``runs`` still at MaxIters on for ``iters`` iterations, in one second lockstep batch.
+
+    ``runs[r]`` is the :func:`_lockstep` run of ``methods[r]`` from ``x0[r]``.
+    It goes on from its final iterate and takes the status, iteration count
+    (both calls' iterations) and final iterate of where the one longer solve
+    ends, bit for bit; its trace is kept.  Every kind is memoryless but
+    ``md_backtracking``, whose first trial from x0, where ``alpha0`` is None,
+    is fixed as the continuation's ``alpha0``.
+    """
+    go = [r for r, res in enumerate(runs) if res.status is Status.MAX_ITERS]
+    if not go or not iters:
+        return
+    resumed = []
+    for r in go:
+        m = methods[r]
+        if m.kind == "md_backtracking" and m.alpha0 is None:
+            m = Method.md_backtracking(_first_trial(_objective_gradient(p, m.kind)(x0[r])[1]), m.shrink)
+        resumed.append(m)
+    ends, _ = _lockstep(p, resumed, np.array([runs[r].x_final for r in go]), iters)
+    for r, end in zip(go, ends):
+        res = runs[r]
+        res.status, res.iters_run, res.x_final = end.status, res.iters_run + end.iters_run, end.x_final
+
+
 def _replay_divergence(p: ProblemInstance, methods: list[Method], marks: np.ndarray, steps: list,
                        refs: np.ndarray) -> list[np.ndarray]:
     """D_h(refs[r], x_k) at each iterate x_k from which run r takes its step ``steps[r][k]``.

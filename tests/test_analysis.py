@@ -111,6 +111,19 @@ class TestBregmanProjection:
         with pytest.raises(ConvergenceError):
             bregman_projection(p, np.full(100, math.exp(-6.0)), max_iters=2000)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_newton_phase_runs_from_a_tiny_dense_start(self, seed):
+        # from exp(-50) * ones the first Newton direction has max |A^T d| ~ 6e21, and
+        # the line search accepts its first step after 67 halvings, past the 60 it
+        # once had; the finisher alone ran out of its 200000 iterations on seeds 0 and 1
+        p = gen_instance(InstanceSpec(60, 100, None, seed=seed))
+        x0 = np.full(100, math.exp(-50.0))
+        _, steps = entmd.analysis._dual_newton(p, x0, 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2, 50)
+        assert steps > 0
+        x_star = bregman_projection(p, x0)
+        assert objective(p, x_star) <= 1e-24
+        assert orthogonality_residual(p, x0, x_star).residual <= 1e-9
+
     def test_overflowing_residual_raises_without_warning(self):
         # f(x0) overflows: the Newton phase stops at once and the solve breaks down
         p = centered_gaussian_instance(4, 8, 2, seed=40)

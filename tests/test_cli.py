@@ -224,6 +224,12 @@ class TestProjectCommand:
         path = write_instance(tmp_path, p)
         assert main(["project", path, "--eta", "3.0", "--iters", "3"]) == 2
 
+    def test_tiny_dense_start_exit_zero(self, tmp_path, capsys):
+        # exp2's seed-0 instance from exp(-50) * ones used to exit 2 after 200000 iterations
+        path = write_instance(tmp_path, entmd.gen_instance(entmd.InstanceSpec(60, 100, None, seed=0)))
+        assert main(["project", path, "--eta", "50"]) == 0
+        assert float(parse_keyvalue(capsys.readouterr().out)["final_f"]) <= 1e-24
+
     @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
     def test_bad_tol_exit_one(self, tmp_path, capsys, tol):
         # a negative or infinite tol used to report x0 as the projection

@@ -129,6 +129,21 @@ class TestExperiment1:
         expected = [reference_divergence(p, method, scale, iters, extra) for method in methods]
         assert_same_text(div_path.read_text(), csv_text(div_path.read_text().splitlines()[0], expected))
 
+    # on each, the best stepsize over iters + extra iterations is another one
+    @pytest.mark.parametrize("iters, extra", [(1, 30), (2, 30), (40, 200)])
+    def test_grid_is_judged_over_the_plotted_iterations(self, tmp_path, iters, extra):
+        spec = InstanceSpec(10, 16, sparsity=4, seed=19)
+        cfg = ExperimentConfig(spec, methods=[MD_CONSTANT_GRID, Method.md_backtracking()], iters=iters,
+                               limit_extra_iters=extra, out_path=tmp_path)
+        cummin_path, _, _ = run_experiment1(cfg)
+        p, x0 = gen_instance(spec), np.full(spec.n, 1e-4)
+        alpha, res = grid_search_constant(p, x0, iters)
+        assert grid_search_constant(p, x0, iters + extra)[0] != alpha
+        f = res.trace.f_value.tolist()
+        column = np.minimum.accumulate(f + f[-1:] * (iters - len(f)))
+        found = [line.split(",")[:2] for line in cummin_path.read_text().splitlines()]
+        assert_same_text("\n".join(map(",".join, found)) + "\n", csv_text("iter,md_constant_opt", [column]))
+
     def test_divergence_panel_of_a_breakdown_equals_a_traced_rerun(self, tmp_path):
         spec = InstanceSpec(5, 8, sparsity=2, seed=15)
         method = Method.md_constant(1e9)
@@ -205,12 +220,9 @@ def reference_divergence(p, method, scale, iters, extra):
     """Experiment 1's divergence column computed by a second solve of the
     first ``iters`` iterations, traced against the clipped limit estimate."""
     if method == MD_CONSTANT_GRID:
-        x0 = np.full(p.n, scale)
-        alpha, long_res = grid_search_constant(p, x0, iters + extra)
-        method = Method.md_constant(alpha)
-    else:
-        x0 = np.full(2 * p.n if method.kind == "eg_pm" else p.n, scale)
-        long_res = solve(p, SolveConfig(method, x0, max_iters=iters + extra, f_tol=0.0))
+        method = Method.md_constant(grid_search_constant(p, np.full(p.n, scale), iters)[0])
+    x0 = np.full(2 * p.n if method.kind == "eg_pm" else p.n, scale)
+    long_res = solve(p, SolveConfig(method, x0, max_iters=iters + extra, f_tol=0.0))
     limit = long_res.w_final if method.kind == "eg_pm" else long_res.x_final
     rerun = solve(p, SolveConfig(method, x0, max_iters=iters, f_tol=0.0,
                                  trace_reference=np.clip(limit, 0.0, None), check_descent=False))

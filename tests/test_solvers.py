@@ -29,7 +29,7 @@ from entmd import (
 )
 import entmd.solvers
 from entmd.experiments import _constant_grid
-from entmd.solvers import (_backtracking_stepsize, _exp_update, _hd_plus_update, _hd_update, _lockstep,
+from entmd.solvers import (_backtracking_stepsize, _continue, _exp_update, _hd_plus_update, _hd_update, _lockstep,
                            _objective_gradient, _polyak_stepsize, _replay_divergence)
 from conftest import centered_gaussian_instance, egpm_step, gradient, objective, signed_system
 
@@ -784,6 +784,40 @@ class TestMarkedReplayProperties:
             return
         for expected, replayed in zip(traced, _replay_divergence(p, methods, marks, steps, refs)):
             assert replayed.tobytes() == expected.tobytes()
+
+
+def assert_continuations_match_solves(p, methods, x0, k, j):
+    """A batch of k iterations continued by :func:`_continue` for j more ends where
+    each solve of k + j iterations ends; returns how many runs stopped in the continuation."""
+    runs, _ = _lockstep(p, methods, x0, k)
+    going = [res.status is Status.MAX_ITERS for res in runs]
+    _continue(p, methods, x0, runs, j)
+    for method, start, res in zip(methods, x0, runs):
+        solved = solve(p, SolveConfig(method, start, max_iters=k + j, f_tol=0.0))
+        assert (res.status, res.iters_run) == (solved.status, solved.iters_run)
+        assert res.x_final.tobytes() == solved.x_final.tobytes()
+    return sum(go and res.status is not Status.MAX_ITERS for go, res in zip(going, runs))
+
+
+class TestContinuationProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(lockstep_cases(), st.integers(1, 300), st.integers(1, 300))
+    def test_continued_runs_equal_solves(self, case, k, j):
+        p, methods, x0, _, _ = case
+        assert_continuations_match_solves(p, methods, x0, k, j)
+
+    # every run goes on past k; in the continuation, on the first system
+    # hd_plus_polyak converges and both backtracking runs break down, and on
+    # the second every run but md_constant(30) converges or breaks down,
+    # hd_polyak at iteration 5
+    @pytest.mark.parametrize("a, b, scale, k, stopped", [([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 0.5], 1e-4, 50, 3),
+                                                         ([[1.0, 1.0]], [1.0], 1.0, 4, 6)])
+    def test_every_kind_continues(self, a, b, scale, k, stopped):
+        p = ProblemInstance(a, b)
+        methods = [Method.md_polyak(), Method.hd_plus_polyak(), Method.hd_polyak(), Method.md_constant(0.3),
+                   Method.md_constant(30.0), Method.md_backtracking(), Method.md_backtracking(0.5, 0.9)]
+        x0 = np.full((len(methods), p.n), scale)
+        assert assert_continuations_match_solves(p, methods, x0, k, 400) == stopped
 
 
 class TestEgpmSolve:

@@ -1,4 +1,4 @@
-"""Microseconds per iteration of entmd's iteration loops, best of N, one BLAS thread.
+"""Microseconds per iteration of entmd's iteration loops, and seconds per exp1, best of N, one BLAS thread.
 
 Usage, from the root of a checkout::
 
@@ -16,13 +16,18 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
   ``hd_plus_polyak``; the time is per batch iteration, not per row;
 * ``replay 5``: the divergence replay of exp1's five methods from the
   marks of their lockstep batch, as exp1 replays them;
-* ``matvec pair``: a bare ``at @ (a @ x - b)``, the floor of one iteration.
+* ``matvec pair``: a bare ``at @ (a @ x - b)``, the floor of one iteration;
+* ``exp1 (s)``: one ``run_experiment1`` on the shape's instance with the
+  CLI's default methods, ``iters`` and ``limit_extra_iters`` both the
+  shape's iteration count, writing its files to a temporary directory; the
+  time is seconds per call.
 
 The numbers measure the checkout this script is run from, through the
 package's private loops, so a before/after table comes from running it in
 two checkouts on the same machine.  ``--json PATH`` also writes the commit,
 the machine (``perfbench/envinfo.py``), the repeat count and, per row and
-shape, the min and the median of the calls.
+shape, the min and the median of the calls, under ``us_per_iter`` or, for
+the ``exp1 (s)`` row, ``s_per_call``.
 """
 
 import os
@@ -35,6 +40,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -43,7 +49,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from entmd import InstanceSpec, Method, SolveConfig, gen_instance, solve  # noqa: E402
+from entmd import (MD_CONSTANT_GRID, ExperimentConfig, InstanceSpec, Method, SolveConfig, gen_instance,  # noqa: E402
+                   run_experiment1, solve)
 from entmd.experiments import _constant_grid  # noqa: E402
 from entmd.solvers import _MARK_EVERY, _lockstep, _replay_divergence  # noqa: E402
 from envinfo import environment  # noqa: E402
@@ -52,6 +59,7 @@ SHAPES = {"60x100": (60, 100, 10, 2000), "300x500": (300, 500, 30, 400)}
 X0 = 1e-4
 EXP2_SCALES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 POLYAK = [Method.md_polyak(), Method.hd_polyak(), Method.hd_plus_polyak()]
+EXP1 = "exp1 (s)"  # the one row timed in seconds per call
 
 
 def seconds(fn) -> float:
@@ -60,8 +68,9 @@ def seconds(fn) -> float:
     return time.perf_counter() - t0
 
 
-def cases(m: int, n: int, sparsity: int, iters: int):
-    p = gen_instance(InstanceSpec(m, n, sparsity, seed=1))
+def cases(m: int, n: int, sparsity: int, iters: int, tmp: str):
+    spec = InstanceSpec(m, n, sparsity, seed=1)
+    p = gen_instance(spec)
     x0 = np.full(n, X0)
     grid = _constant_grid(p)
     exp1_methods = [grid[len(grid) // 2], Method.md_backtracking(), *POLYAK]
@@ -75,6 +84,8 @@ def cases(m: int, n: int, sparsity: int, iters: int):
     def batch(methods, starts):
         return lambda: _lockstep(p, methods, starts, iters, keep=iters)
 
+    exp1 = ExperimentConfig(spec, methods=[MD_CONSTANT_GRID, Method.md_backtracking(), *POLYAK], iters=iters,
+                            limit_extra_iters=iters, inits=[X0], out_path=tmp)
     return [
         ("solve", lambda: solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=iters, f_tol=0.0))),
         ("solve backtracking",
@@ -84,6 +95,7 @@ def cases(m: int, n: int, sparsity: int, iters: int):
         ("batch 28", batch(grid + POLYAK, np.tile(x0, (len(grid) + len(POLYAK), 1)))),
         ("replay 5", lambda: _replay_divergence(p, exp1_methods, marks, steps, refs)),
         ("matvec pair", lambda: [at @ (p.a @ x0 - p.b) for _ in range(iters)]),
+        (EXP1, lambda: run_experiment1(exp1)),
     ]
 
 
@@ -97,26 +109,34 @@ def main(argv=None) -> int:
     table = {}
     for shape in shapes:
         m, n, sparsity, iters = SHAPES[shape]
-        with np.errstate(all="ignore"):
-            rows = cases(m, n, sparsity, iters)
+        with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
+            rows = cases(m, n, sparsity, iters, tmp)
             # the rows take turns, so that a slow spell of a shared host
             # does not fall on every call of one row
             for _ in range(args.repeat):
                 for name, fn in rows:
-                    table.setdefault(name, {}).setdefault(shape, []).append(1e6 * seconds(fn) / iters)
+                    secs = seconds(fn)
+                    value = secs if name == EXP1 else 1e6 * secs / iters
+                    table.setdefault(name, {}).setdefault(shape, []).append(value)
     print("| us per iteration | " + " | ".join(shapes) + " |")
     print("| --- |" + " --- |" * len(shapes))
     for name, row in table.items():
-        print(f"| {name} | " + " | ".join(f"{min(row[shape]):.1f}" for shape in shapes) + " |")
+        digits = 3 if name == EXP1 else 1
+        print(f"| {name} | " + " | ".join(f"{min(row[shape]):.{digits}f}" for shape in shapes) + " |")
     if args.json:
         env = environment(ROOT, os.environ["OPENBLAS_NUM_THREADS"])
+
+        def summary(names):
+            return {name: {shape: {"min": min(times), "median": statistics.median(times)}
+                           for shape, times in table[name].items()} for name in names}
+
         report = {
             "commit": env["git_commit"],
             "environment": env,
             "repeat": args.repeat,
             "iters": {shape: SHAPES[shape][3] for shape in shapes},
-            "us_per_iter": {name: {shape: {"min": min(times), "median": statistics.median(times)}
-                                   for shape, times in row.items()} for name, row in table.items()},
+            "us_per_iter": summary([name for name in table if name != EXP1]),
+            "s_per_call": summary([EXP1]),
         }
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return 0
