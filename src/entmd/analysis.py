@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bregman import WBranch, bregman_divergence, lambert_w
+from .bregman import WBranch, bregman_divergence, lambert_w, ymin_lower_bound
 from .errors import ConvergenceError, DimensionMismatch, DomainError
 from .linalg import (
     as_vector,
@@ -411,8 +411,9 @@ def worst_case_construction(n: int, eta: float) -> WorstCaseInstance:
 def rate_certificate(p: ProblemInstance, z) -> RateCertificate:
     """Contraction factors certifying linear convergence toward z.
 
-    ``global_factor_fn(d)`` bounds D_h(z, x_{k+1}) / D_h(z, x_k) whenever
-    D_h(z, x_k) = d; ``local_factor`` is its d -> 0 limit
+    ``global_factor_fn(d)``, 1 - lambda_min_plus ymin_lower_bound(z_min, d)
+    / (8 max_col_sq (||z||_1 + d)), bounds D_h(z, x_{k+1}) / D_h(z, x_k)
+    whenever D_h(z, x_k) = d; ``local_factor`` is its d -> 0 limit
     1 - lambda_min_plus z_min / (8 max_col_sq ||z||_1), always in (0, 1).
     ``lambda_min_plus``, the smallest positive eigenvalue of A^T A, comes
     from the smaller Gram matrix: A A^T (m x m) when m < n, else A^T A;
@@ -440,8 +441,8 @@ def rate_certificate(p: ProblemInstance, z) -> RateCertificate:
     def global_factor(d: float) -> float:
         if d < 0:
             raise DomainError("divergence must be nonnegative")
-        w = -lambert_w(-math.exp(-1.0 - d / z_min), WBranch.PRINCIPAL)
-        return 1.0 - lam_plus * z_min * w / (8.0 * mc * (z_l1 + d))
+        # the smallest entry of any x with D_h(z, x) <= d
+        return 1.0 - lam_plus * ymin_lower_bound(z_min, d) / (8.0 * mc * (z_l1 + d))
 
     return RateCertificate(lam_plus, z_min, mc, z_l1, global_factor, local)
 

@@ -118,27 +118,24 @@ def gen_instance(spec: InstanceSpec) -> ProblemInstance:
     return ProblemInstance(a, a @ z, planted=z)
 
 
-def _constant_grid(p: ProblemInstance, num: int = 25, span: tuple[float, float] = (1e-2, 1e2)) -> list[Method]:
-    """The ``md_constant`` methods of :func:`grid_search_constant`'s grid, in ascending order."""
-    lo, hi = float(span[0]), float(span[1])
-    if num < 1 or not (0.0 < lo <= hi < np.inf):
-        raise DomainError("the grid needs num >= 1 and finite 0 < span[0] <= span[1]")
+def _constant_grid(p: ProblemInstance) -> list[Method]:
+    """The 25 ``md_constant`` methods of :func:`grid_search_constant`'s grid, in ascending order."""
     mc = max_col_norm_sq(p.a)
     if mc == 0.0:
         raise DomainError("the grid needs a nonzero matrix")
-    return [Method.md_constant(float(alpha)) for alpha in np.geomspace(lo / mc, hi / mc, num)]
+    return [Method.md_constant(float(alpha)) for alpha in np.geomspace(1e-2 / mc, 1e2 / mc, 25)]
 
 
-def _grid_winner(runs: list[SolveResult], f_min: np.ndarray, count: int) -> tuple[int, bool]:
-    """The grid point that wins among the first ``count`` runs of a lockstep batch, whose minima are
-    ``f_min``, and whether it reaches a finite objective; where none does, the smallest stepsize wins."""
-    minima = np.where([res.status is Status.CONVERGED for res in runs[:count]], 0.0, f_min[:count])
+def _grid_winner(runs: list[SolveResult], count: int) -> tuple[int, bool]:
+    """The grid point that wins among the first ``count`` runs of a lockstep batch, and whether it
+    reaches a finite objective; where none does, the smallest stepsize wins."""
+    minima = [0.0 if res.status is Status.CONVERGED else res.trace.f_value.min(initial=np.inf)
+              for res in runs[:count]]
     best = int(np.argmin(minima))
     return best, bool(np.isfinite(minima[best]))
 
 
-def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
-                         span: tuple[float, float] = (1e-2, 1e2)) -> tuple[float, SolveResult]:
+def grid_search_constant(p: ProblemInstance, x0, iters: int) -> tuple[float, SolveResult]:
     """Best fixed stepsize from a log grid, judged by the smallest objective
     reached within the budget.
 
@@ -146,40 +143,40 @@ def grid_search_constant(p: ProblemInstance, x0, iters: int, num: int = 25,
     ``iters`` its plotted iterations: the grid is judged over those, and
     only the winner's run continues past them, for its limit estimate.
 
-    The grid spans ``span`` relative to 1 / max_col_norm_sq(A), which puts
-    the stable regime inside the sweep for any matrix scaling.  The winner
-    is the first grid point, in ascending order, whose ``md_constant`` solve
-    of ``iters`` iterations reaches the strictly smallest objective (0 if it
-    converges), and the result is that solve's, bit for bit.
+    The grid is 25 points spaced geometrically from 1e-2 to 1e2 times
+    1 / max_col_norm_sq(A), which puts the stable regime inside the sweep
+    for any matrix scaling.  The winner is the first grid point, in
+    ascending order, whose ``md_constant`` solve of ``iters`` iterations
+    reaches the strictly smallest objective (0 if it converges), and the
+    result is that solve's, bit for bit.
 
     All grid points run together in one lockstep batch, whose stacked GEMV
     pair per iteration makes the same dgemv call per stepsize that a
-    ``solve`` makes.  Each stepsize's minimum is therefore that of its own
-    solve, bit for bit.  A GEMM block would not do: it rounds differently
-    from GEMV, by ~1e-13 relative in the minima of this contractive grid,
-    and for Polyak runs a 1e-16 difference grew to 3% in f within 100
-    iterations and to 7x within 5000 (dense 60x100, x0 = 1e-8).
+    ``solve`` makes.  Each stepsize's run is therefore its own solve, bit
+    for bit, and its minimum is the minimum of its trace.  A GEMM block
+    would not do: it rounds differently from GEMV, by ~1e-13 relative in
+    the minima of this contractive grid, and for Polyak runs a 1e-16
+    difference grew to 3% in f within 100 iterations and to 7x within
+    5000 (dense 60x100, x0 = 1e-8).
 
     The batch keeps every grid point's trace until the winner's is copied
-    out: ``num * iters`` records of 24 B, 12.5 MB at the default ``num``
-    and 20000 iterations.
+    out: 25 * ``iters`` records of 24 B, 12 MB at 20000 iterations.
 
     Raises
     ------
     DomainError
-        If ``num < 1``, ``span`` is not finite with ``0 < span[0] <= span[1]``,
-        A is zero, ``iters < 1``, ``x0`` is not finite and strictly positive,
+        If A is zero, ``iters < 1``, ``x0`` is not finite and strictly positive,
         or no stepsize reaches a finite objective.
     DimensionMismatch
         If ``x0`` does not have length n.
     """
-    grid = _constant_grid(p, num, span)
+    grid = _constant_grid(p)
     # validates x0 and iters as a solve of each stepsize does
     cfg = SolveConfig(grid[0], x0, max_iters=_whole(iters, "iters", 1), f_tol=0.0)
     if cfg.x0.shape[0] != p.n:
         raise DimensionMismatch("x0 length must equal the number of columns")
-    runs, f_min = _lockstep(p, grid, np.tile(cfg.x0, (num, 1)), cfg.max_iters, keep=cfg.max_iters)
-    best, finite = _grid_winner(runs, f_min, num)
+    runs = _lockstep(p, grid, np.tile(cfg.x0, (len(grid), 1)), cfg.max_iters)
+    best, finite = _grid_winner(runs, len(grid))
     if not finite:
         raise DomainError("no stepsize in the grid reaches a finite objective")
     # a copy, not a view that keeps every grid point's records alive
@@ -276,8 +273,8 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     grid = _constant_grid(p) if MD_CONSTANT_GRID in cfg.methods else []
     batch = grid + [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind != "eg_pm"]
     marks = np.zeros((len(batch), -(-cfg.iters // _MARK_EVERY), p.n))
-    runs, f_min = _lockstep(p, batch, np.full(marks[:, 0].shape, scale), cfg.iters, keep=cfg.iters, marks=marks)
-    best = _grid_winner(runs, f_min, len(grid))[0] if grid else None
+    runs = _lockstep(p, batch, np.full(marks[:, 0].shape, scale), cfg.iters, marks=marks)
+    best = _grid_winner(runs, len(grid))[0] if grid else None
     # past iters only the limit estimates are needed: the winner and the
     # other rows go on from their iterates, those still at MaxIters
     go = [r for r in range(len(runs)) if r == best or r >= len(grid)]
@@ -322,8 +319,8 @@ def run_experiment2(cfg: ExperimentConfig) -> list[Path]:
     each equal to its own ``solve`` bit for bit.
     """
     p = gen_instance(cfg.spec)
-    runs, _ = _lockstep(p, [Method.md_polyak()] * len(cfg.inits), np.array([np.full(p.n, s) for s in cfg.inits]),
-                        cfg.iters, keep=cfg.iters)
+    runs = _lockstep(p, [Method.md_polyak()] * len(cfg.inits), np.array([np.full(p.n, s) for s in cfg.inits]),
+                     cfg.iters)
     labels = [f"x0_{scale:g}" for scale in cfg.inits]
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)

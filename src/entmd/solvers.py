@@ -601,7 +601,7 @@ def _mask_frozen(groups: list, x: np.ndarray, x_next: np.ndarray) -> None:
 
 
 # Rows of a batch's log: the records of this many iterations go to the
-# traces and the minima at once
+# traces at once
 _LOG_ROWS = 64
 
 # Iterations between a batch's marks, and the steps of a replayed stretch
@@ -612,13 +612,13 @@ _RULES = {"md_backtracking": 0, "md_constant": 1, "md_polyak": 2, "hd_plus_polya
 
 
 def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: int,
-              keep: int = 0, marks: np.ndarray | None = None) -> tuple[list[SolveResult], np.ndarray]:
+              marks: np.ndarray | None = None) -> list[SolveResult]:
     """One solve of ``p`` per row of ``x0``, (runs, n), all advancing together.
 
-    Run r ends where ``solve(p, SolveConfig(methods[r], x0[r], iters,
-    f_tol=0.0))`` ends, bit for bit in its iterates, trace, status and
-    iteration count.  Every kind but ``eg_pm`` batches: the Polyak kinds
-    take the Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
+    Run r is ``solve(p, SolveConfig(methods[r], x0[r], iters, f_tol=0.0))``,
+    bit for bit in its whole trace, status, iteration count and final
+    iterate.  Every kind but ``eg_pm`` batches: the Polyak kinds take the
+    Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
     ``md_backtracking`` run its own trials, so that only a run whose trial
     was rejected tries again.
 
@@ -630,18 +630,16 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     of each iteration go to a log with one column per run, and the stacked
     ddot writes f there.  An iteration on which a run stops ends its window.
     The end of a window is the one place where runs end: it writes the log
-    to the traces and the minima of f, records the end of each run that
-    stopped, and drops those runs from the batch.  One scalar test on f and
-    ||g||_inf passes the iterations on which no run stops; the exact per-run
-    tests run only where it fails.
+    to the traces, records the end of each run that stopped, and drops
+    those runs from the batch.  One scalar test on f and ||g||_inf passes
+    the iterations on which no run stops; the exact per-run tests run only
+    where it fails.
 
-    Given ``marks``, (runs, ceil(keep / _MARK_EVERY), n), the batch
+    Given ``marks``, (runs, ceil(iters / _MARK_EVERY), n), the batch
     copies each live run's x_k into ``marks[run, k // _MARK_EVERY]`` at
-    every multiple k of ``_MARK_EVERY`` below ``keep``.
+    every multiple k of ``_MARK_EVERY`` below ``iters``.
 
-    Returns one :class:`SolveResult` per run, whose trace holds the first
-    ``keep`` records of its solve's trace, and the smallest f of each whole
-    run (inf for a run without records).
+    The runs' traces are rows of one (runs, iters) record array.
     """
     a, b = p.a, p.b
     at = np.ascontiguousarray(a.T)
@@ -650,12 +648,12 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     shrink = np.array([m.shrink for m in methods])
     x = np.array(x0, dtype=float)
 
-    trace = np.recarray((rows, keep), _TRACE)
+    trace = np.recarray((rows, iters), _TRACE)
     records = (trace.f_value, trace.stepsize, trace.l1_norm)
     x_final = np.empty(np.shape(x0))
     status = [Status.MAX_ITERS] * rows
     # length is each run's record count, iters until it stops
-    iters_run, length, f_min = np.full(rows, iters), np.full(rows, iters), np.full(rows, np.inf)
+    iters_run, length = np.full(rows, iters), np.full(rows, iters)
     # backtracking runs first, then constant stepsizes, then the Polyak runs,
     # those that share an update adjacent: md_constant's update is the
     # exponential one, so the constant and md_polyak runs update in one call
@@ -689,7 +687,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
             f_log, s_log, l1_log = log[:, :, :size]
             f_out = f_log[:, :, None, None]
             # no window crosses a multiple of _LOG_ROWS, so every mark falls on a window's start
-            if marks is not None and k0 < keep and not k0 % _MARK_EVERY:
+            if marks is not None and not k0 % _MARK_EVERY:
                 marks[live, k0 // _MARK_EVERY] = x
             # the runs that stop in this iteration, and whether any does
             stop, stopping = np.zeros(size, dtype=bool), False
@@ -744,15 +742,11 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                 x = x_next
                 if stopping:
                     break
-            # the window's end: its records go to the traces and the minima,
-            # and the runs that stopped end at their iterate and leave
+            # the window's end: its records go to the traces, and the runs
+            # that stopped end at their iterate and leave
             count = k + 1 - k0
-            kept = min(k + 1, keep) - k0
-            if kept > 0:
-                for rec, part in zip(records, log[:, :kept, :size]):
-                    rec[live, k0:k0 + kept] = part.T
-            f_min[live] = np.minimum(f_min[live], np.minimum.reduce(
-                f_log[:count], axis=0, initial=np.inf, where=np.arange(count)[:, None] < length[live] - k0))
+            for rec, part in zip(records, log[:, :count, :size]):
+                rec[live, k0:k + 1] = part.T
             x_final[live] = x
             # with f_tol = 0 a run converges where f = 0; every other stop is a breakdown
             for r, converged in zip(live[stop], f_log[count - 1, stop] <= 0.0):
@@ -764,9 +758,8 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
     finally:
         np.seterr(**err_state)
 
-    results = [SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :min(length[r], keep)],
-                           heuristic=(method.kind == "hd_polyak")) for r, method in enumerate(methods)]
-    return results, f_min
+    return [SolveResult(x_final[r], status[r], int(iters_run[r]), trace[r, :length[r]],
+                        heuristic=(method.kind == "hd_polyak")) for r, method in enumerate(methods)]
 
 
 def _continue(p: ProblemInstance, methods: list[Method], x0: np.ndarray, runs: list[SolveResult],
@@ -776,7 +769,8 @@ def _continue(p: ProblemInstance, methods: list[Method], x0: np.ndarray, runs: l
     ``runs[r]`` is the :func:`_lockstep` run of ``methods[r]`` from ``x0[r]``.
     It goes on from its final iterate and takes the status, iteration count
     (both calls' iterations) and final iterate of where the one longer solve
-    ends, bit for bit; its trace is kept.  Every kind is memoryless but
+    ends, bit for bit; its trace stays that of the first call, and the
+    continuation's records are dropped.  Every kind is memoryless but
     ``md_backtracking``, whose first trial from x0, where ``alpha0`` is None,
     is fixed as the continuation's ``alpha0``.
     """
@@ -789,7 +783,7 @@ def _continue(p: ProblemInstance, methods: list[Method], x0: np.ndarray, runs: l
         if m.kind == "md_backtracking" and m.alpha0 is None:
             m = Method.md_backtracking(_first_trial(_objective_gradient(p, m.kind)(x0[r])[1]), m.shrink)
         resumed.append(m)
-    ends, _ = _lockstep(p, resumed, np.array([runs[r].x_final for r in go]), iters)
+    ends = _lockstep(p, resumed, np.array([runs[r].x_final for r in go]), iters)
     for r, end in zip(go, ends):
         res = runs[r]
         res.status, res.iters_run, res.x_final = end.status, res.iters_run + end.iters_run, end.x_final

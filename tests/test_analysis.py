@@ -18,6 +18,7 @@ from entmd import (
     ProblemInstance,
     SolveConfig,
     Status,
+    WBranch,
     bias_report,
     bregman_divergence,
     bregman_projection,
@@ -27,6 +28,7 @@ from entmd import (
     instability_escape_distance,
     l1_gap_identity_residual,
     l1_minimal_solution,
+    lambert_w,
     max_col_norm_sq,
     orthogonality_residual,
     rate_certificate,
@@ -374,6 +376,17 @@ class TestRateCertificate:
         cert = rate_certificate(p, [0.5, 0.5])
         assert cert.global_factor_fn(0.0) == pytest.approx(cert.local_factor, abs=1e-12)
         assert cert.global_factor_fn(5.0) > cert.local_factor
+
+    def test_global_factor_uses_the_ymin_lemma(self):
+        # global_factor_fn calls ymin_lower_bound, the lemma criteria 2 and 3
+        # test; on these instances it gives the bits of the inlined Lambert W form
+        for seed in range(40):
+            p = gen_instance(InstanceSpec(6, 10, sparsity=None, seed=seed))
+            cert = rate_certificate(p, p.planted)
+            lam, z_min, mc, z_l1 = cert.lambda_min_plus, cert.z_min, cert.max_col_sq, cert.z_l1
+            for d in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3):
+                w = -lambert_w(-math.exp(-1.0 - d / z_min), WBranch.PRINCIPAL)
+                assert cert.global_factor_fn(d) == 1.0 - lam * z_min * w / (8.0 * mc * (z_l1 + d))
 
     def test_requires_positive_solution(self):
         p = ProblemInstance([[1.0, 1.0]], [1.0])

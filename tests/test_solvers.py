@@ -29,8 +29,8 @@ from entmd import (
 )
 import entmd.solvers
 from entmd.experiments import _constant_grid
-from entmd.solvers import (_backtracking_stepsize, _continue, _exp_update, _hd_plus_update, _hd_update, _lockstep,
-                           _objective_gradient, _polyak_stepsize, _replay_divergence)
+from entmd.solvers import (_DESCENT_TOL, _backtracking_stepsize, _continue, _exp_update, _hd_plus_update,
+                           _hd_update, _lockstep, _objective_gradient, _polyak_stepsize, _replay_divergence)
 from conftest import centered_gaussian_instance, egpm_step, gradient, objective, signed_system
 
 
@@ -370,7 +370,7 @@ class TestSolve:
             (solve_convex(obj, SolveConfig(Method.hd_plus_polyak(), x0, max_iters=30)), plain),
             (solve_convex(obj, SolveConfig(Method.hd_plus_polyak(), x0, max_iters=30, trace_reference=p.planted)),
              plain + ("d_h_to_ref",)),
-            (_lockstep(p, [Method.md_polyak()], x0[None], 30, keep=30)[0][0], plain),
+            (_lockstep(p, [Method.md_polyak()], x0[None], 30)[0], plain),
         ]:
             assert isinstance(res.trace, np.recarray) and res.trace.dtype.names == names
             assert len(res.trace) == 30
@@ -474,7 +474,7 @@ def replayed_divergence(p, runs):
     methods, x0, budgets, refs = (list(column) for column in zip(*runs))
     longest = max(budgets)
     marks = np.zeros((len(runs), -(-longest // 256), len(x0[0])))
-    batch = _lockstep(p, methods, np.array(x0), longest, keep=longest, marks=marks)[0]
+    batch = _lockstep(p, methods, np.array(x0), longest, marks=marks)
     steps = [res.trace.stepsize[:budget] for res, budget in zip(batch, budgets)]
     return _replay_divergence(p, methods, marks, steps, np.array(refs))
 
@@ -534,12 +534,11 @@ class TestReplayDivergence:
 
 def assert_rows_match_solves(p, methods, x0, iters):
     """Each row of one lockstep batch equals its own solve bit for bit."""
-    runs, f_min = _lockstep(p, methods, x0, iters, keep=iters)
+    runs = _lockstep(p, methods, x0, iters)
     for r, (method, start) in enumerate(zip(methods, x0)):
         res = solve(p, SolveConfig(method, start, max_iters=iters, f_tol=0.0))
         row = runs[r]
         assert row.trace.dtype == res.trace.dtype and row.trace.tobytes() == res.trace.tobytes()
-        assert f_min[r] == res.trace.f_value.min(initial=np.inf)
         assert row.x_final.tobytes() == res.x_final.tobytes()
         assert row.status is res.status and row.iters_run == res.iters_run
         assert row.heuristic is res.heuristic
@@ -607,16 +606,12 @@ class TestLockstep:
         p = gen_instance(InstanceSpec(11, 12, sparsity=3, seed=5))
         methods = [Method.md_polyak(), Method.hd_polyak(), Method.md_constant(0.01)]
         x0 = np.full((3, 12), 1e-4)
-        runs, f_min = _lockstep(p, methods, x0, 80, keep=20)
-        assert [len(res.trace) for res in runs] == [20] * 3 and [res.iters_run for res in runs] == [80] * 3
-        short, _ = _lockstep(p, methods, x0, 50, keep=50)
-        full, full_min = _lockstep(p, methods, x0, 80, keep=80)
-        assert [res.iters_run for res in short] == [50] * 3
+        short = _lockstep(p, methods, x0, 50)
+        full = _lockstep(p, methods, x0, 80)
+        assert [(len(res.trace), res.iters_run) for res in short] == [(50, 50)] * 3
+        assert [(len(res.trace), res.iters_run) for res in full] == [(80, 80)] * 3
         for r in range(3):
-            assert runs[r].trace.tobytes() == short[r].trace[:20].tobytes() == full[r].trace[:20].tobytes()
-            assert runs[r].x_final.tobytes() == full[r].x_final.tobytes()
-        # the minima cover the whole runs, not only their kept records
-        assert f_min[1] == full_min[1] == full[1].trace.f_value.min() < runs[1].trace.f_value.min()
+            assert short[r].trace.tobytes() == full[r].trace[:50].tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_backtracking_rows(self, seed):
@@ -674,7 +669,7 @@ class TestLockstep:
 
         monkeypatch.setattr(entmd.solvers, "_stacked_gradients", counted)
         x0 = np.full(p.n, 1e-4)
-        runs, _ = _lockstep(p, methods, np.tile(x0, (len(methods), 1)), 2000)
+        runs = _lockstep(p, methods, np.tile(x0, (len(methods), 1)), 2000)
         stopped = [res.status is not Status.MAX_ITERS for res in runs]
         assert sum(stopped) >= 9
         # a run evaluates its gradient at each iteration it steps from and at the one on which it stops
@@ -731,15 +726,15 @@ class TestLockstepProperties:
         assert_replays_match(p, [(method, start, budget, ref) for method, start, ref in zip(methods, x0, refs)])
 
 
-# budgets and kept records on both sides of the first and second mark
+# budgets on both sides of the first and second mark
 MARK_SIZES = st.sampled_from([255, 256, 257, 512, 513])
 
 
 @st.composite
 def marked_cases(draw):
     """A batch of :func:`lockstep_cases` (or of runs on a system on which a
-    coordinate underflows to 0 mid-run) with a budget and ``keep`` around the
-    marks' stride, and references some of which are infinitely far from x0."""
+    coordinate underflows to 0 mid-run) with a budget around the marks'
+    stride, and references some of which are infinitely far from x0."""
     if draw(st.integers(0, 3)) == 0:
         # x_1 shrinks by exp(-1.79) or exp(-2) per step and underflows to 0
         # after 370-420 steps: from there the divergence to z with z_1 > 0 is infinite
@@ -756,16 +751,16 @@ def marked_cases(draw):
     if draw(st.integers(0, 7)) == 0:
         # D_h(z, x0) overflows for every start of these cases
         refs[draw(st.integers(0, rows - 1)), draw(st.integers(0, refs.shape[1] - 1))] = 1e307
-    return p, methods, x0, draw(MARK_SIZES), draw(MARK_SIZES), refs
+    return p, methods, x0, draw(MARK_SIZES), refs
 
 
 class TestMarkedReplayProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(marked_cases())
     def test_marks_and_replays_equal_solves(self, case):
-        p, methods, x0, budget, keep, refs = case
-        marks = np.zeros((len(methods), -(-keep // 256), x0.shape[1]))
-        runs, _ = _lockstep(p, methods, x0, budget, keep=keep, marks=marks)
+        p, methods, x0, budget, refs = case
+        marks = np.zeros((len(methods), -(-budget // 256), x0.shape[1]))
+        runs = _lockstep(p, methods, x0, budget, marks=marks)
         for r, (method, start, res) in enumerate(zip(methods, x0, runs)):
             # mark s is the iterate from which a run that takes step 256 s takes it
             assert marks[r, 0].tobytes() == start.tobytes()
@@ -776,7 +771,7 @@ class TestMarkedReplayProperties:
         steps = [res.trace.stepsize for res in runs]
         try:
             traced = [solve(p, SolveConfig(method, start, max_iters=budget, f_tol=0.0, trace_reference=ref,
-                                           check_descent=False)).trace.d_h_to_ref[:keep]
+                                           check_descent=False)).trace.d_h_to_ref
                       for method, start, ref in zip(methods, x0, refs)]
         except InfiniteDivergence:
             with pytest.raises(InfiniteDivergence):
@@ -789,7 +784,7 @@ class TestMarkedReplayProperties:
 def assert_continuations_match_solves(p, methods, x0, k, j):
     """A batch of k iterations continued by :func:`_continue` for j more ends where
     each solve of k + j iterations ends; returns how many runs stopped in the continuation."""
-    runs, _ = _lockstep(p, methods, x0, k)
+    runs = _lockstep(p, methods, x0, k)
     going = [res.status is Status.MAX_ITERS for res in runs]
     _continue(p, methods, x0, runs, j)
     for method, start, res in zip(methods, x0, runs):
@@ -818,6 +813,68 @@ class TestContinuationProperties:
                    Method.md_constant(30.0), Method.md_backtracking(), Method.md_backtracking(0.5, 0.9)]
         x0 = np.full((len(methods), p.n), scale)
         assert assert_continuations_match_solves(p, methods, x0, k, 400) == stopped
+
+
+@st.composite
+def certified_runs(draw):
+    """A small system with a planted nonnegative solution z, some of whose
+    entries are 0, scaled from 1e-300 to 1e150; the matrix may have a zero or
+    a duplicated column.  A start with entries from 5e-324 to 1, and a
+    reference: z, or z perturbed so that it is no solution."""
+    rng = seeded_rng(draw(st.integers(0, 2**16)))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(2, 8))
+    a = rng.standard_normal((m, n))
+    system = draw(st.sampled_from(["random", "zero column", "duplicate column"]))
+    if system == "zero column":
+        a[:, 0] = 0.0
+    elif system == "duplicate column":
+        a[:, 1] = a[:, 0]
+    z = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < 0.7)
+    z *= draw(st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150]))
+    p = ProblemInstance(a, a @ z)
+    x0 = np.array(draw(st.lists(st.sampled_from([5e-324, 1e-300, 1e-8, 1e-4, 0.5, 1.0]), min_size=n, max_size=n)))
+    shift = draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1e-2]))
+    ref = np.abs(z + shift * max(float(z.max()), 1e-300) * rng.standard_normal(n))
+    return p, x0, ref, draw(st.integers(1, 300))
+
+
+def replayed_iterates(p, method, x0, stepsizes):
+    """The iterates x_0, x_1, ... and objectives f_0, f_1, ... of a solve that
+    took ``stepsizes``, with the loop's own arithmetic: ``at @ r`` on a
+    contiguous transpose, which rounds as the loop does where ``a.T @ r`` does not."""
+    a, b = p.a, p.b
+    at = np.ascontiguousarray(a.T)
+    x, xs, fs = x0, [x0], []
+    for alpha in stepsizes:
+        r = a @ x
+        r -= b
+        g = at @ r
+        fs.append(0.5 * float(r @ r))
+        x = md_step(x, g, alpha) if method.kind == "md_polyak" else _hd_plus_update(x, g, alpha)
+        xs.append(x)
+    return xs, fs
+
+
+class TestCertificateProperties:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(certified_runs())
+    def test_no_false_certificate_passes(self, case):
+        # a run that ends Converged or MaxIters certified every step: the
+        # public divergence along its replayed iterates descends as checked
+        p, x0, ref, budget = case
+        for method in (Method.md_polyak(), Method.hd_plus_polyak()):
+            try:
+                res = solve(p, SolveConfig(method, x0, max_iters=budget, f_tol=0.0, trace_reference=ref))
+            except InfiniteDivergence:
+                continue
+            if res.status is Status.NUMERICAL_BREAKDOWN:
+                continue
+            xs, fs = replayed_iterates(p, method, x0, res.trace.stepsize)
+            assert xs[-1].tobytes() == res.x_final.tobytes() and fs == res.trace.f_value.tolist()
+            d = [bregman_divergence(ref, x) for x in xs]
+            assert np.allclose(res.trace.d_h_to_ref, d[:-1], rtol=1e-12, atol=0.0)
+            for k, (alpha, f) in enumerate(zip(res.trace.stepsize, fs)):
+                assert d[k + 1] - d[k] <= -alpha * f + _DESCENT_TOL * (1.0 + d[k]), k
 
 
 class TestEgpmSolve:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import entmd
+import entmd.experiments
 import entmd.solvers
 from entmd import Method, ProblemInstance, SolveConfig, Status, solve
 
@@ -25,10 +26,14 @@ def test_uncalled_step_wrappers_are_gone(name):
 
 
 @pytest.mark.parametrize("function, knob", [("instability_escape_distance", "rel_perturb"),
-                                            ("l1_minimal_solution", "atol"), ("bias_report", "max_iters")])
+                                            ("l1_minimal_solution", "atol"), ("bias_report", "max_iters"),
+                                            ("grid_search_constant", "num"), ("grid_search_constant", "span"),
+                                            ("_constant_grid", "num"), ("_constant_grid", "span"),
+                                            ("_lockstep", "keep")])
 def test_uncalled_knobs_are_gone(function, knob):
     # no caller set them: each is now a fixed value in the function or its callee's default
-    assert knob not in inspect.signature(getattr(entmd, function)).parameters
+    module = next(m for m in (entmd, entmd.experiments, entmd.solvers) if hasattr(m, function))
+    assert knob not in inspect.signature(getattr(module, function)).parameters
 
 
 def test_solve_accepts_every_method_kind():

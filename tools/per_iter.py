@@ -1,4 +1,4 @@
-"""Microseconds per iteration of entmd's iteration loops, and seconds per exp1, best of N, one BLAS thread.
+"""Microseconds per iteration of entmd's loops and per call of their phases, and seconds per exp1, best of N.
 
 Usage, from the root of a checkout::
 
@@ -17,6 +17,19 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
 * ``replay 5``: the divergence replay of exp1's five methods from the
   marks of their lockstep batch, as exp1 replays them;
 * ``matvec pair``: a bare ``at @ (a @ x - b)``, the floor of one iteration;
+* the phases of an iteration, each timed alone, in microseconds per call,
+  at the ``md_polyak`` run's iterate x after the shape's iteration count
+  and the gradient g there:
+
+  - ``polyak stepsize``: ``_polyak_stepsize`` from x;
+  - ``exp update 1`` and ``hd_plus update 1``: ``_exp_mult`` against
+    ``_hd_plus_update`` on x, as ``solve`` calls them;
+  - ``exp update 28`` and ``hd_plus update 28``: the same on a 28-row
+    block with a column of stepsizes, into an ``out`` block, as a batch of
+    exp1's 25 grid stepsizes and three Polyak runs calls them;
+  - ``dh dense ref`` and ``dh sparse ref``: ``_dh_core`` from the
+    ``md_polyak`` run's limit estimate, which is dense, and from the planted
+    solution, which has the shape's sparsity, to x;
 * ``exp1 (s)``: one ``run_experiment1`` on the shape's instance with the
   CLI's default methods, ``iters`` and ``limit_extra_iters`` both the
   shape's iteration count, writing its files to a temporary directory; the
@@ -26,8 +39,9 @@ The numbers measure the checkout this script is run from, through the
 package's private loops, so a before/after table comes from running it in
 two checkouts on the same machine.  ``--json PATH`` also writes the commit,
 the machine (``perfbench/envinfo.py``), the repeat count and, per row and
-shape, the min and the median of the calls, under ``us_per_iter`` or, for
-the ``exp1 (s)`` row, ``s_per_call``.
+shape, the min and the median of the calls, under ``us_per_iter``, under
+``us_per_call`` for the phases, or under ``s_per_call`` for the ``exp1 (s)``
+row.  Every run uses one BLAS thread.
 """
 
 import os
@@ -52,7 +66,9 @@ import numpy as np  # noqa: E402
 from entmd import (MD_CONSTANT_GRID, ExperimentConfig, InstanceSpec, Method, SolveConfig, gen_instance,  # noqa: E402
                    run_experiment1, solve)
 from entmd.experiments import _constant_grid  # noqa: E402
-from entmd.solvers import _MARK_EVERY, _lockstep, _replay_divergence  # noqa: E402
+from entmd.bregman import _dh_core  # noqa: E402
+from entmd.solvers import (_MARK_EVERY, _exp_mult, _hd_plus_update, _lockstep, _polyak_stepsize,  # noqa: E402
+                           _replay_divergence)
 from envinfo import environment  # noqa: E402
 
 SHAPES = {"60x100": (60, 100, 10, 2000), "300x500": (300, 500, 30, 400)}
@@ -60,6 +76,9 @@ X0 = 1e-4
 EXP2_SCALES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 POLYAK = [Method.md_polyak(), Method.hd_polyak(), Method.hd_plus_polyak()]
 EXP1 = "exp1 (s)"  # the one row timed in seconds per call
+BLOCK = 28  # the rows of exp1's grid and its three Polyak runs
+PHASES = ("polyak stepsize", "exp update 1", "hd_plus update 1", f"exp update {BLOCK}", f"hd_plus update {BLOCK}",
+          "dh dense ref", "dh sparse ref")
 
 
 def seconds(fn) -> float:
@@ -75,14 +94,30 @@ def cases(m: int, n: int, sparsity: int, iters: int, tmp: str):
     grid = _constant_grid(p)
     exp1_methods = [grid[len(grid) // 2], Method.md_backtracking(), *POLYAK]
     marks = np.zeros((len(exp1_methods), -(-iters // _MARK_EVERY), n))
-    runs = _lockstep(p, exp1_methods, np.tile(x0, (len(exp1_methods), 1)), iters, keep=iters, marks=marks)[0]
+    runs = _lockstep(p, exp1_methods, np.tile(x0, (len(exp1_methods), 1)), iters, marks=marks)
     steps = [res.trace.stepsize for res in runs]
     refs = np.array([np.clip(solve(p, SolveConfig(method, x0, max_iters=2 * iters, f_tol=0.0)).x_final, 0.0, None)
                      for method in exp1_methods])
     at = np.ascontiguousarray(p.a.T)
 
     def batch(methods, starts):
-        return lambda: _lockstep(p, methods, starts, iters, keep=iters)
+        return lambda: _lockstep(p, methods, starts, iters)
+
+    def calls(fn, *args, **kwargs):
+        """``iters`` calls of ``fn``, so that the time per iteration is the time per call."""
+        def run():
+            for _ in range(iters):
+                fn(*args, **kwargs)
+        return run
+
+    # the md_polyak run's iterate after iters iterations, its gradient, and their blocks
+    polyak = exp1_methods.index(Method.md_polyak())
+    x = runs[polyak].x_final
+    r = p.a @ x - p.b
+    g = at @ r
+    f, g_inf = 0.5 * float(r @ r), float(np.max(np.abs(g)))
+    alpha = _polyak_stepsize(x, g, f, 1.0, g_inf)
+    xs, gs, col, out = np.tile(x, (BLOCK, 1)), np.tile(g, (BLOCK, 1)), np.full((BLOCK, 1), alpha), np.empty((BLOCK, n))
 
     exp1 = ExperimentConfig(spec, methods=[MD_CONSTANT_GRID, Method.md_backtracking(), *POLYAK], iters=iters,
                             limit_extra_iters=iters, inits=[X0], out_path=tmp)
@@ -95,6 +130,13 @@ def cases(m: int, n: int, sparsity: int, iters: int, tmp: str):
         ("batch 28", batch(grid + POLYAK, np.tile(x0, (len(grid) + len(POLYAK), 1)))),
         ("replay 5", lambda: _replay_divergence(p, exp1_methods, marks, steps, refs)),
         ("matvec pair", lambda: [at @ (p.a @ x0 - p.b) for _ in range(iters)]),
+        ("polyak stepsize", calls(_polyak_stepsize, x, g, f, 1.0, g_inf)),
+        ("exp update 1", calls(_exp_mult, x, g, alpha)),
+        ("hd_plus update 1", calls(_hd_plus_update, x, g, alpha)),
+        (f"exp update {BLOCK}", calls(_exp_mult, xs, gs, col, out=out)),
+        (f"hd_plus update {BLOCK}", calls(_hd_plus_update, xs, gs, col, out=out)),
+        ("dh dense ref", calls(_dh_core, refs[polyak], x)),
+        ("dh sparse ref", calls(_dh_core, p.planted, x)),
         (EXP1, lambda: run_experiment1(exp1)),
     ]
 
@@ -135,7 +177,8 @@ def main(argv=None) -> int:
             "environment": env,
             "repeat": args.repeat,
             "iters": {shape: SHAPES[shape][3] for shape in shapes},
-            "us_per_iter": summary([name for name in table if name != EXP1]),
+            "us_per_iter": summary([name for name in table if name != EXP1 and name not in PHASES]),
+            "us_per_call": summary(PHASES),
             "s_per_call": summary([EXP1]),
         }
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
