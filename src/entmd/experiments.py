@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .errors import DimensionMismatch, DomainError
 from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
-from .solvers import (_MARK_EVERY, Method, ProblemInstance, SolveConfig, SolveResult, Status, _continue, _lockstep,
-                      _replay_divergence, _whole, solve)
+from .solvers import (_MARK_EVERY, _RULES, Method, ProblemInstance, SolveConfig, SolveResult, Status, _continue,
+                      _lockstep, _replay_divergence, _whole, solve)
 
 __all__ = [
     "MD_CONSTANT_GRID",
@@ -79,20 +79,24 @@ class ExperimentConfig:
         self.out_path = Path(self.out_path)
 
 
+def _distinct(labels: list[str]) -> list[str]:
+    """``labels``; DomainError naming each label that occurs more than once,
+    since a label names one CSV column and one status line of the sidecar."""
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise DomainError(f"repeated column label {', '.join(repeated)}: each label is one CSV column")
+    return labels
+
+
 def _method_labels(methods: list) -> list[str]:
     """The CSV column label of each entry of ``ExperimentConfig.methods``.
 
     Raises DomainError unless each entry is a Method or MD_CONSTANT_GRID and
-    each label occurs once: a label names one CSV column and one status
-    line of the sidecar.
+    each label occurs once.
     """
     if not all(isinstance(m, Method) or m == MD_CONSTANT_GRID for m in methods):
         raise DomainError("each method must be a Method or MD_CONSTANT_GRID")
-    labels = ["md_constant_opt" if m == MD_CONSTANT_GRID else m.label for m in methods]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise DomainError(f"repeated method label {', '.join(repeated)}: each label is one CSV column")
-    return labels
+    return _distinct(["md_constant_opt" if m == MD_CONSTANT_GRID else m.label for m in methods])
 
 
 def gen_instance(spec: InstanceSpec) -> ProblemInstance:
@@ -271,7 +275,7 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     # the grid's stepsizes and every method but eg_pm run in one lockstep
     # batch of iters iterations; the grid's winner is its own row there
     grid = _constant_grid(p) if MD_CONSTANT_GRID in cfg.methods else []
-    batch = grid + [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind != "eg_pm"]
+    batch = grid + [m for m in cfg.methods if m != MD_CONSTANT_GRID and m.kind in _RULES]
     marks = np.zeros((len(batch), -(-cfg.iters // _MARK_EVERY), p.n))
     runs = _lockstep(p, batch, np.full(marks[:, 0].shape, scale), cfg.iters, marks=marks)
     best = _grid_winner(runs, len(grid))[0] if grid else None
@@ -280,7 +284,7 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
     go = [r for r in range(len(runs)) if r == best or r >= len(grid)]
     _continue(p, [batch[r] for r in go], np.full((len(go), p.n), scale), [runs[r] for r in go], cfg.limit_extra_iters)
     rows = iter(range(len(grid), len(runs)))
-    row_of = [best if m == MD_CONSTANT_GRID else None if m.kind == "eg_pm" else next(rows) for m in cfg.methods]
+    row_of = [best if m == MD_CONSTANT_GRID else next(rows) if m.kind in _RULES else None for m in cfg.methods]
     methods = [grid[best] if m == MD_CONSTANT_GRID else m for m in cfg.methods]
     labels = _method_labels(cfg.methods)
     results = [solve(p, SolveConfig(method, np.full(2 * p.n, scale), max_iters=budget, f_tol=0.0)) if row is None
@@ -314,14 +318,15 @@ def run_experiment1(cfg: ExperimentConfig) -> list[Path]:
 def run_experiment2(cfg: ExperimentConfig) -> list[Path]:
     """Initialization-scale sweep for the exponential Polyak scheme.
 
-    One cumulative-minimum objective column per scale in ``inits``.  The
-    ``md_polyak`` runs of all scales advance together in one lockstep batch,
-    each equal to its own ``solve`` bit for bit.
+    One cumulative-minimum objective column per scale in ``inits``, labelled
+    ``x0_{scale:g}``; two scales with one label raise DomainError before any
+    run.  The ``md_polyak`` runs of all scales advance together in one
+    lockstep batch, each equal to its own ``solve`` bit for bit.
     """
+    labels = _distinct([f"x0_{scale:g}" for scale in cfg.inits])
     p = gen_instance(cfg.spec)
     runs = _lockstep(p, [Method.md_polyak()] * len(cfg.inits), np.array([np.full(p.n, s) for s in cfg.inits]),
                      cfg.iters)
-    labels = [f"x0_{scale:g}" for scale in cfg.inits]
     out = cfg.out_path
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "exp2_cummin.csv", out / "exp2_meta.txt"]

@@ -14,14 +14,18 @@ Schemes
 * ``md_backtracking``  exponential update, stepsize halved until the local
                        curvature test a * D_f < D_h accepts
 
-Three iteration loops run them.  ``_iterate`` runs one solve for
-:func:`solve` and :func:`solve_convex`; the two differ only in the objective
-callback, and the schemes only in the update rule and the stepsize rule.
-``_lockstep`` advances several n-wide runs (any kind but ``eg_pm``) on one
-instance together on the same rules for one budget, each ending where its
-own solve ends, bit for bit; the experiments' batches use it.  It runs in
-windows of up to 64 iterations; an iteration on which a run stops ends its
-window, and the run leaves the batch there.
+The schemes differ only in their update, ``_UPDATES``, and their stepsize
+rule, ``_RULES``.  Two iteration loops run them, by design: a batch of one
+row costs about twice a solve per iteration.  ``_iterate`` runs one solve
+for :func:`solve` and :func:`solve_convex`, which differ only in the
+objective callback.  ``_lockstep`` advances several n-wide runs of the
+kinds in ``_RULES`` on one instance together for one budget, each ending
+where its own solve ends, bit for bit; the experiments' batches use it.
+It runs in windows of up to 64 iterations; an iteration on which a run
+stops ends its window, and the run leaves the batch there.
+Both loops take each kind's update and stepsize rule from the two tables,
+``md_backtracking``'s first trial from the run's own gradient at x0 where
+``alpha0`` is None, and stop a run on the same tests.
 ``_replay_divergence`` replays recorded stepsizes without a stop test to
 follow runs' iterates in stretches from the *marks* that ``_lockstep``
 takes of them.  Every solve records a per-iteration trace (objective,
@@ -75,16 +79,6 @@ class Status(enum.Enum):
     NUMERICAL_BREAKDOWN = "NumericalBreakdown"
 
 
-_KINDS = (
-    "md_polyak",
-    "hd_plus_polyak",
-    "hd_polyak",
-    "eg_pm",
-    "md_constant",
-    "md_backtracking",
-)
-
-
 @dataclass(frozen=True)
 class Method:
     """Algorithm selector plus stepsize-rule parameters.
@@ -100,7 +94,7 @@ class Method:
     shrink: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _UPDATES:
             raise DomainError(f"unknown method kind {self.kind!r}")
         if self.kind == "md_constant" and not (self.alpha is not None and 0.0 < self.alpha < np.inf):
             raise DomainError("md_constant needs a finite positive stepsize")
@@ -316,7 +310,8 @@ def _hd_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
     return out
 
 
-# Each kind's update without its mask, and the kinds' updates that mask
+# Each kind's update without its mask, keyed by every kind a Method takes,
+# and the kinds' updates that mask
 _UPDATES = {
     "md_polyak": _exp_mult,
     "hd_plus_polyak": _hd_plus_update,
@@ -326,6 +321,13 @@ _UPDATES = {
     "md_backtracking": _exp_mult,
 }
 _MASKED = (_exp_mult, _hd_mult)
+
+# How each kind picks its stepsize, in both loops: the Polyak rule, its fixed
+# ``alpha``, or backtracking from ``alpha0``; a batch's rows sort by rule.
+# eg_pm steps as md_polyak on w and has no entry, so a batch does not take it.
+_BACKTRACKING, _FIXED, _POLYAK = 0, 1, 2
+_RULES = {"md_backtracking": _BACKTRACKING, "md_constant": _FIXED, "md_polyak": _POLYAK,
+          "hd_plus_polyak": _POLYAK, "hd_polyak": _POLYAK}
 
 
 def _vector_pair(x, g, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -423,16 +425,20 @@ def backtracking_stepsize(p: ProblemInstance, x, g, alpha0: float, shrink: float
 _DESCENT_TOL = 1e-9
 
 
-def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
+def _iterate(fg, cfg: SolveConfig, c: float = 1.0, a: np.ndarray | None = None) -> SolveResult:
     """The iteration loop behind :func:`solve` and :func:`solve_convex`.
 
-    ``fg(x)`` returns the objective (or gap) f and its gradient g at x.
-    ``step(x, g)`` gives the stepsize, the next iterate and its sum (see
-    :func:`_frozen_sum`), or None when no stepsize is admissible; by default it is the Polyak rule with
+    ``fg(x)`` returns the objective (or gap) f and its gradient g at x.  The
+    kind's rule in ``_RULES`` picks the stepsize: the Polyak rule with
     constant ``c``, the same ``c`` that scales the descent certificate
-    D_h(z, x+) - D_h(z, x) <= -alpha f / c, followed by the scheme's update.
+    D_h(z, x+) - D_h(z, x) <= -alpha f / c; ``md_constant``'s ``alpha``; or
+    ``md_backtracking``'s trials on the matrix ``a``, from ``alpha0`` or,
+    where it is None, from the first trial at x0's gradient.
     """
-    kind = cfg.method.kind
+    method = cfg.method
+    kind = method.kind
+    rule = _RULES.get(kind, _POLYAK)
+    alpha0 = method.alpha0
     update = _UPDATES[kind]
     masked = update in _MASKED
     x = cfg.x0.copy()
@@ -470,19 +476,22 @@ def _iterate(fg, cfg: SolveConfig, c: float = 1.0, step=None) -> SolveResult:
             if not g_inf < math.inf:
                 status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                 break
-            if step is None:
-                alpha = _polyak_stepsize(x, g, f, c, g_inf)
+            if rule == _BACKTRACKING:
+                if alpha0 is None:
+                    # iteration 0: x0's gradient, which the loop has checked to be finite
+                    alpha0 = _first_trial(g)
+                taken = _backtracking_stepsize(a, x, g, alpha0, method.shrink)
+                if taken is None:
+                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k
+                    break
+                alpha, x_next, l1_next = taken
+            else:
+                alpha = method.alpha if rule == _FIXED else _polyak_stepsize(x, g, f, c, g_inf)
                 if alpha is None:
                     status, iters_run = Status.NUMERICAL_BREAKDOWN, k
                     break
                 x_next = update(x, g, alpha)
                 l1_next = _frozen_sum(x, x_next, masked)
-            else:
-                taken = step(x, g)
-                if taken is None:
-                    status, iters_run = Status.NUMERICAL_BREAKDOWN, k
-                    break
-                alpha, x_next, l1_next = taken
 
             records += (f, alpha, l1) if z is None else (f, alpha, l1, d_prev)
 
@@ -521,26 +530,7 @@ def solve(p: ProblemInstance, cfg: SolveConfig) -> SolveResult:
     if cfg.x0.shape[0] != (2 * n if split else n):
         raise DimensionMismatch("eg_pm needs x0 of length 2 n, the concatenation (u0, v0)" if split
                                 else "x0 length must equal the number of columns")
-    fg = _objective_gradient(p, kind)
-
-    step = None
-    if kind == "md_constant":
-        alpha = cfg.method.alpha
-
-        def step(x, g):
-            x_next = _exp_mult(x, g, alpha)
-            return alpha, x_next, _frozen_sum(x, x_next)
-    elif kind == "md_backtracking":
-        alpha0, shrink = cfg.method.alpha0, cfg.method.shrink
-
-        def step(x, g):
-            # the first step is taken from x0, where the loop has checked g to be finite
-            nonlocal alpha0
-            if alpha0 is None:
-                alpha0 = _first_trial(g)
-            return _backtracking_stepsize(p.a, x, g, alpha0, shrink)
-
-    res = _iterate(fg, cfg, step=step)
+    res = _iterate(_objective_gradient(p, kind), cfg, a=p.a)
     if split:
         res.w_final, res.x_final = res.x_final, res.x_final[:n] - res.x_final[n:]
     return res
@@ -607,9 +597,6 @@ _LOG_ROWS = 64
 # Iterations between a batch's marks, and the steps of a replayed stretch
 _MARK_EVERY = 256
 
-# How each kind picks its stepsize in a batch; the rows sort by it
-_RULES = {"md_backtracking": 0, "md_constant": 1, "md_polyak": 2, "hd_plus_polyak": 2, "hd_polyak": 2}
-
 
 def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: int,
               marks: np.ndarray | None = None) -> list[SolveResult]:
@@ -617,10 +604,12 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
 
     Run r is ``solve(p, SolveConfig(methods[r], x0[r], iters, f_tol=0.0))``,
     bit for bit in its whole trace, status, iteration count and final
-    iterate.  Every kind but ``eg_pm`` batches: the Polyak kinds take the
-    Polyak rule with c = 1, ``md_constant`` its ``alpha``, and each
-    ``md_backtracking`` run its own trials, so that only a run whose trial
-    was rejected tries again.
+    iterate.  Every kind in ``_RULES`` batches, on its rule there: the
+    Polyak kinds take the Polyak rule with c = 1, ``md_constant`` its
+    ``alpha``, and each ``md_backtracking`` run its own trials, so that
+    only a run whose trial was rejected tries again; where ``alpha0`` is
+    None, its first trial comes from its own gradient at x0, as in
+    :func:`_iterate`.
 
     An iteration costs one stacked GEMV pair (:func:`_stacked_gradients`),
     and f is one ddot per row as ``r @ r`` is.
@@ -664,19 +653,17 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
 
     err_state = np.seterr(all="ignore")
     try:
-        # md_constant's stepsize and md_backtracking's first trial, from x0 where alpha0 is None
-        first = np.array([m.alpha or m.alpha0 or 0.0 for m in methods])
-        pick = [r for r, m in enumerate(methods) if m.kind == "md_backtracking" and m.alpha0 is None]
-        for r, g0 in zip(pick, _stacked_gradients(a, at, b, x[pick])[1]):
-            first[r] = _first_trial(g0)
+        # md_constant's stepsize and md_backtracking's first trial, NaN where
+        # alpha0 is None until the run's gradient at x0 gives it
+        first = np.array([m.alpha or m.alpha0 or math.nan for m in methods])
         x = x[live]
         np.add.reduce(x, axis=1, out=log[2, 0])
         k0 = 0
         while k0 < iters and live.size:
             # per-run constants and log views of the runs in live
             size = live.size
-            kinds = [_RULES[methods[r].kind] for r in live]
-            n_bt, first_pol = kinds.count(0), size - kinds.count(2)
+            rules = [_RULES[methods[r].kind] for r in live]
+            n_bt, first_pol = rules.count(_BACKTRACKING), size - rules.count(_POLYAK)
             pol = slice(first_pol, None)
             # the stepsizes of an iteration, the fixed ones set here
             alpha = np.empty(size)
@@ -710,6 +697,8 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
                 x_next = np.empty_like(x)
                 # each backtracking run's trials, which only it re-runs when rejected
                 for i in range(n_bt):
+                    if math.isnan(bt_alpha0[i]):
+                        bt_alpha0[i] = first[live[i]] = _first_trial(g[i])
                     taken = _backtracking_stepsize(a, x[i], g[i], bt_alpha0[i], bt_shrink[i])
                     if taken is None:
                         stop[i], length[live[i]], stopping = True, k, True

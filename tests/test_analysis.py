@@ -167,6 +167,31 @@ class TestBregmanProjection:
         assert 0 < steps < 40
         assert budgets == [40 - steps, 1]
 
+    def test_finisher_converges_where_newton_stops_on_the_normal_floor(self, monkeypatch):
+        # the one observed case where the md_polyak finisher converges after doing work: the Newton
+        # steps run out just above f_tol with the boundary entries pinned at the smallest normal double
+        finishes = []
+
+        def recording_solve(p, cfg):
+            res = solve(p, cfg)
+            finishes.append((cfg.max_iters, res))
+            return res
+
+        monkeypatch.setattr(entmd.analysis, "solve", recording_solve)
+        p = gen_instance(InstanceSpec(60, 100, 10, seed=2))
+        x0 = np.full(100, math.exp(-6.0))
+        f_tol = 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2
+        x_newton, steps = entmd.analysis._dual_newton(p, x0, f_tol, entmd.analysis._NEWTON_STEPS)
+        r = p.a @ x_newton - p.b
+        assert steps == entmd.analysis._NEWTON_STEPS and 0.5 * float(r @ r) > f_tol
+        assert math.isclose(x_newton.min(), np.finfo(float).tiny, rel_tol=1e-9)
+        x = bregman_projection(p, x0)
+        (budget, res), = finishes
+        assert budget == 200_000 - steps
+        assert res.status is Status.CONVERGED and res.iters_run == 1
+        r = p.a @ x - p.b
+        assert 0.5 * float(r @ r) <= f_tol
+
 
 @st.composite
 def projection_cases(draw):

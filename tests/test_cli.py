@@ -468,6 +468,13 @@ class TestExperimentCommands:
         assert captured.err.startswith("error: --methods") and "md_polyak" in captured.err
         assert not list(tmp_path.iterdir())
 
+    def test_exp2_scales_sharing_a_label_exit_one(self, tmp_path, capsys):
+        # used to write two x0_0.0001 columns and one status.x0_0.0001 line
+        assert main(["exp2", "--m", "3", "--n", "5", "--iters", "5", "--scales", "1e-4,1.0000001e-4",
+                     "--out", str(tmp_path)]) == 1
+        assert "repeated column label x0_0.0001" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ)
         src = str(Path(entmd.__file__).resolve().parents[1])

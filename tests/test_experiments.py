@@ -215,6 +215,15 @@ class TestExperiment2:
             blobs.append([path.read_bytes() for path in run_experiment2(cfg)])
         assert blobs[0] == blobs[1]
 
+    def test_scales_sharing_a_label_rejected_before_any_run(self, tmp_path, monkeypatch):
+        # 1e-4 and 1.0000001e-4 both print as x0_0.0001: the sidecar kept one status line for two columns
+        monkeypatch.setattr("entmd.experiments._lockstep", None)
+        cfg = ExperimentConfig(InstanceSpec(5, 9, sparsity=None, seed=18), iters=5,
+                               inits=[1e-2, 1e-4, 1.0000001e-4], out_path=tmp_path / "out")
+        with pytest.raises(DomainError, match="repeated column label x0_0.0001"):
+            run_experiment2(cfg)
+        assert not (tmp_path / "out").exists()
+
 
 def reference_divergence(p, method, scale, iters, extra):
     """Experiment 1's divergence column computed by a second solve of the

@@ -29,7 +29,7 @@ def test_uncalled_step_wrappers_are_gone(name):
                                             ("l1_minimal_solution", "atol"), ("bias_report", "max_iters"),
                                             ("grid_search_constant", "num"), ("grid_search_constant", "span"),
                                             ("_constant_grid", "num"), ("_constant_grid", "span"),
-                                            ("_lockstep", "keep")])
+                                            ("_lockstep", "keep"), ("_iterate", "step")])
 def test_uncalled_knobs_are_gone(function, knob):
     # no caller set them: each is now a fixed value in the function or its callee's default
     module = next(m for m in (entmd, entmd.experiments, entmd.solvers) if hasattr(m, function))

@@ -2,8 +2,10 @@
 # Write the outputs whose bytes a kernel change must keep into DIR:
 # exp1 and exp2 at their defaults for seeds 0-2, an eg-pm/hd-polyak/grid
 # exp1, a short 300x500 exp1 of all six methods (600 kept iterations: two
-# whole replay stretches of 256 and a partial one), and a traced CLI solve
-# of the seed-0 exp1 instance.
+# whole replay stretches of 256 and a partial one), a traced CLI solve
+# of the seed-0 exp1 instance, and the analysis layer: project and bias
+# from exp(-6) ones on exp2's dense seed-0 instance, project from there on
+# the sparse seed-2 instance, and bias on the n = 12 worst-case construction.
 #
 #   tools/outputs.sh DIR
 #
@@ -32,11 +34,18 @@ PYTHONPATH="$root/src" python3 -c "
 import sys
 from entmd import InstanceSpec, gen_instance
 from entmd.cli import save_instance
-save_instance(gen_instance(InstanceSpec(60, 100, 10, seed=0)), sys.argv[1])
-" "$out/instance.json"
+for spec, path in zip([InstanceSpec(60, 100, 10, seed=0), InstanceSpec(60, 100, None, seed=0),
+                       InstanceSpec(60, 100, 10, seed=2)], sys.argv[1:]):
+    save_instance(gen_instance(spec), path)
+" "$out/instance.json" "$out/dense_seed0.json" "$out/sparse_seed2.json"
 mkdir -p "$out/solve"
 # solve exits with 2 when its budget runs out and 3 on a breakdown; 1 is an error
 rc=0
 entmd solve "$out/instance.json" --trace "$out/solve/trace.csv" --out "$out/solve/x.json" \
     --format json > "$out/solve/stdout.json" || rc=$?
 [ "$rc" -ne 1 ]
+mkdir -p "$out/analysis"
+entmd project "$out/dense_seed0.json" --eta 6 > "$out/analysis/project_dense_seed0.txt"
+entmd bias "$out/dense_seed0.json" --eta 6 > "$out/analysis/bias_dense_seed0.txt"
+entmd project "$out/sparse_seed2.json" --eta 6 > "$out/analysis/project_sparse_seed2.txt"
+entmd bias --construct 12 10 > "$out/analysis/bias_construct_12.txt"

@@ -10,6 +10,8 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
 
 * ``solve``: one ``md_polyak`` solve;
 * ``solve backtracking``: one ``md_backtracking`` solve;
+* ``solve ref``: one ``md_polyak`` solve traced against the planted
+  solution with the descent check, the certified path;
 * ``batch 1``, ``batch 5``, ``batch 28``: one lockstep batch of one
   ``md_polyak`` run, of ``md_polyak`` from five start scales (exp2's), and
   of exp1's 25 grid stepsizes with ``md_polyak``, ``hd_polyak`` and
@@ -125,6 +127,8 @@ def cases(m: int, n: int, sparsity: int, iters: int, tmp: str):
         ("solve", lambda: solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=iters, f_tol=0.0))),
         ("solve backtracking",
          lambda: solve(p, SolveConfig(Method.md_backtracking(), x0, max_iters=iters, f_tol=0.0))),
+        ("solve ref",
+         lambda: solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=iters, f_tol=0.0, trace_reference=p.planted))),
         ("batch 1", batch([Method.md_polyak()], x0[None])),
         ("batch 5", batch([Method.md_polyak()] * 5, np.array([np.full(n, s) for s in EXP2_SCALES]))),
         ("batch 28", batch(grid + POLYAK, np.tile(x0, (len(grid) + len(POLYAK), 1)))),
