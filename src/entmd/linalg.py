@@ -141,14 +141,16 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
     QR of a standard Gaussian matrix with the R diagonal sign folded into Q,
     which makes the distribution exactly Haar and the output deterministic
-    for a given generator state.
+    for a given generator state.  The fold multiplies Q in place: a copy
+    would be a second dim x dim array at the peak of instance generation.
     """
     if dim < 1:
         raise DomainError("dimension must be at least 1")
     gauss = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gauss)
     d = np.diag(r)
-    return q * np.where(d == 0.0, 1.0, np.sign(d))
+    q *= np.where(d == 0.0, 1.0, np.sign(d))
+    return q
 
 
 def kernel_projector(a) -> np.ndarray:

@@ -112,6 +112,26 @@ class TestRandomOrthogonal:
             v = rng.standard_normal(6)
             assert np.linalg.norm(q @ v) == pytest.approx(np.linalg.norm(v), rel=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim", [1, 7, 100, 257])
+    def test_bits_are_the_qr_factor_with_its_signs_folded(self, dim, seed):
+        # every seeded instance rests on these bits: the reference folds R's
+        # diagonal signs into a fresh copy of Q
+        q, r = np.linalg.qr(seeded_rng(seed).standard_normal((dim, dim)))
+        d = np.diag(r)
+        expected = q * np.where(d == 0.0, 1.0, np.sign(d))
+        assert random_orthogonal(dim, seeded_rng(seed)).tobytes() == expected.tobytes()
+
+    def test_column_over_a_zero_diagonal_keeps_its_sign(self):
+        class SingularDraw:
+            def standard_normal(self, shape):
+                return np.diag([-2.0, 0.0, 3.0])
+
+        # Q is the identity and R's diagonal is (-2, 0, 3): the first column
+        # flips, and the second, over the exact zero, is kept, not zeroed
+        q = random_orthogonal(3, SingularDraw())
+        assert np.array_equal(q, np.diag([-1.0, 1.0, 1.0]))
+
 
 def test_kernel_projector_spans_row_space():
     rng = seeded_rng(6)

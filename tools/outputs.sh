@@ -6,6 +6,8 @@
 # of the seed-0 exp1 instance, and the analysis layer: project and bias
 # from exp(-6) ones on exp2's dense seed-0 instance, project from there on
 # the sparse seed-2 instance, and bias on the n = 12 worst-case construction.
+# It also writes the sha256 of a, b and planted of the 1000x2000
+# instance that perfbench's large-certified workload solves at seed 1.
 #
 #   tools/outputs.sh DIR
 #
@@ -38,6 +40,13 @@ for spec, path in zip([InstanceSpec(60, 100, 10, seed=0), InstanceSpec(60, 100, 
                        InstanceSpec(60, 100, 10, seed=2)], sys.argv[1:]):
     save_instance(gen_instance(spec), path)
 " "$out/instance.json" "$out/dense_seed0.json" "$out/sparse_seed2.json"
+PYTHONPATH="$root/src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 -c "
+import hashlib
+from entmd import InstanceSpec, gen_instance
+p = gen_instance(InstanceSpec(1000, 2000, 100, seed=1))
+for name in ('a', 'b', 'planted'):
+    print(hashlib.sha256(getattr(p, name).tobytes()).hexdigest(), name)
+" > "$out/instance_1000x2000_seed1.sha256"
 mkdir -p "$out/solve"
 # solve exits with 2 when its budget runs out and 3 on a breakdown; 1 is an error
 rc=0

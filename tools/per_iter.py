@@ -1,4 +1,4 @@
-"""Microseconds per iteration of entmd's loops and per call of their phases, and seconds per exp1, best of N.
+"""Microseconds per iteration of entmd's loops and per phase call, seconds per exp1, MB per gen_instance, best of N.
 
 Usage, from the root of a checkout::
 
@@ -35,15 +35,24 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
 * ``exp1 (s)``: one ``run_experiment1`` on the shape's instance with the
   CLI's default methods, ``iters`` and ``limit_extra_iters`` both the
   shape's iteration count, writing its files to a temporary directory; the
-  time is seconds per call.
+  time is seconds per call;
+* ``gen_instance (MB)``: the growth of the peak resident set over one
+  ``gen_instance`` call in a fresh child process, at each shape and at
+  1000x2000 with sparsity 100, the instance of perfbench's
+  ``large-certified`` workload.  At 1000x2000 it is the QR of the 2000x2000
+  Gaussian block behind V; at 60x100 it is mostly the first LAPACK call's
+  one-time buffers.  The child reads its own ``VmHWM`` (Linux), not
+  ``ru_maxrss``: Linux carries ``ru_maxrss`` across ``exec`` from the
+  process that started the child, which here is larger than the child.
 
 The numbers measure the checkout this script is run from, through the
 package's private loops, so a before/after table comes from running it in
 two checkouts on the same machine.  ``--json PATH`` also writes the commit,
 the machine (``perfbench/envinfo.py``), the repeat count and, per row and
 shape, the min and the median of the calls, under ``us_per_iter``, under
-``us_per_call`` for the phases, or under ``s_per_call`` for the ``exp1 (s)``
-row.  Every run uses one BLAS thread.
+``us_per_call`` for the phases, under ``s_per_call`` for the ``exp1 (s)``
+row, or under ``mb_per_call`` for the ``gen_instance (MB)`` row.  Every run
+uses one BLAS thread.
 """
 
 import os
@@ -55,6 +64,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -78,6 +88,22 @@ X0 = 1e-4
 EXP2_SCALES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 POLYAK = [Method.md_polyak(), Method.hd_polyak(), Method.hd_plus_polyak()]
 EXP1 = "exp1 (s)"  # the one row timed in seconds per call
+GEN_MB = "gen_instance (MB)"  # the one row measured in MB per call, on its own shapes
+LARGE = {"1000x2000": (1000, 2000, 100)}  # perfbench's large-certified instance
+# run in a fresh interpreter, so that no earlier allocation hides the call's peak
+GEN_MB_CHILD = """
+import sys
+from entmd import InstanceSpec, gen_instance
+
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+spec = InstanceSpec(*map(int, sys.argv[1:]), seed=1)
+before = peak_mb()
+gen_instance(spec)
+print(peak_mb() - before)
+"""
 BLOCK = 28  # the rows of exp1's grid and its three Polyak runs
 PHASES = ("polyak stepsize", "exp update 1", "hd_plus update 1", f"exp update {BLOCK}", f"hd_plus update {BLOCK}",
           "dh dense ref", "dh sparse ref")
@@ -87,6 +113,14 @@ def seconds(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def gen_instance_mb(m: int, n: int, sparsity: int) -> float:
+    """MB by which one ``gen_instance`` call raises a fresh process's peak resident set."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", GEN_MB_CHILD, str(m), str(n), str(sparsity)], env=env,
+                          capture_output=True, text=True, check=True)
+    return float(done.stdout)
 
 
 def cases(m: int, n: int, sparsity: int, iters: int, tmp: str):
@@ -169,6 +203,11 @@ def main(argv=None) -> int:
     for name, row in table.items():
         digits = 3 if name == EXP1 else 1
         print(f"| {name} | " + " | ".join(f"{min(row[shape]):.{digits}f}" for shape in shapes) + " |")
+    mb_shapes = {shape: SHAPES[shape][:3] for shape in shapes} | LARGE
+    table[GEN_MB] = {shape: [gen_instance_mb(*dims) for _ in range(args.repeat)] for shape, dims in mb_shapes.items()}
+    print("\n| MB per call | " + " | ".join(mb_shapes) + " |")
+    print("| --- |" + " --- |" * len(mb_shapes))
+    print(f"| {GEN_MB} | " + " | ".join(f"{min(table[GEN_MB][shape]):.1f}" for shape in mb_shapes) + " |")
     if args.json:
         env = environment(ROOT, os.environ["OPENBLAS_NUM_THREADS"])
 
@@ -181,9 +220,10 @@ def main(argv=None) -> int:
             "environment": env,
             "repeat": args.repeat,
             "iters": {shape: SHAPES[shape][3] for shape in shapes},
-            "us_per_iter": summary([name for name in table if name != EXP1 and name not in PHASES]),
+            "us_per_iter": summary([name for name in table if name not in (EXP1, GEN_MB, *PHASES)]),
             "us_per_call": summary(PHASES),
             "s_per_call": summary([EXP1]),
+            "mb_per_call": summary([GEN_MB]),
         }
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return 0
