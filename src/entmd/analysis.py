@@ -337,10 +337,10 @@ def slow_bound(n: int, z_l1: float, eta: float) -> float:
     """Dimension-based upper bound ||z||_1 log(n) / (eta + log(||z||_1 / n))
     on the l1 gap of the limit.
 
-    Requires eta + log(z_l1 / n) > 0, i.e. the start has smaller l1 norm than z.
+    Requires eta + log(z_l1 / n) > 0, i.e. the start has smaller l1 norm than z,
+    and ``n`` a whole number of at least 1.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n = _whole(n, "n", 1)
     z_l1, eta = _finite(z_l1, "z_l1", positive=True), _finite(eta, "eta")
     den = eta + math.log(z_l1 / n)
     if den <= 0:
@@ -352,10 +352,9 @@ def improved_bound(n: int, x_l1: float, eta: float, z_l1: float) -> float:
     """Sharper upper bound ||z||_1 W_0((n-1)/e) / (eta + log(||x||_1 / n)).
 
     Dominated by :func:`slow_bound` whenever x_l1 >= z_l1, since
-    W_0((n-1)/e) <= log n.
+    W_0((n-1)/e) <= log n.  Requires ``n`` a whole number of at least 1.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n = _whole(n, "n", 1)
     x_l1, z_l1 = _finite(x_l1, "x_l1", positive=True), _finite(z_l1, "z_l1", positive=True)
     eta = _finite(eta, "eta")
     den = eta + math.log(x_l1 / n)
@@ -377,11 +376,11 @@ def worst_case_construction(n: int, eta: float) -> WorstCaseInstance:
     Raises
     ------
     DomainError
-        If ``eta`` is not finite, or too small or too large for the tuned
-        lam to lie in (0, 1) in floating point.
+        If ``n`` is not a whole number of at least 2, ``eta`` is not finite,
+        or ``eta`` is too small or too large for the tuned lam to lie in
+        (0, 1) in floating point.
     """
-    if n < 2:
-        raise DomainError("worst_case_construction needs n >= 2")
+    n = _whole(n, "n", 2)
     eta = _finite(eta, "eta")
     w = lambert_w((n - 1) / math.e, WBranch.PRINCIPAL)
     t_star = 1.0 / (1.0 + w)
@@ -495,10 +494,7 @@ def instability_escape_distance(inst: InstabilityInstance, iters: int = 10_000) 
     unless ``iters`` is a whole number of at least 1.
     """
     iters = _whole(iters, "iters", 1)
-    target = inst.scaled.planted
-    a = inst.scaled.a
-    at = np.ascontiguousarray(a.T)
-    b = inst.scaled.b
+    a, at, b, target = inst.scaled.a, inst.scaled.at, inst.scaled.b, inst.scaled.planted
     x = (1.0 + 1e-6) * target
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):

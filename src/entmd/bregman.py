@@ -252,12 +252,7 @@ def ymin_lower_bound(x_min: float, d: float) -> float:
     Returns ``-x_min * W_0(-exp(-1 - d / x_min))``, a decreasing function of
     d that equals x_min at d = 0 and decays to 0.
     """
-    x_min = float(x_min)
-    if x_min <= 0.0:
-        raise DomainError("ymin_lower_bound requires x_min > 0")
-    if d < 0.0:
-        raise DomainError("ymin_lower_bound requires d >= 0")
-    return -x_min * lambert_w(-math.exp(-1.0 - d / x_min), WBranch.PRINCIPAL)
+    return bregman_inverse_1d(x_min, d, WBranch.PRINCIPAL)
 
 
 def exp_quadratic_margin(t):

@@ -38,7 +38,8 @@ class InstanceSpec:
     """Shape, sparsity and seed of a generated instance.
 
     ``sparsity=None`` plants a dense solution; otherwise exactly that many
-    coordinates are nonzero.
+    coordinates are nonzero.  Each is a whole number, stored as an int:
+    ``m``, ``n`` and ``sparsity`` at least 1, ``seed`` at least 0.
     """
 
     m: int
@@ -47,9 +48,10 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DomainError("m and n must be positive")
-        if self.sparsity is not None and not (1 <= self.sparsity <= self.n):
+        for name, least in (("m", 1), ("n", 1), ("sparsity", 1), ("seed", 0)):
+            if name != "sparsity" or self.sparsity is not None:
+                object.__setattr__(self, name, _whole(getattr(self, name), name, least))
+        if self.sparsity is not None and self.sparsity > self.n:
             raise DomainError("sparsity must lie in [1, n] or be None for dense")
         if self.m > self.n:
             warnings.warn("m > n: the system is not underdetermined", stacklevel=2)

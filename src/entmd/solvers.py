@@ -45,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -135,29 +136,37 @@ class Method:
         return self.kind
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """A linear system A x = b, optionally with a known nonnegative solution."""
+    """A linear system A x = b, optionally with a known nonnegative solution.
+
+    Read-only once validated; ``at``, A^T made C-contiguous on first use, stays that of ``a``.
+    """
 
     a: np.ndarray
     b: np.ndarray
     planted: np.ndarray | None = None
 
     def __post_init__(self):
-        self.a = as_matrix(self.a)
-        self.b = as_vector(self.b)
-        if self.b.shape[0] != self.a.shape[0]:
+        a, b, z = as_matrix(self.a), as_vector(self.b), self.planted
+        if b.shape[0] != a.shape[0]:
             raise DimensionMismatch("right-hand side length must equal the number of rows")
-        if self.planted is not None:
-            z = as_vector(self.planted)
-            if z.shape[0] != self.a.shape[1]:
+        if z is not None:
+            z = as_vector(z)
+            if z.shape[0] != a.shape[1]:
                 raise DimensionMismatch("planted solution length must equal the number of columns")
             if np.any(z < 0):
                 raise DomainError("planted solution must be nonnegative")
-            resid = vector_norm(self.a @ z - self.b)
-            if resid > 1e-10 * (1.0 + vector_norm(self.b)):
+            resid = vector_norm(a @ z - b)
+            if resid > 1e-10 * (1.0 + vector_norm(b)):
                 raise DomainError(f"planted vector is not a solution (residual {resid:g})")
-            self.planted = z
+        for name, value in (("a", a), ("b", b), ("planted", z)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        """A^T as a C-contiguous array, so that ``at @ r`` is one row-major GEMV."""
+        return np.ascontiguousarray(self.a.T)
 
     @property
     def m(self) -> int:
@@ -545,8 +554,7 @@ def _first_trial(g0: np.ndarray) -> float:
 
 def _objective_gradient(p: ProblemInstance, kind: str):
     """The callback ``fg(x) -> (f, grad f)`` that :func:`solve` iterates on for ``kind``."""
-    a, b, n = p.a, p.b, p.n
-    at = np.ascontiguousarray(a.T)
+    a, at, b, n = p.a, p.at, p.b, p.n
     if kind == "eg_pm":
         # eg_pm is md_polyak on w = (u, v) for the stacked matrix [A, -A]
         def fg(w):
@@ -630,8 +638,7 @@ def _lockstep(p: ProblemInstance, methods: list[Method], x0: np.ndarray, iters: 
 
     The runs' traces are rows of one (runs, iters) record array.
     """
-    a, b = p.a, p.b
-    at = np.ascontiguousarray(a.T)
+    a, at, b = p.a, p.at, p.b
     rows = len(methods)
     updates = [_UPDATES[m.kind] for m in methods]
     shrink = np.array([m.shrink for m in methods])
@@ -800,8 +807,7 @@ def _replay_divergence(p: ProblemInstance, methods: list[Method], marks: np.ndar
     InfiniteDivergence
         If D_h(refs[r], x0) is infinite for some run.
     """
-    a, b = p.a, p.b
-    at = np.ascontiguousarray(a.T)
+    a, at, b = p.a, p.at, p.b
     lengths = [len(recorded) for recorded in steps]
     stride = min(max([1, *lengths]), _MARK_EVERY)
     stretches = [-(-max(length, 1) // stride) for length in lengths]

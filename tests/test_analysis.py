@@ -38,6 +38,7 @@ from entmd import (
     sublinear_bound_curve,
     worst_case_construction,
 )
+from entmd.linalg import vector_norm
 from conftest import (
     centered_gaussian_instance,
     gram_test_matrices,
@@ -333,9 +334,13 @@ class TestBounds:
         (improved_bound, (5, 1.0, math.inf, 1.0), "eta must be finite"),
         (improved_bound, (5, 1.0, 10.0, 0.0), "z_l1 must be finite and positive"),
         (improved_bound, (5, 1.0, 10.0, math.nan), "z_l1 must be finite"),
+        (slow_bound, (12.5, 1.0, 5.0), "n must be a whole number of at least 1"),
+        (slow_bound, ("12", 1.0, 5.0), "n must be a whole number of at least 1"),
+        (improved_bound, (12.5, 1.0, 5.0, 1.0), "n must be a whole number of at least 1"),
+        (improved_bound, (0, 1.0, 5.0, 1.0), "n must be a whole number of at least 1"),
     ])
     def test_bad_arguments_raise_a_typed_error(self, bound, args, match):
-        # these used to raise math's untyped ValueError, or return nan, 0 or inf
+        # these used to raise untyped ValueError or TypeError, or return nan, 0, inf or, for a non-whole n, a number
         with pytest.raises(DomainError, match=match):
             bound(*args)
 
@@ -379,6 +384,12 @@ class TestWorstCaseConstruction:
         # used to blame a small eta for the nan weight lam
         with pytest.raises(DomainError, match="eta must be finite"):
             worst_case_construction(12, eta)
+
+    # 12.5 used to reach numpy's TypeError
+    @pytest.mark.parametrize("n", [12.5, 1, "12"])
+    def test_n_must_be_whole_and_at_least_two(self, n):
+        with pytest.raises(DomainError, match="n must be a whole number of at least 2"):
+            worst_case_construction(n, 5.0)
 
     def test_eta_too_large(self):
         # lam < 1 exactly, but at eta = 1e17 it rounds to 1
@@ -502,6 +513,26 @@ class TestInstability:
         inst = instability_construction(positive_solution_instance(8, 5, seed=47), 0.7)
         with pytest.raises(DomainError, match="iters"):
             instability_escape_distance(inst, iters=iters)
+
+    def test_escape_distance_matches_a_loop_with_its_own_transpose(self):
+        # the 60x100 instance perfbench's diagnostics workload destabilizes at seed 1
+        inst = instability_construction(gen_instance(InstanceSpec(60, 100, None, seed=13)), 1.0)
+        a, b, target = inst.scaled.a, inst.scaled.b, inst.scaled.planted
+        at = np.ascontiguousarray(a.T)
+        x, worst = (1.0 + 1e-6) * target, 0.0
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for _ in range(10_000):
+                g = at @ (a @ x - b)
+                if not np.all(np.isfinite(g)):
+                    break
+                x_next = x * np.exp(-inst.alpha * g)
+                x_next[x == 0.0] = 0.0
+                if not np.all(np.isfinite(x_next)):
+                    break
+                x = x_next
+                worst = max(worst, vector_norm(x - target))
+        assert worst > 0.1 * vector_norm(target)
+        assert instability_escape_distance(inst) == worst
 
     def test_needs_planted(self):
         p = ProblemInstance([[1.0]], [1.0])

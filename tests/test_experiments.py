@@ -69,6 +69,19 @@ class TestGenInstance:
         with pytest.warns(UserWarning):
             InstanceSpec(6, 4, sparsity=2, seed=0)
 
+    # non-whole m, n and sparsity used to reach numpy's TypeError, a negative seed its ValueError
+    @pytest.mark.parametrize("fields", [dict(m=6.5), dict(n=10.5), dict(m="6"), dict(sparsity=2.5),
+                                        dict(sparsity=0), dict(seed=-1), dict(seed=1.5), dict(m=math.nan)])
+    def test_dimensions_and_seed_must_be_whole(self, fields):
+        with pytest.raises(DomainError, match=f"{next(iter(fields))} must be a whole number"):
+            InstanceSpec(**{"m": 6, "n": 10, "sparsity": 3, "seed": 0, **fields})
+
+    def test_whole_floats_are_stored_as_ints(self):
+        spec = InstanceSpec(6.0, 10.0, np.int64(3), seed=7.0)
+        assert spec == InstanceSpec(6, 10, 3, seed=7)
+        assert all(type(v) is int for v in (spec.m, spec.n, spec.sparsity, spec.seed))
+        assert gen_instance(spec).a.tobytes() == gen_instance(InstanceSpec(6, 10, 3, seed=7)).a.tobytes()
+
 
 class TestExperiment1:
     def test_single_method_shape(self, tmp_path):

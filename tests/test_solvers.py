@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,19 @@ class TestProblemInstance:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ProblemInstance([[1.0, 1.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("field", ["a", "b", "planted"])
+    def test_fields_are_read_only(self, field):
+        # an assignment would skip the checks and leave the transposed copy stale
+        p = gen_instance(InstanceSpec(6, 10, 3, seed=7))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, getattr(p, field).copy())
+
+    def test_transpose_is_made_once(self):
+        p = gen_instance(InstanceSpec(6, 10, 3, seed=7))
+        assert p.at is p.at
+        assert p.at.flags.c_contiguous
+        assert p.at.tobytes() == np.ascontiguousarray(p.a.T).tobytes()
 
 
 class TestPolyakStepsize:

@@ -5,7 +5,9 @@
 # whole replay stretches of 256 and a partial one), a traced CLI solve
 # of the seed-0 exp1 instance, and the analysis layer: project and bias
 # from exp(-6) ones on exp2's dense seed-0 instance, project from there on
-# the sparse seed-2 instance, and bias on the n = 12 worst-case construction.
+# the sparse seed-2 instance, bias on the n = 12 worst-case construction,
+# instability at alpha = 1 on the dense seed-0 instance, and rate-cert on
+# a square 20x20 dense instance, whose planted z is its unique solution.
 # It also writes the sha256 of a, b and planted of the 1000x2000
 # instance that perfbench's large-certified workload solves at seed 1.
 #
@@ -37,9 +39,9 @@ import sys
 from entmd import InstanceSpec, gen_instance
 from entmd.cli import save_instance
 for spec, path in zip([InstanceSpec(60, 100, 10, seed=0), InstanceSpec(60, 100, None, seed=0),
-                       InstanceSpec(60, 100, 10, seed=2)], sys.argv[1:]):
+                       InstanceSpec(60, 100, 10, seed=2), InstanceSpec(20, 20, None, seed=0)], sys.argv[1:]):
     save_instance(gen_instance(spec), path)
-" "$out/instance.json" "$out/dense_seed0.json" "$out/sparse_seed2.json"
+" "$out/instance.json" "$out/dense_seed0.json" "$out/sparse_seed2.json" "$out/square20_seed0.json"
 PYTHONPATH="$root/src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 -c "
 import hashlib
 from entmd import InstanceSpec, gen_instance
@@ -58,3 +60,5 @@ entmd project "$out/dense_seed0.json" --eta 6 > "$out/analysis/project_dense_see
 entmd bias "$out/dense_seed0.json" --eta 6 > "$out/analysis/bias_dense_seed0.txt"
 entmd project "$out/sparse_seed2.json" --eta 6 > "$out/analysis/project_sparse_seed2.txt"
 entmd bias --construct 12 10 > "$out/analysis/bias_construct_12.txt"
+entmd instability "$out/dense_seed0.json" --alpha 1 > "$out/analysis/instability_dense_seed0.txt"
+entmd rate-cert "$out/square20_seed0.json" > "$out/analysis/rate_cert_square20_seed0.txt"
