@@ -343,8 +343,7 @@ def _build_parser() -> _Parser:
     pp.add_argument("--eta", type=float, default=None)
     pp.add_argument("--x0-scale", type=float, default=None)
     pp.add_argument("--tol", type=float, default=None, help="residual-norm tolerance")
-    pp.add_argument("--iters", type=int, default=200_000,
-                    help="budget of Newton steps plus md_polyak iterations")
+    pp.add_argument("--iters", type=int, default=1000, help="budget of Newton steps")
     pp.set_defaults(func=_cmd_project)
 
     pb = sub.add_parser("bias", parents=[common], help="sparsity-bias report")

@@ -313,12 +313,6 @@ def _exp_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
     return out
 
 
-def _hd_update(x: np.ndarray, g: np.ndarray, alpha) -> np.ndarray:
-    out = _hd_mult(x, g, alpha)
-    _frozen_sum(x, out)
-    return out
-
-
 # Each kind's update without its mask, keyed by every kind a Method takes,
 # and the kinds' updates that mask
 _UPDATES = {

@@ -1,4 +1,6 @@
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -61,13 +63,14 @@ class TestBregmanProjection:
         assert bregman_projection(p, [7.0]) == pytest.approx([1.0], abs=1e-10)
 
     def test_budget_error(self):
+        # Newton needs 6 steps here
         p = centered_gaussian_instance(4, 8, 2, seed=40)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="the step budget ran out"):
             bregman_projection(p, np.full(8, 0.1), max_iters=3)
 
     @pytest.mark.parametrize("max_iters", [2.5, "40"])
     def test_budget_must_be_a_whole_number(self, max_iters):
-        # 2.5 used to run the Newton steps and the solve on a budget of 2
+        # 2.5 used to run the Newton steps on a budget of 2
         p = ProblemInstance([[1.0]], [1.0])
         with pytest.raises(DomainError, match="max_iters must be a whole number"):
             bregman_projection(p, [0.01], max_iters=max_iters)
@@ -109,16 +112,20 @@ class TestBregmanProjection:
         assert 0.0 < x[2] <= entmd.analysis.DEFAULT_PROJECTION_TOL
 
     def test_boundary_limit_budget_error(self):
-        # exp1's instance: the limit is on the boundary and 2000 steps do not reach f <= 1e-24
+        # exp1's instance: the limit is on the boundary, below the double range in 33 entries.  Newton
+        # reaches f <= 1e-24 in 51 steps with 32 entries at 0.0 and raises at once; the md_polyak
+        # finisher it once had ran 2000 iterations before giving up
         p = gen_instance(InstanceSpec(60, 100, 10, seed=1))
-        with pytest.raises(ConvergenceError):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="in 51 Newton steps with 32 entries underflowed to 0.0"):
             bregman_projection(p, np.full(100, math.exp(-6.0)), max_iters=2000)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_newton_phase_runs_from_a_tiny_dense_start(self, seed):
         # from exp(-50) * ones the first Newton direction has max |A^T d| ~ 6e21, and
         # the line search accepts its first step after 67 halvings, past the 60 it
-        # once had; the finisher alone ran out of its 200000 iterations on seeds 0 and 1
+        # once had; md_polyak alone ran out of 200000 iterations on seeds 0 and 1
         p = gen_instance(InstanceSpec(60, 100, None, seed=seed))
         x0 = np.full(100, math.exp(-50.0))
         _, steps = entmd.analysis._dual_newton(p, x0, 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2, 50)
@@ -128,70 +135,57 @@ class TestBregmanProjection:
         assert orthogonality_residual(p, x0, x_star).residual <= 1e-9
 
     def test_overflowing_residual_raises_without_warning(self):
-        # f(x0) overflows: the Newton phase stops at once and the solve breaks down
+        # f(x0) overflows: Newton stops at once and names the cause
         p = centered_gaussian_instance(4, 8, 2, seed=40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="NumericalBreakdown"):
+            with pytest.raises(ConvergenceError, match="the residual is not finite"):
                 bregman_projection(p, np.full(8, 1e200))
 
     @pytest.mark.parametrize("scale, max_iters, counts", [
-        (1e160, 200_000, "in 0 iterations, 0 Newton steps and 0 of"),
-        (1e-4, 3, "in 3 iterations, 2 Newton steps and 1 of"),
+        (1e160, 200_000, "in 0 Newton steps: the residual is not finite"),
+        (1e-4, 3, "in 3 Newton steps: the step budget ran out"),
     ])
     def test_budget_error_names_the_iterations_run(self, scale, max_iters, counts):
-        # from 1e160 the finisher breaks down at once; the message used to claim the whole budget
+        # f(x0) overflows from 1e160; a message once claimed the whole budget there
         p = gen_instance(InstanceSpec(4, 8, None, seed=1))
         with pytest.raises(ConvergenceError, match=counts):
             bregman_projection(p, np.full(8, scale), max_iters=max_iters)
 
+    def test_infeasible_system_spends_the_default_budget(self):
+        # no nonnegative solution: psi falls without bound along ker(A^T), f stays at 1/3, and r^T d stays
+        # above the rounding floor; the default budget is Newton steps, not the 200000 finisher iterations
+        p = ProblemInstance([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="in 1000 Newton steps: the step budget ran out"):
+            bregman_projection(p, [0.1])
+
     def test_overflowing_hessian_raises_a_typed_error(self):
         # f(x0) = 1 but A diag(x0) A^T is inf and singular; least squares on it fails inside LAPACK
         p = ProblemInstance([[1.0, -1.0], [1.0, -1.0]], [1.0, 1.0])
-        with pytest.raises(ConvergenceError, match="MaxIters"):
+        with pytest.raises(ConvergenceError, match="in 0 Newton steps: the Hessian .* is not finite"):
             bregman_projection(p, [1e308, 1e308], max_iters=1000)
 
-    def test_newton_steps_count_against_the_budget(self, monkeypatch):
-        budgets = []
-
-        def recording_solve(p, cfg):
-            budgets.append(cfg.max_iters)
-            return solve(p, cfg)
-
-        monkeypatch.setattr(entmd.analysis, "solve", recording_solve)
+    def test_newton_steps_count_against_the_budget(self):
         p = centered_gaussian_instance(5, 10, 3, seed=41)
         x0 = np.full(10, math.exp(-2.0))
-        bregman_projection(p, x0, max_iters=40)  # md_polyak alone needs thousands of iterations
-        with pytest.raises(ConvergenceError):
-            bregman_projection(p, x0, max_iters=1)
-        _, steps = entmd.analysis._dual_newton(p, x0, 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2, 39)
-        assert 0 < steps < 40
-        assert budgets == [40 - steps, 1]
+        x, steps = entmd.analysis._dual_newton(p, x0, 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2, 40)
+        assert steps == 5
+        assert bregman_projection(p, x0, max_iters=steps).tobytes() == x.tobytes()
+        with pytest.raises(ConvergenceError, match="in 4 Newton steps: the step budget ran out"):
+            bregman_projection(p, x0, max_iters=steps - 1)
 
-    def test_finisher_converges_where_newton_stops_on_the_normal_floor(self, monkeypatch):
-        # the one observed case where the md_polyak finisher converges after doing work: the Newton
-        # steps run out just above f_tol with the boundary entries pinned at the smallest normal double
-        finishes = []
-
-        def recording_solve(p, cfg):
-            res = solve(p, cfg)
-            finishes.append((cfg.max_iters, res))
-            return res
-
-        monkeypatch.setattr(entmd.analysis, "solve", recording_solve)
+    def test_newton_converges_past_the_normal_floor(self):
+        # sparse seed 2 from exp(-6): Newton used to stop at its 50-step cap just above f_tol, with the
+        # boundary entries pinned at the smallest normal double, and an md_polyak finisher took the last
+        # step.  Trial entries below that floor now come from log x, and Newton converges alone
         p = gen_instance(InstanceSpec(60, 100, 10, seed=2))
         x0 = np.full(100, math.exp(-6.0))
         f_tol = 0.5 * entmd.analysis.DEFAULT_PROJECTION_TOL ** 2
-        x_newton, steps = entmd.analysis._dual_newton(p, x0, f_tol, entmd.analysis._NEWTON_STEPS)
-        r = p.a @ x_newton - p.b
-        assert steps == entmd.analysis._NEWTON_STEPS and 0.5 * float(r @ r) > f_tol
-        assert math.isclose(x_newton.min(), np.finfo(float).tiny, rel_tol=1e-9)
-        x = bregman_projection(p, x0)
-        (budget, res), = finishes
-        assert budget == 200_000 - steps
-        assert res.status is Status.CONVERGED and res.iters_run == 1
-        r = p.a @ x - p.b
-        assert 0.5 * float(r @ r) <= f_tol
+        x_newton, steps = entmd.analysis._dual_newton(p, x0, f_tol, 1000)
+        assert steps == 30
+        assert 0.0 < x_newton.min() < np.finfo(float).tiny  # subnormal, 2.6e-312
+        assert objective(p, x_newton) <= 1e-24
+        assert bregman_projection(p, x0).tobytes() == x_newton.tobytes()
 
 
 @st.composite
@@ -227,6 +221,24 @@ class TestBregmanProjectionProperties:
         ref = solve(p, SolveConfig(Method.md_polyak(), x0, max_iters=5000, f_tol=1e-24))
         if ref.status is Status.CONVERGED:
             assert np.max(np.abs(x - ref.x_final)) <= 1e-8 * np.max(ref.x_final)
+
+    # exp2's dense instances at desk scale and below, from starts down to exp(-100), where the
+    # smallest entry of the limit can leave the double range
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.integers(20, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(max(40, m), 100))),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 100.0))
+    def test_dense_draws_converge_or_name_the_cause(self, shape, seed, eta):
+        p = gen_instance(InstanceSpec(*shape, None, seed=seed))
+        x0 = np.full(p.n, math.exp(-eta))
+        try:
+            x = bregman_projection(p, x0)
+        except ConvergenceError as exc:
+            assert re.search("the residual is not finite|the Hessian A diag\\(x\\) A\\^T is not finite|the rounding "
+                             "floor|no step passes the line search|the step budget ran out|underflowed to 0.0",
+                             str(exc))
+            return
+        assert objective(p, x) <= 1e-24
+        assert orthogonality_residual(p, x0, x).residual <= 1e-9
 
 
 class TestOrthogonalityResidual:
