@@ -169,6 +169,9 @@ def _dual_newton(p: ProblemInstance, x: np.ndarray, f_tol: float, steps: int) ->
     ConvergenceError naming why Newton stopped short (a non-finite residual
     or Hessian, r^T d <= 0 at the rounding floor, no admissible step, the
     step budget) or that it converged with an entry at 0.0, on the boundary.
+    A stop with entries of x below the smallest normal double also names
+    their count and min x: a start below about exp(-708) stops at step 0 on
+    the rounding floor of a Hessian formed from subnormals.
     """
     a, b = p.a, p.b
     with np.errstate(all="ignore"):
@@ -218,6 +221,10 @@ def _dual_newton(p: ProblemInstance, x: np.ndarray, f_tol: float, steps: int) ->
             x = np.where(x_t >= _TINY, x_t, np.exp(theta + s))
             theta += s
             r = b - a @ x
+    low = np.count_nonzero(x < _TINY)
+    if low:
+        cause += (f", with {low} entries of x below the smallest normal double (min x = {float(x.min()):g}), "
+                  "from which A diag(x) A^T loses its precision")
     raise ConvergenceError(f"projection did not reach f <= {f_tol:g} in {k} Newton steps: {cause} (f = {f:g})")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionMismatch, DomainError
-from .linalg import max_col_norm_sq, random_orthogonal, seeded_rng
+from .linalg import _aligned_empty, max_col_norm_sq, random_orthogonal, seeded_rng
 from .solvers import (_MARK_EVERY, _RULES, Method, ProblemInstance, SolveConfig, SolveResult, Status, _continue,
                       _lockstep, _replay_divergence, _whole, solve)
 
@@ -108,13 +108,20 @@ def gen_instance(spec: InstanceSpec) -> ProblemInstance:
     the (m, m) Gaussian block behind U, the (n, n) block behind V, the
     min(m, n) singular values |N(0, 1)|, the support indices (uniform
     without replacement), and the support values (uniform on [0, 1]).
+
+    U's block is drawn twice: it is skipped in the stream, and once V is
+    formed it is drawn again from a fresh generator for the same seed, whose
+    first draw is that same block.  So U is not alive during the QR of V's
+    block, the memory peak of a large instance, and the bytes are those of
+    the draw order above.  A is written into a 64-byte aligned array.
     """
     rng = seeded_rng(spec.seed)
-    u = random_orthogonal(spec.m, rng)
+    rng.standard_normal((spec.m, spec.m))
     v = random_orthogonal(spec.n, rng)
+    u = random_orthogonal(spec.m, seeded_rng(spec.seed))
     k = min(spec.m, spec.n)
     sigma = np.abs(rng.standard_normal(k))
-    a = (u[:, :k] * sigma) @ v[:, :k].T
+    a = np.matmul(u[:, :k] * sigma, v[:, :k].T, out=_aligned_empty((spec.m, spec.n)))
     z = np.zeros(spec.n)
     if spec.sparsity is None:
         z = rng.uniform(0.0, 1.0, spec.n)

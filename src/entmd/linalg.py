@@ -50,6 +50,20 @@ def as_vector(x) -> np.ndarray:
     return x
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float array whose data starts on a 64-byte boundary.
+
+    numpy's allocator gives 16-byte alignment, so where a matrix lands
+    depends on the heap's earlier allocations; OpenBLAS's GEMV pair at
+    60x100 runs 10-15% slower on a matrix that is not 32-byte aligned, with
+    the same bits.
+    """
+    size = math.prod(shape)
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size].reshape(shape)
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic generator used throughout: 64-bit counter-based Philox."""
     return np.random.Generator(np.random.Philox(seed))

@@ -58,7 +58,7 @@ from .errors import (
     DomainError,
     InfiniteDivergence,
 )
-from .linalg import as_matrix, as_vector, vector_norm
+from .linalg import _aligned_empty, as_matrix, as_vector, vector_norm
 
 __all__ = [
     "Status",
@@ -165,8 +165,10 @@ class ProblemInstance:
 
     @cached_property
     def at(self) -> np.ndarray:
-        """A^T as a C-contiguous array, so that ``at @ r`` is one row-major GEMV."""
-        return np.ascontiguousarray(self.a.T)
+        """A^T as a C-contiguous, 64-byte aligned array, so that ``at @ r`` is one row-major GEMV."""
+        at = _aligned_empty(self.a.shape[::-1])
+        at[...] = self.a.T
+        return at
 
     @property
     def m(self) -> int:

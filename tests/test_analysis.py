@@ -187,6 +187,24 @@ class TestBregmanProjection:
         assert objective(p, x_newton) <= 1e-24
         assert bregman_projection(p, x0).tobytes() == x_newton.tobytes()
 
+    @pytest.mark.parametrize("eta", [720.0, 740.0])
+    def test_subnormal_start_names_its_subnormal_entries(self, eta):
+        # every entry of exp(-eta) * ones is subnormal: the Hessian formed from them has lost its precision,
+        # so Newton stops at step 0 on the rounding floor, and the message says why
+        p = gen_instance(InstanceSpec(60, 100, None, seed=0))
+        x0 = np.full(100, math.exp(-eta))
+        with pytest.raises(ConvergenceError, match="in 0 Newton steps: r\\^T d <= 0, the rounding floor, with 100 "
+                                                   f"entries of x below the smallest normal double \\(min x = "
+                                                   f"{x0[0]:g}\\)") as info:
+            bregman_projection(p, x0)
+        assert "underflowed to 0.0" not in str(info.value)
+
+    def test_start_just_above_the_subnormals_keeps_the_boundary_message(self):
+        p = gen_instance(InstanceSpec(60, 100, None, seed=0))
+        with pytest.raises(ConvergenceError, match="in 257 Newton steps with 17 entries underflowed to 0.0: the "
+                                                   "limit is on the boundary$"):
+            bregman_projection(p, np.full(100, math.exp(-709.0)))
+
 
 @st.composite
 def projection_cases(draw):

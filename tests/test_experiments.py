@@ -21,6 +21,7 @@ from entmd import (
     seeded_rng,
     solve,
 )
+from entmd.linalg import random_orthogonal
 from entmd.solvers import _lockstep
 
 
@@ -62,6 +63,37 @@ class TestGenInstance:
         evals = np.linalg.eigvalsh(p.a.T @ p.a)
         nonzero = np.sqrt(np.clip(evals[-8:], 0.0, None))
         assert np.max(np.abs(np.sort(nonzero) - sigma)) < 1e-8
+
+    @staticmethod
+    def _in_draw_order(spec):
+        # the documented draw order, verbatim: U's block, V's block, sigma and the support from one stream
+        rng = seeded_rng(spec.seed)
+        u = random_orthogonal(spec.m, rng)
+        v = random_orthogonal(spec.n, rng)
+        k = min(spec.m, spec.n)
+        sigma = np.abs(rng.standard_normal(k))
+        a = (u[:, :k] * sigma) @ v[:, :k].T
+        z = np.zeros(spec.n)
+        if spec.sparsity is None:
+            z = rng.uniform(0.0, 1.0, spec.n)
+        else:
+            support = rng.choice(spec.n, size=spec.sparsity, replace=False)
+            z[support] = rng.uniform(0.0, 1.0, spec.sparsity)
+        return a, a @ z, z
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m, n, sparsity", [(1, 1, None), (4, 6, 2), (5, 5, None), (8, 12, None), (6, 4, 2),
+                                                (60, 100, 10)])
+    def test_bits_match_the_documented_draw_order(self, m, n, sparsity, seed):
+        # gen_instance draws U's block from a second generator after V; the bytes must not move
+        if m > n:
+            with pytest.warns(UserWarning):
+                spec = InstanceSpec(m, n, sparsity, seed=seed)
+        else:
+            spec = InstanceSpec(m, n, sparsity, seed=seed)
+        p = gen_instance(spec)
+        for got, want in zip((p.a, p.b, p.planted), self._in_draw_order(spec)):
+            assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(DomainError):

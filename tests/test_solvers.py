@@ -101,6 +101,18 @@ class TestProblemInstance:
         assert p.at.flags.c_contiguous
         assert p.at.tobytes() == np.ascontiguousarray(p.a.T).tobytes()
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (6, 10), (60, 100), (300, 500)])
+    def test_generated_matrix_and_transpose_are_64_byte_aligned(self, m, n):
+        # a GEMV on a matrix off a 32-byte boundary is slower; where the heap puts it must not matter
+        p = gen_instance(InstanceSpec(m, n, None, seed=1))
+        assert p.a.flags.c_contiguous and p.a.ctypes.data % 64 == 0
+        assert p.at.flags.c_contiguous and p.at.ctypes.data % 64 == 0
+
+    def test_transpose_of_an_unaligned_view_is_aligned(self):
+        p = ProblemInstance(np.arange(120.0).reshape(3, 40)[:, 1:], np.ones(3))  # starts 8 bytes in
+        assert p.at.ctypes.data % 64 == 0
+        assert p.at.tobytes() == np.ascontiguousarray(p.a.T).tobytes()
+
 
 class TestPolyakStepsize:
     # _polyak_stepsize(x, g, f, c, ||g||_inf), the stepsize every Polyak solve takes

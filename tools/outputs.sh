@@ -10,8 +10,12 @@
 # (exp2's 1e-32 start), bias on the n = 12 worst-case construction,
 # instability at alpha = 1 on the dense seed-0 instance, and rate-cert on
 # a square 20x20 dense instance, whose planted z is its unique solution.
-# It also writes the sha256 of a, b and planted of the 1000x2000
-# instance that perfbench's large-certified workload solves at seed 1.
+# It also writes the sha256 of a, b and planted of instances from every
+# branch of gen_instance: the 1000x2000 sparsity-100 instance that
+# perfbench's large-certified workload solves at seeds 1 and 2, the
+# 300x500 sparsity-30 instance of paper-scale exp1, the 120x200 dense
+# instance of perfbench's rate certificate, and a tall 6x4 sparsity-2
+# instance.
 #
 #   tools/outputs.sh DIR
 #
@@ -46,13 +50,16 @@ for spec, path in zip([InstanceSpec(60, 100, 10, seed=0), InstanceSpec(60, 100, 
     save_instance(gen_instance(spec), path)
 " "$out/instance.json" "$out/dense_seed0.json" "$out/sparse_seed2.json" "$out/square20_seed0.json" \
     "$out/dense_seed1.json"
-PYTHONPATH="$root/src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 -c "
+# InstanceSpec warns that the tall 6x4 system is not underdetermined
+PYTHONPATH="$root/src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 -W ignore::UserWarning -c "
 import hashlib
 from entmd import InstanceSpec, gen_instance
-p = gen_instance(InstanceSpec(1000, 2000, 100, seed=1))
-for name in ('a', 'b', 'planted'):
-    print(hashlib.sha256(getattr(p, name).tobytes()).hexdigest(), name)
-" > "$out/instance_1000x2000_seed1.sha256"
+for m, n, sparsity, seed in [(1000, 2000, 100, 1), (1000, 2000, 100, 2), (300, 500, 30, 0), (120, 200, None, 0),
+                             (6, 4, 2, 0)]:
+    p = gen_instance(InstanceSpec(m, n, sparsity, seed=seed))
+    for name in ('a', 'b', 'planted'):
+        print(hashlib.sha256(getattr(p, name).tobytes()).hexdigest(), f'{m}x{n}', sparsity, f'seed{seed}', name)
+" > "$out/instances.sha256"
 mkdir -p "$out/solve"
 # solve exits with 2 when its budget runs out and 3 on a breakdown; 1 is an error
 rc=0
