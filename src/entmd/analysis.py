@@ -67,7 +67,8 @@ _TINY = float(np.finfo(float).tiny)
 # Pivot cap of the l1 oracle per row plus column of A.  On gen_instance draws
 # the simplex took at most 0.70 (m + n) pivots at 8x12, 1.18 at 60x100 and
 # 1.30 at 120x200, and 3.15-5.14 at the paper's 300x500 (seeds 0-4, sparsity
-# 30; 1.0-2.0 s on one core of a 2-core Xeon), well inside 25.
+# 30; 0.5-0.9 s on one core of a 2-core Xeon, one k = 1 BLAS product per
+# pivot), well inside 25.
 _LP_PIVOTS_PER_DIM = 25
 _LP_TOL = 1e-9  # pivot and reduced-cost tolerance; rows are scaled to max |a_ij| = 1
 
@@ -539,19 +540,23 @@ def sublinear_bound_curve(trace: np.recarray, x_star, x0, max_col_sq: float):
 
 def _pivot(t: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
     """Make column j of the simplex tableau ``t`` basic in row r."""
-    t[r] /= t[r, j]
+    row = t[r]
+    row /= row[j]
     col = t[:, j].copy()
     col[r] = 0.0
-    t -= col[:, None] * t[r]
+    # one BLAS product with k = 1, faster than a broadcast: each entry is the single rounded product
+    # col_i t_rk, so the values are an elementwise outer product's; only an exact zero's sign may differ,
+    # and no comparison or division reads it
+    t -= np.dot(col[:, None], row[None, :])
     basis[r] = j
 
 
 def _ratio_test(t: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Rows of column j's positive entries, their ratio-test ratios and the smallest ratio (nan if none)."""
     col = t[:-1, j]
-    rows = (col > _LP_TOL).nonzero()[0]
-    ratios = t[rows, -1] / col[rows]
-    return rows, ratios, ratios.min() if rows.size else math.nan
+    rows = (col > _LP_TOL).nonzero()[0]  # NaN entries stay out
+    ratios = t[:-1, -1][rows] / col[rows]
+    return rows, ratios, np.minimum.reduce(ratios) if rows.size else math.nan
 
 
 def _simplex(t: np.ndarray, basis: np.ndarray, budget: int) -> int:
@@ -594,18 +599,21 @@ def l1_minimal_solution(p: ProblemInstance) -> np.ndarray:
     their largest |a_ij| and signed so that b_i >= 0.
     Phase one minimizes the sum of artificial residuals; artificials still
     basic at level zero are pivoted out, or their rows dropped as redundant.
-    Phase two minimizes 1^T x, and x re-solves the scaled system on the
-    final basis's columns by least squares.  Both phases together take at
-    most ``_LP_PIVOTS_PER_DIM * (m + n)`` pivots; at the paper's 300x500
-    shape they take 3-5 (m + n), 1-2 s.  b counts as feasible where phase
-    one's optimum, min over x >= 0 of sum_i |A_i x - b_i| / max_j |a_ij|, is
-    at most 1e-9 (1 + that sum at x = 0).
+    Phase two minimizes 1^T x, and x solves the kept rows of the scaled
+    system on the final basis's columns, a square nonsingular matrix, by
+    one LU solve.  Both phases together take at most
+    ``_LP_PIVOTS_PER_DIM * (m + n)`` pivots; at the paper's 300x500 shape
+    they take 3-5 (m + n), 0.5-0.9 s on one core.  b counts as feasible
+    where phase one's optimum, min over x >= 0 of
+    sum_i |A_i x - b_i| / max_j |a_ij|, is at most 1e-9 (1 + that sum at
+    x = 0).
 
     Raises
     ------
     ConvergenceError
-        If b is infeasible (the system has no nonnegative solution), or the
-        pivot cap is reached.
+        If b is infeasible (the system has no nonnegative solution), the
+        pivot cap is reached, or the final basis is singular in floating
+        point.
     """
     m, n = p.m, p.n
     scale = np.max(np.abs(p.a), axis=1, initial=0.0)
@@ -630,8 +638,13 @@ def l1_minimal_solution(p: ProblemInstance) -> np.ndarray:
     t[-1] = -np.sum(t[:-1], axis=0)
     t[-1, :n] += 1.0
     _simplex(t, basis, budget)
+    kept = keep[:m]
+    try:  # the kept rows of the final basis's columns: square, and nonsingular in exact arithmetic
+        x_basis = np.linalg.solve(a[kept][:, basis], b[kept])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"the l1 oracle's final basis is singular: {exc}") from exc
     x = np.zeros(n)
-    x[basis] = np.clip(np.linalg.lstsq(a[:, basis], b, rcond=None)[0], 0.0, None)
+    x[basis] = np.clip(x_basis, 0.0, None)
     return x
 
 
@@ -640,11 +653,11 @@ def bias_report(p: ProblemInstance, eta: float, rng=None) -> BiasReport:
 
     The exact gap and the l1-minimal solution come from
     :func:`l1_minimal_solution`; they are None only where it stops at its
-    pivot cap.  Each upper bound is None where its hypothesis fails.  A
-    start exp(-eta) that overflows to inf, underflows to 0 or is nan raises
-    DomainError.  ``rng`` is ignored: the report draws nothing at random,
-    and the keyword stays for callers written when the orthogonality check
-    sampled directions.
+    pivot cap or on a singular final basis.  Each upper bound is None where
+    its hypothesis fails.  A start exp(-eta) that overflows to inf,
+    underflows to 0 or is nan raises DomainError.  ``rng`` is ignored: the
+    report draws nothing at random, and the keyword stays for callers
+    written when the orthogonality check sampled directions.
     """
     x0 = np.full(p.n, _start_scale(eta))
     limit = bregman_projection(p, x0)
@@ -653,7 +666,7 @@ def bias_report(p: ProblemInstance, eta: float, rng=None) -> BiasReport:
 
     try:
         z = l1_minimal_solution(p)
-    except ConvergenceError:  # the limit solves the system: only the pivot cap lands here
+    except ConvergenceError:  # the limit solves the system: only the pivot cap or a singular basis lands here
         return BiasReport(eta, limit, orth.residual, orth.kernel_trivial, None, None, None, None)
     z_l1 = float(np.sum(z))
     slow = slow_bound(p.n, z_l1, eta) if z_l1 > 0 and eta + math.log(z_l1 / p.n) > 0 else None

@@ -37,6 +37,7 @@ from .experiments import (
     run_experiment1,
     run_experiment2,
 )
+from .linalg import _aligned_empty
 from .solvers import Method, ProblemInstance, SolveConfig, SolveResult, Status, solve
 
 __all__ = ["main", "run", "load_instance", "save_instance"]
@@ -79,9 +80,11 @@ def load_instance(path) -> ProblemInstance:
         a = a.reshape(m, n)
     elif a.shape != (m, n):
         raise _CliError(f"bad instance file {path}: 'a' has shape {a.shape}, expected ({m}, {n})")
+    aligned = _aligned_empty((m, n))  # as gen_instance's A: the GEMV pair runs slower off a 32-byte boundary
+    aligned[...] = a
     z = doc.get("z")
     try:
-        return ProblemInstance(a, b, planted=None if z is None else np.asarray(z, dtype=float))
+        return ProblemInstance(aligned, b, planted=None if z is None else np.asarray(z, dtype=float))
     except (TypeError, ValueError) as exc:
         raise _CliError(f"bad instance file {path}: {exc}") from exc
 

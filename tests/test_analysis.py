@@ -670,6 +670,76 @@ def small_feasible_instances(draw):
     return ProblemInstance(a, a @ x)
 
 
+def reference_pivot(t, basis, r, j):
+    """The oracle's pivot before its k = 1 BLAS product, verbatim: a broadcast rank-1 update."""
+    t[r] /= t[r, j]
+    col = t[:, j].copy()
+    col[r] = 0.0
+    t -= col[:, None] * t[r]
+    basis[r] = j
+
+
+def reference_ratio_test(t, j):
+    """The oracle's ratio test before it gathered from the basic values' column and reduced with
+    ``np.minimum.reduce``, verbatim."""
+    col = t[:-1, j]
+    rows = (col > entmd.analysis._LP_TOL).nonzero()[0]
+    ratios = t[rows, -1] / col[rows]
+    return rows, ratios, ratios.min() if rows.size else math.nan
+
+
+def reference_simplex(t, basis, budget):
+    """The oracle's pivot loop before its faster pivot and ratio test, verbatim but for the names."""
+    cost = t[-1, :-1]
+    while True:
+        j = int(cost.argmin())
+        if not cost[j] < -entmd.analysis._LP_TOL:
+            return budget
+        rows, ratios, lo = reference_ratio_test(t, j)
+        if not lo > 0.0:
+            for j in (cost < -entmd.analysis._LP_TOL).nonzero()[0]:
+                rows, ratios, lo = reference_ratio_test(t, j)
+                if rows.size:
+                    break
+            else:
+                return budget
+        if budget == 0:
+            raise ConvergenceError("the l1 oracle's simplex reached its pivot cap")
+        ties = rows[ratios == lo]
+        reference_pivot(t, basis, ties[0] if ties.size == 1 else ties[basis[ties].argmin()], j)
+        budget -= 1
+
+
+def simplex_outcome(simplex, t, basis, budget):
+    """``simplex``'s return value, or the ConvergenceError it raises, on copies of ``t`` and ``basis``;
+    with the tableau and the basis it leaves."""
+    t, basis = t.copy(), basis.copy()
+    try:
+        outcome = simplex(t, basis, budget)
+    except ConvergenceError as exc:
+        outcome = str(exc)
+    return outcome, t, basis
+
+
+# magnitudes from 1e-300 to 1e300, so that products overflow to inf and underflow to 0, beside small
+# integers, which tie ratios, and exact zeros
+_ENTRIES = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from([1.0, -1.0]), st.one_of(
+    st.just(0.0), st.sampled_from([1.0, 2.0, 3.0, 0.5]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent, st.floats(1.0, 9.99), st.integers(-300, 300))))
+
+
+@st.composite
+def simplex_tableaus(draw):
+    """A tableau of 2x2 to 20x30 (constraint rows, the reduced-cost row; columns, the basic values) and a
+    basis of distinct indices; half of the draws keep the basic values nonnegative."""
+    rows, cols = draw(st.integers(2, 20)), draw(st.integers(2, 30))
+    t = np.array(draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    if draw(st.booleans()):
+        t[:-1, -1] = np.abs(t[:-1, -1])
+    basis = np.array(draw(st.permutations(range(rows - 1 + cols)))[:rows - 1])
+    return t, basis
+
+
 class TestL1MinimalSolution:
     def test_matches_linprog(self):
         for p in L1_CORPUS.values():
@@ -744,6 +814,32 @@ class TestL1MinimalSolution:
         assert len(calls) == pivots
         assert bases[-1] == basis
 
+    def test_dependent_rows_are_dropped_before_the_final_solve(self, monkeypatch):
+        # a duplicated row and a row that is the sum of two others: the final basis is square on the 6
+        # kept rows, and x matches HiGHS
+        g = np.round(2.0 * seeded_rng(62).standard_normal((6, 11)))
+        a = np.vstack([g, g[2], g[0] + g[4]])
+        z = np.zeros(11)
+        z[[1, 3, 8]] = [1.0, 2.0, 0.5]
+        p = ProblemInstance(a, a @ z)
+        solve, shapes = np.linalg.solve, []
+
+        def recording_solve(basis_matrix, rhs):
+            shapes.append(basis_matrix.shape)
+            return solve(basis_matrix, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        assert_l1_optimal(p, l1_minimal_solution(p))
+        assert shapes == [(6, 6)]
+
+    def test_singular_final_basis_raises(self, monkeypatch):
+        def singular(basis_matrix, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError, match="final basis is singular"):
+            l1_minimal_solution(L1_CORPUS["centered 5x9 #0"])
+
     def test_paper_shape(self):
         # 300x500, the paper's shape: about 4.1 (m + n) pivots; Bland's rule alone stopped at the cap
         p = gen_instance(InstanceSpec(300, 500, 30, seed=0))
@@ -761,6 +857,54 @@ class TestL1MinimalSolution:
         entmd.analysis._simplex(t, basis, 10)  # ConvergenceError after 10 pivots
         assert -t[-1, -1] == pytest.approx(-1 / 20, rel=1e-12)
         assert sorted(basis) == [0, 3, 5]
+
+
+class TestPivotMatchesReference:
+    """The oracle's pivot loop takes the reference's steps and leaves the reference's tableau."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(simplex_tableaus())
+    def test_one_pivot_step_matches(self, tableau):
+        t, basis = tableau
+        with np.errstate(all="ignore"):
+            outcome, t_fast, basis_fast = simplex_outcome(entmd.analysis._simplex, t, basis, 1)
+            expected, t_ref, basis_ref = simplex_outcome(reference_simplex, t, basis, 1)
+        assert outcome == expected
+        assert np.array_equal(t_fast, t_ref, equal_nan=True)
+        assert np.array_equal(basis_fast, basis_ref)
+
+    def test_overflowing_ratios_nan_and_tolerance_entries(self):
+        # column 0 has a NaN entry and one equal to the tolerance, which take no part, and a positive one
+        # whose ratio overflows to inf, which does: it enters on row 2
+        t = np.array([[math.nan, 1.0, 1.0], [entmd.analysis._LP_TOL, 0.0, 1e-12], [2e-9, 1.0, 1e300],
+                      [-1.0, 0.0, 0.0]])
+        basis = np.array([3, 4, 5])
+        with np.errstate(all="ignore"):
+            outcome, t_fast, basis_fast = simplex_outcome(entmd.analysis._simplex, t, basis, 1)
+            expected, t_ref, basis_ref = simplex_outcome(reference_simplex, t, basis, 1)
+        assert outcome == expected
+        assert np.array_equal(t_fast, t_ref, equal_nan=True)
+        assert basis_fast.tolist() == basis_ref.tolist() == [3, 4, 0]
+
+    @pytest.mark.parametrize("m, n", [(8, 12), (20, 40), (60, 100)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_phases_end_on_the_reference_basis(self, monkeypatch, m, n, sparse, seed):
+        p = gen_instance(InstanceSpec(m, n, max(2, m // 6) if sparse else None, seed=seed))
+        simplex, phases = entmd.analysis._simplex, []
+
+        def compared_simplex(t, basis, budget):
+            expected, t_ref, basis_ref = simplex_outcome(reference_simplex, t, basis, budget)
+            left = simplex(t, basis, budget)
+            assert left == expected
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(basis, basis_ref)
+            phases.append(left)
+            return left
+
+        monkeypatch.setattr(entmd.analysis, "_simplex", compared_simplex)
+        l1_minimal_solution(p)
+        assert len(phases) == 2
 
 
 class TestBiasReport:

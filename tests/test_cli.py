@@ -49,6 +49,14 @@ class TestInstanceIo:
         p = load_instance(path)
         assert np.array_equal(p.a, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (3, 5), (60, 100)])
+    def test_loaded_matrix_is_64_byte_aligned(self, tmp_path, m, n):
+        # as gen_instance's A: the GEMV pair is slower off a 32-byte boundary, so the heap must not decide
+        p = entmd.gen_instance(entmd.InstanceSpec(m, n, None, seed=0))
+        q = load_instance(write_instance(tmp_path, p))
+        assert q.a.ctypes.data % 64 == 0
+        assert q.a.tobytes() == p.a.tobytes()
+
 
 class TestSolveCommand:
     def test_converged_exit_zero(self, tmp_path, capsys):

@@ -15,7 +15,10 @@
 # perfbench's large-certified workload solves at seeds 1 and 2, the
 # 300x500 sparsity-30 instance of paper-scale exp1, the 120x200 dense
 # instance of perfbench's rate certificate, and a tall 6x4 sparsity-2
-# instance.
+# instance.  Last, it writes the sha256 of the l1 oracle's x
+# (l1_minimal_solution) on the 60x100 sparsity-10 instances of seeds 0-2,
+# the 60x100 dense seed-0 instance and the 300x500 sparsity-30 seed-0
+# instance, the paper's shape, where the simplex pivots the most.
 #
 #   tools/outputs.sh DIR
 #
@@ -81,3 +84,11 @@ done
 entmd bias --construct 12 10 > "$out/analysis/bias_construct_12.txt"
 entmd instability "$out/dense_seed0.json" --alpha 1 > "$out/analysis/instability_dense_seed0.txt"
 entmd rate-cert "$out/square20_seed0.json" > "$out/analysis/rate_cert_square20_seed0.txt"
+PYTHONPATH="$root/src" OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 -c "
+import hashlib
+from entmd import InstanceSpec, gen_instance, l1_minimal_solution
+for m, n, sparsity, seed in [(60, 100, 10, 0), (60, 100, 10, 1), (60, 100, 10, 2), (60, 100, None, 0),
+                             (300, 500, 30, 0)]:
+    x = l1_minimal_solution(gen_instance(InstanceSpec(m, n, sparsity, seed=seed)))
+    print(hashlib.sha256(x.tobytes()).hexdigest(), f'{m}x{n}', sparsity, f'seed{seed}', 'l1_minimal_solution')
+" > "$out/analysis/l1_oracle.sha256"

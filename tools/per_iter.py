@@ -1,4 +1,4 @@
-"""Microseconds per iteration of entmd's loops and per phase call, seconds per exp1, MB per gen_instance, best of N.
+"""Microseconds per iteration of entmd's loops and per phase call, seconds per exp1 and l1 oracle, MB per gen_instance.
 
 Usage, from the root of a checkout::
 
@@ -36,6 +36,8 @@ starts, and run for 2000 iterations at 60x100 and 400 at 300x500.  Rows:
   CLI's default methods, ``iters`` and ``limit_extra_iters`` both the
   shape's iteration count, writing its files to a temporary directory; the
   time is seconds per call;
+* ``l1 oracle (s)``: one ``l1_minimal_solution`` of the shape's instance,
+  the simplex behind ``bias``'s exact gap, in seconds per call;
 * ``gen_instance (MB)``: the growth of the peak resident set over one
   ``gen_instance`` call in a fresh child process, at each shape and at
   1000x2000 with sparsity 100, the instance of perfbench's
@@ -51,7 +53,8 @@ two checkouts on the same machine.  ``--json PATH`` also writes the commit,
 the machine (``perfbench/envinfo.py``), the repeat count and, per row and
 shape, the min and the median of the calls, under ``us_per_iter``, under
 ``us_per_call`` for the phases, under ``s_per_call`` for the ``exp1 (s)``
-row, or under ``mb_per_call`` for the ``gen_instance (MB)`` row.  Every run
+and ``l1 oracle (s)`` rows, or under ``mb_per_call`` for the
+``gen_instance (MB)`` row.  Every run
 uses one BLAS thread.
 """
 
@@ -76,7 +79,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 from entmd import (MD_CONSTANT_GRID, ExperimentConfig, InstanceSpec, Method, SolveConfig, gen_instance,  # noqa: E402
-                   run_experiment1, solve)
+                   l1_minimal_solution, run_experiment1, solve)
 from entmd.experiments import _constant_grid  # noqa: E402
 from entmd.bregman import _dh_core  # noqa: E402
 from entmd.solvers import (_MARK_EVERY, _exp_mult, _hd_plus_update, _lockstep, _polyak_stepsize,  # noqa: E402
@@ -87,7 +90,9 @@ SHAPES = {"60x100": (60, 100, 10, 2000), "300x500": (300, 500, 30, 400)}
 X0 = 1e-4
 EXP2_SCALES = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 POLYAK = [Method.md_polyak(), Method.hd_polyak(), Method.hd_plus_polyak()]
-EXP1 = "exp1 (s)"  # the one row timed in seconds per call
+EXP1 = "exp1 (s)"
+L1 = "l1 oracle (s)"
+PER_CALL_S = (EXP1, L1)  # the rows timed in seconds per call
 GEN_MB = "gen_instance (MB)"  # the one row measured in MB per call, on its own shapes
 LARGE = {"1000x2000": (1000, 2000, 100)}  # perfbench's large-certified instance
 # run in a fresh interpreter, so that no earlier allocation hides the call's peak
@@ -176,6 +181,7 @@ def cases(m: int, n: int, sparsity: int, iters: int, tmp: str):
         ("dh dense ref", calls(_dh_core, refs[polyak], x)),
         ("dh sparse ref", calls(_dh_core, p.planted, x)),
         (EXP1, lambda: run_experiment1(exp1)),
+        (L1, lambda: l1_minimal_solution(p)),
     ]
 
 
@@ -196,12 +202,12 @@ def main(argv=None) -> int:
             for _ in range(args.repeat):
                 for name, fn in rows:
                     secs = seconds(fn)
-                    value = secs if name == EXP1 else 1e6 * secs / iters
+                    value = secs if name in PER_CALL_S else 1e6 * secs / iters
                     table.setdefault(name, {}).setdefault(shape, []).append(value)
     print("| us per iteration | " + " | ".join(shapes) + " |")
     print("| --- |" + " --- |" * len(shapes))
     for name, row in table.items():
-        digits = 3 if name == EXP1 else 1
+        digits = 4 if name in PER_CALL_S else 1
         print(f"| {name} | " + " | ".join(f"{min(row[shape]):.{digits}f}" for shape in shapes) + " |")
     mb_shapes = {shape: SHAPES[shape][:3] for shape in shapes} | LARGE
     table[GEN_MB] = {shape: [gen_instance_mb(*dims) for _ in range(args.repeat)] for shape, dims in mb_shapes.items()}
@@ -220,9 +226,9 @@ def main(argv=None) -> int:
             "environment": env,
             "repeat": args.repeat,
             "iters": {shape: SHAPES[shape][3] for shape in shapes},
-            "us_per_iter": summary([name for name in table if name not in (EXP1, GEN_MB, *PHASES)]),
+            "us_per_iter": summary([name for name in table if name not in (*PER_CALL_S, GEN_MB, *PHASES)]),
             "us_per_call": summary(PHASES),
-            "s_per_call": summary([EXP1]),
+            "s_per_call": summary(PER_CALL_S),
             "mb_per_call": summary([GEN_MB]),
         }
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
